@@ -3,9 +3,9 @@
 How many vectors/second the differential verifier can push through a
 representative implementation slice — the number that bounds how large
 a nightly fuzz run can be.  The pure reference oracle is benchmarked
-on its own (the floor every implementation pair pays), then one
-word-level serving implementation, the abstract VLSA machine, and one
-gate-level engine backend at a reduced share.
+on its own (one word-level ``aca_add`` per pair, the cost every run
+shares), then one word-level serving implementation, the abstract VLSA
+machine, and one gate-level engine backend at a reduced share.
 
 Every run must stay mismatch-free: a ``mismatches`` metric banded
 against zero turns a silently-diverging implementation into a gate

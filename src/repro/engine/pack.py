@@ -9,10 +9,9 @@ The engine moves data between three representations:
 * **uint64 word arrays** — the same bit-sliced layout chunked into
   64-vector machine words (the NumPy backend's native form).
 
-The legacy code transposed these layouts with nested Python loops —
-O(vectors x width) interpreter iterations per call, the hidden hot spot
-of the validate/ATPG/testbench paths.  Here every transpose runs through
-``numpy.packbits``/``unpackbits`` (C loops over bytes).
+Packing and unpacking are the same bit-matrix transpose: one joined
+byte buffer (one ``int`` render per vector or word) plus one
+``unpackbits``/``packbits`` pass in C.
 """
 
 from __future__ import annotations
@@ -31,6 +30,35 @@ __all__ = [
 ]
 
 
+def _transpose(ints: Sequence[int], nbits: int) -> List[int]:
+    """Bit-matrix transpose: ``nbits`` integers of ``len(ints)`` bits.
+
+    Bit ``j`` of result ``i`` is bit ``i`` of ``ints[j]``; bits at or
+    above *nbits* are ignored.  One little-endian render per integer
+    into one buffer, then a single unpackbits/packbits pass.
+    """
+    n = len(ints)
+    if n == 0 or nbits <= 0:
+        return [0] * max(nbits, 0)
+    mask = (1 << nbits) - 1
+    nbytes = (nbits + 7) // 8
+    # Result rows of 8 bytes (one uint64) when they hold at most 64 bits,
+    # whole bytes beyond; zero inputs pad *n* up to the row size.
+    stride = 8 if n <= 64 else (n + 7) // 8
+    raw = np.frombuffer(b"".join((int(v) & mask).to_bytes(nbytes, "little")
+                                 for v in ints)
+                        + bytes((stride * 8 - n) * nbytes), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(stride * 8, nbytes), axis=1,
+                         count=nbits, bitorder="little")
+    rows = np.packbits(np.ascontiguousarray(bits.T), axis=1,
+                       bitorder="little")
+    if n <= 64:
+        return rows.view("<u8").ravel().tolist()
+    buf = rows.tobytes()
+    return [int.from_bytes(buf[i:i + stride], "little")
+            for i in range(0, nbits * stride, stride)]
+
+
 def pack_vectors(values: Sequence[int], width: int) -> List[int]:
     """Transpose per-vector integers into per-bit packed words.
 
@@ -42,19 +70,7 @@ def pack_vectors(values: Sequence[int], width: int) -> List[int]:
         ``width`` packed words, LSB column first; bit ``j`` of word ``i``
         is bit ``i`` of ``values[j]``.
     """
-    count = len(values)
-    if count == 0 or width <= 0:
-        return [0] * max(width, 0)
-    mask = (1 << width) - 1
-    # One binary-string render per vector (C code), then a byte-matrix
-    # transpose via packbits.
-    mat = np.empty((count, width), dtype=np.uint8)
-    for j, v in enumerate(values):
-        bits = format(int(v) & mask, f"0{width}b").encode()
-        mat[j] = np.frombuffer(bits, dtype=np.uint8)[::-1] - ord("0")
-    packed = np.packbits(mat, axis=0, bitorder="little")
-    return [int.from_bytes(packed[:, bit].tobytes(), "little")
-            for bit in range(width)]
+    return _transpose(values, width)
 
 
 def unpack_vectors(words: Sequence[int], count: int) -> List[int]:
@@ -68,26 +84,7 @@ def unpack_vectors(words: Sequence[int], count: int) -> List[int]:
         ``count`` integers; bit ``i`` of integer ``j`` is bit ``j`` of
         ``words[i]``.
     """
-    width = len(words)
-    if width == 0 or count <= 0:
-        return [0] * max(count, 0)
-    nbytes = (count + 7) // 8
-    mask = (1 << count) - 1
-    cols = np.empty((nbytes, width), dtype=np.uint8)
-    for bit, w in enumerate(words):
-        cols[:, bit] = np.frombuffer(
-            (int(w) & mask).to_bytes(nbytes, "little"), dtype=np.uint8)
-    mat = np.unpackbits(cols, axis=0, bitorder="little",
-                        count=count)  # (count, width)
-    # Pad the MSB side to a byte multiple so packbits keeps bit weights.
-    pad = (-width) % 8
-    if pad:
-        mat = np.concatenate(
-            [np.zeros((count, pad), dtype=np.uint8), mat[:, ::-1]], axis=1)
-    else:
-        mat = mat[:, ::-1]
-    rows = np.packbits(mat, axis=1)
-    return [int.from_bytes(rows[j].tobytes(), "big") for j in range(count)]
+    return _transpose(words, count)
 
 
 def word_to_u64(word: int, num_vectors: int) -> np.ndarray:

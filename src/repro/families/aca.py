@@ -26,43 +26,11 @@ from ..circuit import Circuit
 from ..core.aca import build_aca
 from ..core.vlsa import build_vlsa_datapath
 from ..engine.functional import register_functional
-from ..mc.fastsim import AcaModel
+from ..mc.fastsim import AcaModel, window_all_ones, window_generate
 from .base import (AdderFamily, FamilyErrorModel, KernelBatch,
                    SpeculativeModel, register_family)
 
 __all__ = ["AcaFamily", "aca_numpy_kernel", "FAMILY"]
-
-
-def _window_generate_np(g: np.ndarray, p: np.ndarray,
-                        window: int) -> np.ndarray:
-    """Bit ``i`` = group generate of ``[max(0, i-window+1), i]``.
-
-    Word-level Kogge-Stone doubling with one final (possibly
-    overlapping) combine — the carry operator is idempotent across
-    overlapping ranges, so the partial last step stays exact.  Bit ``i``
-    is therefore the ACA's speculative carry *out of* bit ``i`` at
-    ``cin = 0`` (anchored windows clamp at bit 0).
-    """
-    certified = 1
-    G = g.copy()
-    P = p.copy()
-    while certified < window:
-        step = min(certified, window - certified)
-        G = G | (P & (G << np.uint64(step)))
-        P = P & (P << np.uint64(step))
-        certified += step
-    return G
-
-
-def _window_all_ones_np(word: np.ndarray, window: int) -> np.ndarray:
-    """Vectorised :func:`repro.mc.fastsim.window_all_ones` on uint64."""
-    certified = 1
-    out = word.copy()
-    while certified < window:
-        step = min(certified, window - certified)
-        out &= out >> np.uint64(step)
-        certified += step
-    return out
 
 
 def aca_numpy_kernel(width: int, window: int
@@ -84,7 +52,7 @@ def aca_numpy_kernel(width: int, window: int
             exact_couts = (s < a).astype(np.uint64)
         p = a ^ b
         g = a & b
-        spec_carries = _window_generate_np(g, p, window)
+        spec_carries = window_generate(g, p, window)
         spec = (p ^ (spec_carries << np.uint64(1))) & mask
         spec_couts = (spec_carries >> np.uint64(width - 1)) & np.uint64(1)
         if window >= width:
@@ -94,7 +62,7 @@ def aca_numpy_kernel(width: int, window: int
             flags = p == mask
             spec_err = np.zeros(a.shape, dtype=bool)
         else:
-            starts = _window_all_ones_np(p, window)
+            starts = window_all_ones(p, window)
             flags = starts != 0
             # Wrong iff a non-anchored all-propagate window receives a
             # carry; carry into bit i is bit i of (a + b) ^ a ^ b.

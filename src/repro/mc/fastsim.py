@@ -9,6 +9,8 @@ the gate-level model computes, at any bitwidth:
   marks every position starting an all-propagate window.
 * An ACA error exists iff some all-propagate window receives an incoming
   carry: ``window_all_ones(p, w) & carry_word != 0``.
+* ``window_generate`` — Kogge-Stone doubling of the generate/propagate
+  words yields every speculative carry of ``aca_add`` at once.
 
 These functions are the workhorses of the Monte Carlo experiments and of
 the cycle-accurate VLSA machine in :mod:`repro.arch`; the test suite
@@ -29,6 +31,7 @@ from ..engine.context import RunContext, resolve_rng
 __all__ = [
     "carry_word",
     "window_all_ones",
+    "window_generate",
     "propagate_word",
     "generate_word",
     "longest_propagate_run",
@@ -39,6 +42,10 @@ __all__ = [
     "sample_error_rate",
     "sample_detector_rate",
 ]
+
+
+#: A Python int, or a uint64 array evaluated elementwise.
+Word = Union[int, np.ndarray]
 
 
 def _mask(width: int) -> int:
@@ -66,11 +73,12 @@ def carry_word(a: int, b: int, width: int, cin: int = 0) -> int:
     return (a + b + (cin & 1)) ^ a ^ b
 
 
-def window_all_ones(word: int, window: int) -> int:
+def window_all_ones(word: Word, window: int) -> Word:
     """Bit ``i`` of the result is 1 iff bits ``i .. i+window-1`` are all 1.
 
     Uses shift-doubling: ANDing with a copy shifted by ``s`` certifies
-    ``s`` extra ones, so ``O(log window)`` big-int operations suffice.
+    ``s`` extra ones, so ``O(log window)`` word operations suffice, on a
+    Python int or elementwise on a uint64 array.
     """
     if window <= 0:
         raise ValueError("window must be positive")
@@ -78,9 +86,27 @@ def window_all_ones(word: int, window: int) -> int:
     out = word
     while certified < window:
         step = min(certified, window - certified)
-        out &= out >> step
+        out = out & (out >> step)  # not in place: *word* may be an array
         certified += step
     return out
+
+
+def window_generate(g: Word, p: Word, window: int) -> Word:
+    """Bit ``i`` is the group generate of bits ``[max(0, i-window+1), i]``.
+
+    Kogge-Stone doubling on generate/propagate words, on a Python int or
+    elementwise on a uint64 array.  The last step may overlap ranges,
+    which the idempotent carry operator absorbs, and the zeros shifted in
+    at bit 0 clamp the range there.  Bit ``i`` is therefore the ACA's
+    speculative carry *out of* bit ``i`` at ``cin = 0``.
+    """
+    certified = 1
+    while certified < window:
+        step = min(certified, window - certified)
+        g = g | (p & (g << step))
+        p = p & (p << step)
+        certified += step
+    return g
 
 
 def longest_propagate_run(a: int, b: int, width: int) -> int:
@@ -98,6 +124,10 @@ def aca_add(a: int, b: int, width: int, window: int,
     at position 0 additionally see the real carry-in, so the low ``window``
     bits are always exact.
 
+    Computed word-at-a-time in ``O(log window)`` big-int operations:
+    :func:`window_generate` gives every block carry, and the anchored
+    positions ``0 .. window`` take the true carry of :func:`carry_word`.
+
     Args:
         a, b: Operands (masked to *width* bits).
         width: Operand bitwidth.
@@ -112,21 +142,12 @@ def aca_add(a: int, b: int, width: int, window: int,
     mask = _mask(width)
     a &= mask
     b &= mask
-    result = 0
-    carry_out = 0
-    for i in range(width + 1):
-        lo = max(0, i - window)
-        blk_a = (a >> lo) & _mask(i - lo)
-        blk_b = (b >> lo) & _mask(i - lo)
-        blk_cin = cin if lo == 0 else 0
-        spec_carry = (blk_a + blk_b + blk_cin) >> (i - lo) if i > lo else (
-            cin & 1)
-        if i == width:
-            carry_out = spec_carry
-        else:
-            p_i = ((a >> i) ^ (b >> i)) & 1
-            result |= (p_i ^ spec_carry) << i
-    return result, carry_out
+    p = a ^ b
+    span = min(window, width)
+    anchored = _mask(span + 1)
+    spec = ((window_generate(a & b, p, span) << 1) & ~anchored) | (
+        ((a + b + (cin & 1)) ^ p) & anchored)
+    return (p ^ spec) & mask, (spec >> width) & 1
 
 
 def aca_is_correct(a: int, b: int, width: int, window: int,

@@ -15,7 +15,8 @@ only.  One JSON object per line in, one per line out:
 * ``{"cmd": "prometheus"}`` → ``{"prometheus": "..."}`` (text format)
 * ``{"cmd": "info"}`` → service configuration
 * malformed input / overload / timeout → ``{"id": ..., "error": "..."}``
-  with a machine-readable ``code``.
+  with a machine-readable ``code``; a line over the 64 KiB stream limit
+  gets ``code: "too_large"`` and its connection is closed.
 
 Requests on one connection are answered in order; the service's
 admission control applies per request, so an overloaded server degrades
@@ -131,7 +132,16 @@ class VlsaServer:
             "connections_total", "TCP connections accepted").inc()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # over the stream limit: reply, hang up
+                    self.service.registry.counter(
+                        "oversized_lines_total",
+                        "Request lines over the stream limit").inc()
+                    writer.write(b'{"error": "request line too large", '
+                                 b'"code": "too_large"}\n')
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 reply = await self._handle_line(line)

@@ -61,6 +61,36 @@ def test_batch_verb_rejects_malformed_pairs():
     asyncio.run(main())
 
 
+def test_oversized_line_gets_typed_reply_and_server_keeps_serving():
+    """A request line over the stream's 64 KiB limit is answered with
+    ``too_large`` and counted; its connection closes, the server does
+    not, and the next connection is answered."""
+    big = (1 << 64) - 1
+    line = json.dumps({"pairs": [[big, big - i] for i in range(1500)]})
+    assert len(line) > 1 << 16
+
+    async def main():
+        service = VlsaService(width=WIDTH, window=WINDOW)
+        async with VlsaServer(service, port=0) as server:
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(line.encode() + b"\n")
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            assert reply["code"] == "too_large"
+            assert await reader.read() == b""  # server hung up
+            writer.close()
+
+            reader, writer = await asyncio.open_connection(host, port)
+            fresh = await _rpc(reader, writer, {"id": 3, "a": 5, "b": 7})
+            assert fresh["id"] == 3 and fresh["sum"] == 12
+            writer.close()
+            counter = service.registry.get("oversized_lines_total")
+            assert counter is not None and counter.value == 1
+
+    asyncio.run(main())
+
+
 def test_batch_verb_over_cluster_front():
     """The server accepts a ClusterRouter as its service: the batch
     verb drives the full wire path, shm transport underneath."""

@@ -23,14 +23,39 @@ def test_pack_masks_excess_bits():
     assert words == [1, 1]
 
 
-def test_pack_matches_naive_definition():
-    values = [0b101, 0b011, 0b110]
-    words = pack.pack_vectors(values, 3)
-    for bit in range(3):
+def _naive_pack(values, width):
+    """Per-bit definition: bit ``j`` of word ``i`` is bit ``i`` of
+    ``values[j]``."""
+    words = []
+    for bit in range(width):
         expect = 0
         for j, v in enumerate(values):
             expect |= ((v >> bit) & 1) << j
-        assert words[bit] == expect
+        words.append(expect)
+    return words
+
+
+def test_pack_matches_naive_definition():
+    values = [0b101, 0b011, 0b110]
+    assert pack.pack_vectors(values, 3) == _naive_pack(values, 3)
+
+
+@pytest.mark.parametrize("width", [1, 8, 9, 63, 64, 65, 130])
+@pytest.mark.parametrize("count", [0, 5, 100, 4096])
+def test_pack_unpack_match_naive_definition(width, count):
+    rng = np.random.default_rng(width * 7919 + count)
+    # Up to 11 bits above the bus width, which must be masked away.
+    values = [int.from_bytes(rng.bytes((width + 18) // 8), "little")
+              for _ in range(count)]
+    mask = (1 << width) - 1
+    words = pack.pack_vectors(values, width)
+    assert words == _naive_pack([v & mask for v in values], width)
+    # Unpack is the definition read the other way round; stray bits
+    # above *count* in a word are ignored.
+    noisy = [w | (0b101 << count) for w in words]
+    got = pack.unpack_vectors(noisy, count)
+    assert got == [v & mask for v in values]
+    assert all(type(v) is int for v in got)
 
 
 @pytest.mark.parametrize("num_vectors", [1, 63, 64, 65, 200])

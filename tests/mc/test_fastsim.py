@@ -93,6 +93,55 @@ def test_aca_add_known_example():
     assert (s, cout) == (0b1000, 0)
 
 
+def _aca_add_reference(a, b, width, window, cin=0):
+    """The hardware definition, one bit position at a time: the carry
+    into bit ``i`` is the carry out of block ``[max(0, i-window), i-1]``,
+    which sees ``cin`` only when anchored at bit 0."""
+    mask = (1 << width) - 1
+    a &= mask
+    b &= mask
+    result = 0
+    carry_out = 0
+    for i in range(width + 1):
+        lo = max(0, i - window)
+        blk = (1 << (i - lo)) - 1
+        blk_cin = cin if lo == 0 else 0
+        spec_carry = ((((a >> lo) & blk) + ((b >> lo) & blk) + blk_cin)
+                      >> (i - lo)) if i > lo else cin & 1
+        if i == width:
+            carry_out = spec_carry
+        else:
+            result |= ((((a ^ b) >> i) & 1) ^ spec_carry) << i
+    return result, carry_out
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_aca_add_matches_definition_exhaustively(width):
+    for window in range(1, width + 3):
+        for cin in (0, 1):
+            for a in range(1 << width):
+                for b in range(1 << width):
+                    assert aca_add(a, b, width, window, cin) == (
+                        _aca_add_reference(a, b, width, window, cin)), (
+                        a, b, window, cin)
+
+
+@st.composite
+def _wide_case(draw):
+    width = draw(st.sampled_from([63, 64, 65, 128]))
+    mask = (1 << width) - 1
+    a = draw(st.integers(0, mask))
+    # Mix in all-propagate pairs (b = ~a): the longest carry chains.
+    b = draw(st.one_of(st.integers(0, mask), st.just(~a & mask)))
+    window = draw(st.integers(1, width + 2))
+    return a, b, width, window, draw(st.integers(0, 1))
+
+
+@given(case=_wide_case())
+def test_aca_add_matches_definition_wide(case):
+    assert aca_add(*case) == _aca_add_reference(*case)
+
+
 def test_model_wrapper(rng):
     model = AcaModel(24, 6)
     for _ in range(200):
