@@ -12,15 +12,24 @@ the gate-level model computes, at any bitwidth:
 * ``window_generate`` — Kogge-Stone doubling of the generate/propagate
   words yields every speculative carry of ``aca_add`` at once.
 
-These functions are the workhorses of the Monte Carlo experiments and of
-the cycle-accurate VLSA machine in :mod:`repro.arch`; the test suite
-cross-checks them against the gate-level circuits and the exact DP in
-:mod:`repro.analysis.error_model`.
+:class:`AcaModel` is configured once per ``(width, window)``: it fixes
+the masks and the doubling shift schedule at construction and evaluates
+``add``, ``flags_error`` and ``is_correct`` inline from them.  The
+module-level ``aca_add``, ``detector_flag`` and ``aca_is_correct``
+delegate to a cached model, so each operation has one implementation.
+
+These functions are the workhorses of the Monte Carlo experiments, the
+service's bigint backend and the cycle-accurate VLSA machine in
+:mod:`repro.arch`.  The differential verifier's oracle
+(:mod:`repro.verify.oracle`) recomputes everything from the definition
+without them, and the test suite cross-checks them against the
+gate-level circuits and the exact DP in :mod:`repro.analysis.error_model`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -73,6 +82,24 @@ def carry_word(a: int, b: int, width: int, cin: int = 0) -> int:
     return (a + b + (cin & 1)) ^ a ^ b
 
 
+@lru_cache(maxsize=256)
+def _doubling_steps(window: int) -> Tuple[int, ...]:
+    """Shift amounts of a log-doubling that certifies *window* bits.
+
+    Each step at most doubles the certified run length, and the last
+    one stops exactly at *window*.
+    """
+    if window <= 0:
+        raise ValueError("window must be positive")
+    steps = []
+    certified = 1  # each bit currently certifies a run of this length
+    while certified < window:
+        step = min(certified, window - certified)
+        steps.append(step)
+        certified += step
+    return tuple(steps)
+
+
 def window_all_ones(word: Word, window: int) -> Word:
     """Bit ``i`` of the result is 1 iff bits ``i .. i+window-1`` are all 1.
 
@@ -80,14 +107,9 @@ def window_all_ones(word: Word, window: int) -> Word:
     ``s`` extra ones, so ``O(log window)`` word operations suffice, on a
     Python int or elementwise on a uint64 array.
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    certified = 1  # each bit currently certifies a run of this length
     out = word
-    while certified < window:
-        step = min(certified, window - certified)
+    for step in _doubling_steps(window):
         out = out & (out >> step)  # not in place: *word* may be an array
-        certified += step
     return out
 
 
@@ -100,12 +122,9 @@ def window_generate(g: Word, p: Word, window: int) -> Word:
     at bit 0 clamp the range there.  Bit ``i`` is therefore the ACA's
     speculative carry *out of* bit ``i`` at ``cin = 0``.
     """
-    certified = 1
-    while certified < window:
-        step = min(certified, window - certified)
+    for step in _doubling_steps(window):
         g = g | (p & (g << step))
         p = p & (p << step)
-        certified += step
     return g
 
 
@@ -122,11 +141,7 @@ def aca_add(a: int, b: int, width: int, window: int,
     ``[max(0, i-window) .. i-1]`` — i.e. the true carry under the
     assumption that nothing enters the block from below.  Blocks anchored
     at position 0 additionally see the real carry-in, so the low ``window``
-    bits are always exact.
-
-    Computed word-at-a-time in ``O(log window)`` big-int operations:
-    :func:`window_generate` gives every block carry, and the anchored
-    positions ``0 .. window`` take the true carry of :func:`carry_word`.
+    bits are always exact.  See :meth:`AcaModel.add`.
 
     Args:
         a, b: Operands (masked to *width* bits).
@@ -137,33 +152,16 @@ def aca_add(a: int, b: int, width: int, window: int,
     Returns:
         ``(sum, carry_out)`` as the speculative hardware would produce them.
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    mask = _mask(width)
-    a &= mask
-    b &= mask
-    p = a ^ b
-    span = min(window, width)
-    anchored = _mask(span + 1)
-    spec = ((window_generate(a & b, p, span) << 1) & ~anchored) | (
-        ((a + b + (cin & 1)) ^ p) & anchored)
-    return (p ^ spec) & mask, (spec >> width) & 1
+    return _model(width, window).add(a, b, cin)
 
 
 def aca_is_correct(a: int, b: int, width: int, window: int,
                    cin: int = 0) -> bool:
     """True iff the ACA result (sum and carry out) equals exact addition.
 
-    O(log window) big-int ops: wrong exactly when some all-propagate
-    window of length *window* has an incoming carry.  The window starting
-    at bit 0 is excluded — it is anchored and absorbs the real carry-in,
-    so it can never be wrong (which also makes the error probability
-    independent of ``cin``).
+    See :meth:`AcaModel.is_correct`.
     """
-    p = propagate_word(a, b, width)
-    starts = window_all_ones(p, window)
-    carries = carry_word(a, b, width, cin)
-    return (starts & carries & ~1) == 0
+    return _model(width, window).is_correct(a, b, cin)
 
 
 def detector_flag(a: int, b: int, width: int, window: int) -> bool:
@@ -172,12 +170,16 @@ def detector_flag(a: int, b: int, width: int, window: int) -> bool:
     Conservative superset of the actual-error condition (never misses a
     real error, may fire when the speculative sum happens to be right).
     """
-    return window_all_ones(propagate_word(a, b, width), window) != 0
+    return _model(width, window).flags_error(a, b)
 
 
 @dataclass
 class AcaModel:
     """Functional ACA configured once, reused across many additions.
+
+    Construction fixes the operand mask and the doubling shift schedules
+    (one for the speculative carries, one for the detector), so every
+    call is ``O(log window)`` big-int operations with no set-up.
 
     Attributes:
         width: Operand bitwidth.
@@ -187,22 +189,65 @@ class AcaModel:
     width: int
     window: int
 
+    def __post_init__(self) -> None:
+        span = min(self.window, self.width)
+        self._word_mask = _mask(self.width)
+        # Anchored positions 0 .. span see bit 0 (and the carry-in).
+        self._anchored = _mask(span + 1)
+        self._unanchored = ~self._anchored
+        self._spec_steps = _doubling_steps(span) if span > 0 else ()
+        self._run_steps = _doubling_steps(self.window)
+
     def add(self, a: int, b: int, cin: int = 0) -> Tuple[int, int]:
-        """Speculative ``(sum, cout)``."""
-        return aca_add(a, b, self.width, self.window, cin)
+        """Speculative ``(sum, cout)``.
+
+        The :func:`window_generate` doubling, inlined, gives every block
+        carry at once; the anchored positions ``0 .. window`` take the
+        true carry ``(a + b + cin) ^ a ^ b``.
+        """
+        mask = self._word_mask
+        a &= mask
+        b &= mask
+        p = a ^ b
+        g = a & b
+        run = p
+        for step in self._spec_steps:
+            g |= run & (g << step)
+            run &= run << step
+        spec = ((g << 1) & self._unanchored) | (
+            ((a + b + (cin & 1)) ^ p) & self._anchored)
+        return (p ^ spec) & mask, (spec >> self.width) & 1
 
     def exact(self, a: int, b: int, cin: int = 0) -> Tuple[int, int]:
         """Reference ``(sum, cout)``."""
-        total = (a & _mask(self.width)) + (b & _mask(self.width)) + (cin & 1)
-        return total & _mask(self.width), total >> self.width
+        mask = self._word_mask
+        total = (a & mask) + (b & mask) + (cin & 1)
+        return total & mask, total >> self.width
 
     def is_correct(self, a: int, b: int, cin: int = 0) -> bool:
-        """Whether speculation succeeds on this operand pair."""
-        return aca_is_correct(a, b, self.width, self.window, cin)
+        """Whether speculation succeeds on this operand pair.
+
+        Wrong exactly when some all-propagate window of length *window*
+        has an incoming carry.  The window starting at bit 0 is excluded
+        — it is anchored and absorbs the real carry-in, so it can never
+        be wrong (which also makes the error probability independent of
+        ``cin``).
+        """
+        mask = self._word_mask
+        a &= mask
+        b &= mask
+        p = a ^ b
+        starts = p
+        for step in self._run_steps:
+            starts &= starts >> step
+        return (starts & ((a + b + (cin & 1)) ^ p) & ~1) == 0
 
     def flags_error(self, a: int, b: int) -> bool:
         """Whether the detector requests a recovery cycle."""
-        return detector_flag(a, b, self.width, self.window)
+        starts = (a ^ b) & self._word_mask
+        for step in self._run_steps:
+            starts &= starts >> step
+        return starts != 0
 
     def run_ints(self, vectors: Mapping[str, Union[int, Sequence[int]]]
                  ) -> Dict[str, Union[int, List[int]]]:
@@ -239,6 +284,12 @@ class AcaModel:
         if scalar:
             return {"sum": sums[0], "cout": couts[0]}
         return {"sum": sums, "cout": couts}
+
+
+@lru_cache(maxsize=256)
+def _model(width: int, window: int) -> AcaModel:
+    """The shared model behind the module-level ACA functions."""
+    return AcaModel(width, window)
 
 
 def _random_operands(width: int, samples: int,

@@ -2,10 +2,11 @@
 
 Every claim of "bit-identical speculative-adder behaviour" in this
 repository is enforced here, from one place, against one reference: the
-*functional model* of the adder family under test (registered in
-:mod:`repro.engine.functional`, itself cross-checked exactly against the
-analytic recurrences).  Implementations register as adapters with a
-uniform batch interface and fall into two groups:
+vectorised *oracle* (:mod:`repro.verify.oracle`), which evaluates each
+chunk from the family's definition with array arithmetic and shares no
+code with the functional models, kernels or serving paths under test.
+Implementations register as adapters with a uniform batch interface and
+fall into two groups:
 
 * ``speculative`` — produce the raw speculative ``(sum, cout)`` the
   hardware emits (gate-level circuits under every engine backend, the
@@ -25,7 +26,8 @@ other zoo members through exactly the same machinery.  The single
 
 One seeded vector stream drives every registered pair; any elementwise
 disagreement is recorded with its first failing vector and a minimised
-reproducer.  On top of the elementwise comparison, observed detector /
+reproducer, and an implementation that raises is recorded as a
+``crash``.  On top of the elementwise comparison, observed detector /
 error **counts** on the uniform stream are tested against the family's
 exact analytic probabilities with a binomial bound — so a
 probabilistically wrong detector fails the run even when every sum
@@ -42,14 +44,18 @@ cross-check of the analytic model against brute force.
 from __future__ import annotations
 
 import inspect
+import traceback
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
+
+import numpy as np
 
 from ..engine.context import RunContext, get_default_context
 from ..engine.functional import functional_model
 from ..families.base import get_family
 from ..service.metrics import MetricsRegistry
+from .oracle import OracleBatch, evaluate as evaluate_oracle
 from .report import Coverage, Discrepancy, ExhaustiveCell, VerifyReport
 from .shrink import shrink_pair
 from .stats import check_rate
@@ -214,16 +220,14 @@ class KernelImpl(Implementation):
                 f"family {family!r} has no numpy kernel at width {width}")
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
-        import numpy as np
-
         a = np.array([a for a, _ in pairs], dtype=np.uint64)
         b = np.array([b for _, b in pairs], dtype=np.uint64)
         batch = self.kernel(a, b)
         return ImplResult(
-            sums=[int(v) for v in batch.spec_sums],
-            couts=[int(v) for v in batch.spec_couts],
-            flags=[bool(v) for v in batch.flags],
-            spec_errors=[bool(v) for v in batch.spec_errors])
+            sums=batch.spec_sums.tolist(),
+            couts=batch.spec_couts.tolist(),
+            flags=batch.flags.tolist(),
+            spec_errors=batch.spec_errors.tolist())
 
 
 class RecoveryImpl(Implementation):
@@ -494,42 +498,36 @@ def make_implementation(name: str, width: int, window: int,
 
 
 # ----------------------------------------------------------------------
-# Reference values (the functional fast path, computed once per chunk)
+# Reference values (the vectorised oracle, computed once per chunk)
 # ----------------------------------------------------------------------
-@dataclass
 class _Reference:
-    spec_sums: List[int]
-    spec_couts: List[int]
-    exact_sums: List[int]
-    exact_couts: List[int]
-    flags: List[bool]
-    correct: List[bool]
+    """One chunk's oracle values: arrays for counting, lists (and the
+    derived expected ``spec_error`` column) for elementwise comparison."""
+
+    def __init__(self, arrays: OracleBatch):
+        self.arrays = arrays
+        self.spec_sums: List[int] = arrays.spec_sums.tolist()
+        self.spec_couts: List[int] = arrays.spec_couts.tolist()
+        self.exact_sums: List[int] = arrays.exact_sums.tolist()
+        self.exact_couts: List[int] = arrays.exact_couts.tolist()
+        self.flags: List[bool] = arrays.flags.tolist()
+        self.correct: List[bool] = arrays.correct.tolist()
+        self.spec_errors: List[bool] = (
+            arrays.flags & ~arrays.correct).tolist()
 
 
 def _reference(pairs: Sequence[Pair], width: int, window: int,
                family: str = "aca", model: Any = None) -> _Reference:
     if model is None:
         model = functional_model(family, width=width, window=window)
-    mask = (1 << width) - 1
-    spec_sums: List[int] = []
-    spec_couts: List[int] = []
-    exact_sums: List[int] = []
-    exact_couts: List[int] = []
-    flags: List[bool] = []
-    correct: List[bool] = []
-    for a, b in pairs:
-        a &= mask
-        b &= mask
-        ss, sc = model.add(a, b)
-        total = a + b
-        spec_sums.append(ss)
-        spec_couts.append(sc)
-        exact_sums.append(total & mask)
-        exact_couts.append(total >> width)
-        flags.append(model.flags_error(a, b))
-        correct.append(model.is_correct(a, b))
-    return _Reference(spec_sums, spec_couts, exact_sums, exact_couts,
-                      flags, correct)
+    return _Reference(evaluate_oracle(pairs, model))
+
+
+def _tally(totals: Dict[str, int], ref: _Reference) -> None:
+    """Add one chunk's pair, error and flag counts to *totals*."""
+    totals["n"] += len(ref.flags)
+    totals["errors"] += int(np.count_nonzero(~ref.arrays.correct))
+    totals["flags"] += int(np.count_nonzero(ref.arrays.flags))
 
 
 # ----------------------------------------------------------------------
@@ -623,20 +621,11 @@ class DifferentialVerifier:
                     self._check_reference(ref, pairs, stream, base, seed,
                                           report)
                     if stream == "uniform":
-                        uniform["n"] += len(pairs)
-                        uniform["errors"] += sum(
-                            1 for c in ref.correct if not c)
-                        uniform["flags"] += sum(
-                            1 for f in ref.flags if f)
+                        _tally(uniform, ref)
                     for impl in self.impls:
-                        with self.ctx.phase(f"verify_{impl.name}"):
-                            res = impl.run(pairs)
-                        cov = coverage[impl.name]
-                        cov.add(stream, len(pairs))
-                        self.m_vectors.inc(len(pairs))
-                        self._compare(impl, res, ref, pairs, stream,
-                                      base, seed, report, cov)
-                        if stream == "uniform":
+                        res = self._drive(impl, pairs, ref, stream, base,
+                                          seed, report, coverage[impl.name])
+                        if stream == "uniform" and res is not None:
                             stalls = res.stalls()
                             if stalls is not None:
                                 impl_stalls[impl.name] = (
@@ -667,17 +656,10 @@ class DifferentialVerifier:
                 ref = self._reference(pairs)
                 self._check_reference(ref, pairs, stream, base, seed,
                                       report)
-                totals["n"] += len(pairs)
-                totals["errors"] += sum(1 for c in ref.correct if not c)
-                totals["flags"] += sum(1 for f in ref.flags if f)
+                _tally(totals, ref)
                 for impl in self.impls:
-                    with self.ctx.phase(f"verify_{impl.name}"):
-                        res = impl.run(pairs)
-                    cov = coverage[impl.name]
-                    cov.add(stream, len(pairs))
-                    self.m_vectors.inc(len(pairs))
-                    self._compare(impl, res, ref, pairs, stream, base,
-                                  seed, report, cov)
+                    self._drive(impl, pairs, ref, stream, base, seed,
+                                report, coverage[impl.name])
                 base += len(pairs)
         report.coverage = list(coverage.values())
         report.totals = totals  # type: ignore[attr-defined]
@@ -693,22 +675,55 @@ class DifferentialVerifier:
         """Internal invariants of the reference model itself.
 
         The detector must never miss an actual error, and the
-        speculative result must equal the exact one iff the model calls
-        the pair correct.
+        speculative result must equal the exact one iff the oracle's
+        definition of correctness calls the pair correct.
         """
-        for i in range(len(pairs)):
-            spec_ok = (ref.spec_sums[i] == ref.exact_sums[i]
-                       and ref.spec_couts[i] == ref.exact_couts[i])
-            flag_missed = not ref.flags[i] and not ref.correct[i]
-            if spec_ok != ref.correct[i] or flag_missed:
-                self._record(report, Discrepancy(
-                    kind="reference", impl="functional", stream=stream,
-                    width=self.width, window=self.window, index=base + i,
-                    a=pairs[i][0], b=pairs[i][1],
-                    expected={"correct": ref.correct[i],
-                              "flag": ref.flags[i]},
-                    got={"spec_matches_exact": spec_ok}, seed=seed,
-                    family=self.family))
+        arr = ref.arrays
+        spec_ok = ((arr.spec_sums == arr.exact_sums)
+                   & (arr.spec_couts == arr.exact_couts))
+        bad = (spec_ok != arr.correct) | ~(arr.flags | arr.correct)
+        for i in np.flatnonzero(bad).tolist():
+            self._record(report, Discrepancy(
+                kind="reference", impl="oracle", stream=stream,
+                width=self.width, window=self.window, index=base + i,
+                a=pairs[i][0], b=pairs[i][1],
+                expected={"correct": ref.correct[i], "flag": ref.flags[i]},
+                got={"spec_matches_exact": bool(spec_ok[i])}, seed=seed,
+                family=self.family))
+
+    def _drive(self, impl: Implementation, pairs: Sequence[Pair],
+               ref: _Reference, stream: str, base: int, seed: int,
+               report: VerifyReport, cov: Coverage
+               ) -> Optional[ImplResult]:
+        """Run *impl* on one chunk and compare it with the reference.
+
+        An implementation that raises is a finding, not an abort: the
+        chunk is recorded as one ``crash`` discrepancy (at its first
+        vector, with the traceback as the ``got`` value) and the other
+        implementations still run.
+        """
+        res: Optional[ImplResult] = None
+        crash: Optional[str] = None
+        with self.ctx.phase(f"verify_{impl.name}"):
+            try:
+                res = impl.run(pairs)
+            except Exception:  # a crash is a finding, recorded below
+                crash = traceback.format_exc()
+        cov.add(stream, len(pairs))
+        self.m_vectors.inc(len(pairs))
+        if crash is None:
+            self._compare(impl, res, ref, pairs, stream, base, seed, report,
+                          cov)
+        elif pairs:
+            cov.mismatches += 1
+            self.m_mismatch.inc()
+            a, b = pairs[0]
+            self._record(report, Discrepancy(
+                kind="crash", impl=impl.name, stream=stream,
+                width=self.width, window=self.window, index=base, a=a, b=b,
+                expected="no exception", got=crash, seed=seed,
+                family=self.family))
+        return res
 
     def _compare(self, impl: Implementation, res: ImplResult,
                  ref: _Reference, pairs: Sequence[Pair], stream: str,
@@ -730,11 +745,9 @@ class DifferentialVerifier:
                        for f in ref.flags]
             if res.latencies != exp_lat:
                 checks.append(("latency", exp_lat, res.latencies))
-        if res.spec_errors is not None:
-            exp_err = [f and not c
-                       for f, c in zip(ref.flags, ref.correct)]
-            if res.spec_errors != exp_err:
-                checks.append(("spec_error", exp_err, res.spec_errors))
+        if (res.spec_errors is not None
+                and res.spec_errors != ref.spec_errors):
+            checks.append(("spec_error", ref.spec_errors, res.spec_errors))
         for kind, expected, got in checks:
             for i, (e, g) in enumerate(zip(expected, got)):
                 if e != g:
@@ -785,9 +798,7 @@ class DifferentialVerifier:
                            for f in ref.flags]
                 return res.latencies != exp_lat
             if kind == "spec_error":
-                exp_err = [f and not c
-                           for f, c in zip(ref.flags, ref.correct)]
-                return res.spec_errors != exp_err
+                return res.spec_errors != ref.spec_errors
             return False
 
         return fails

@@ -38,7 +38,9 @@ class Discrepancy:
 
     Attributes:
         kind: What disagreed (``sum``/``cout``/``flag``/``latency``/
-            ``spec_error``/``reference``).
+            ``spec_error``/``reference``), or ``crash`` when the
+            implementation raised on the chunk starting at *index*
+            (*got* then holds the traceback).
         impl: Implementation that produced the wrong value.
         stream: Stream name the vector came from.
         width, window: Configuration under test.
@@ -102,7 +104,7 @@ class Coverage:
     """Vectors driven through one implementation/reference pair."""
 
     impl: str
-    reference: str = "functional"
+    reference: str = "oracle"
     vectors: int = 0
     mismatches: int = 0
     per_stream: Dict[str, int] = field(default_factory=dict)

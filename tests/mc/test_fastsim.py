@@ -115,15 +115,37 @@ def _aca_add_reference(a, b, width, window, cin=0):
     return result, carry_out
 
 
+def _assert_matches_definition(model, a, b, cin):
+    """``model`` and the module-level functions against the definitions:
+    the per-bit speculative sum, the detector as "some ``window``-bit
+    all-propagate run", and correctness as "no such run above bit 0
+    receives a carry"."""
+    width, window = model.width, model.window
+    mask = (1 << width) - 1
+    run = (1 << window) - 1
+    p = (a ^ b) & mask
+    starts = [i for i in range(width - window + 1) if (p >> i) & run == run]
+    carries = ((a & mask) + (b & mask) + cin) ^ p
+    correct = not any(i > 0 and (carries >> i) & 1 for i in starts)
+    spec = _aca_add_reference(a, b, width, window, cin)
+
+    assert model.add(a, b, cin) == spec
+    assert aca_add(a, b, width, window, cin) == spec
+    assert model.flags_error(a, b) == bool(starts)
+    assert detector_flag(a, b, width, window) == bool(starts)
+    assert model.is_correct(a, b, cin) == correct
+    assert aca_is_correct(a, b, width, window, cin) == correct
+    assert correct == (spec == model.exact(a, b, cin))
+
+
 @pytest.mark.parametrize("width", range(1, 7))
 def test_aca_add_matches_definition_exhaustively(width):
     for window in range(1, width + 3):
+        model = AcaModel(width, window)
         for cin in (0, 1):
             for a in range(1 << width):
                 for b in range(1 << width):
-                    assert aca_add(a, b, width, window, cin) == (
-                        _aca_add_reference(a, b, width, window, cin)), (
-                        a, b, window, cin)
+                    _assert_matches_definition(model, a, b, cin)
 
 
 @st.composite
@@ -139,7 +161,13 @@ def _wide_case(draw):
 
 @given(case=_wide_case())
 def test_aca_add_matches_definition_wide(case):
-    assert aca_add(*case) == _aca_add_reference(*case)
+    a, b, width, window, cin = case
+    _assert_matches_definition(AcaModel(width, window), a, b, cin)
+
+
+def test_model_rejects_nonpositive_window():
+    with pytest.raises(ValueError):
+        AcaModel(8, 0)
 
 
 def test_model_wrapper(rng):

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.engine import RunContext
-from repro.mc.fastsim import detector_flag
+from repro.mc.fastsim import AcaModel, detector_flag
 from repro.service.metrics import MetricsRegistry
 from repro.verify import (
     DifferentialVerifier,
@@ -101,6 +101,13 @@ class WrongSumMutant(_ExactBase):
         res.sums = [s ^ 1 if (a >> 3) & 1 else s
                     for s, (a, _) in zip(res.sums, pairs)]
         return res
+
+
+class CrashingMutant(_ExactBase):
+    """Raises on every chunk (a broken implementation, not a wrong one)."""
+
+    def run(self, pairs):
+        raise RuntimeError("boom")
 
 
 # ----------------------------------------------------------------------
@@ -213,3 +220,47 @@ def test_verification_error_carries_the_report(mutant_registry):
     err = VerificationError(report)
     assert err.report is report
     assert "mismatches" in str(err)
+
+
+def test_crashing_implementation_is_reported_not_raised(mutant_registry):
+    mutant_registry("mutant:crash", CrashingMutant)
+    report = DifferentialVerifier(
+        WIDTH, window=WINDOW, impls=("functional", "mutant:crash")).run(
+        vectors=300, streams=("uniform",), chunk=100)
+
+    assert not report.ok
+    rows = {c.impl: c for c in report.coverage}
+    assert rows["functional"].mismatches == 0
+    assert rows["mutant:crash"].mismatches == 3  # one per chunk
+    assert rows["mutant:crash"].vectors == 300
+    disc = report.discrepancies[0]
+    assert (disc.kind, disc.impl, disc.index) == ("crash", "mutant:crash", 0)
+    assert disc.got.startswith("Traceback")
+    assert disc.got.endswith("RuntimeError: boom\n")
+
+
+def _rows_with_mismatches(monkeypatch, attr, fault):
+    """Default width-16 run with one fault injected into ``AcaModel``."""
+    monkeypatch.setattr(AcaModel, attr, fault)
+    report = DifferentialVerifier(WIDTH, ctx=RunContext(seed=3),
+                                  shrink=False).run(vectors=2000, seed=3)
+    assert not report.ok
+    return {c.impl for c in report.coverage if c.mismatches}
+
+
+def test_narrow_window_fault_in_shared_model_is_caught(monkeypatch):
+    """The oracle does not share the functional model, so a wrong
+    speculative sum in it surfaces on every row that uses it."""
+    add = AcaModel.add
+
+    def narrow_add(self, a, b, cin=0):
+        return add(AcaModel(self.width, self.window - 1), a, b, cin)
+
+    rows = _rows_with_mismatches(monkeypatch, "add", narrow_add)
+    assert {"functional", "machine"} <= rows
+
+
+def test_silent_detector_fault_in_shared_model_is_caught(monkeypatch):
+    rows = _rows_with_mismatches(monkeypatch, "flags_error",
+                                 lambda self, a, b: False)
+    assert {"functional", "machine", "service:bigint"} <= rows
