@@ -33,7 +33,7 @@ def exact_adder(a: int, b: int) -> int:
 
 def aca_adder(window: int) -> AdderFn:
     """A 32-bit adder backed by the functional ACA with the given window."""
-    from ..mc.fastsim import aca_add
+    from ..families.aca import aca_add
 
     def add(a: int, b: int) -> int:
         result, _ = aca_add(a & _MASK32, b & _MASK32, 32, window)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..mc.fastsim import aca_add, detector_flag
+from ..families.aca import aca_add, detector_flag
 from .blockcipher import AdderFn, exact_adder
 
 __all__ = ["fir_filter", "vlsa_fir_filter", "VlsaFirStats",

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..mc.fastsim import AcaModel
 from ..analysis.error_model import choose_window
+from ..families.aca import AcaModel
 
 __all__ = ["Instruction", "Program", "CpuResult", "TinyCpu", "assemble"]
 

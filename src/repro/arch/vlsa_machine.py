@@ -9,7 +9,7 @@ sum.  Average latency over a stream therefore comes out to
 ``1 + P(error) * recovery_cycles`` cycles — the quantity the paper reports
 as ~1.0002 for the 99.99 % window.
 
-Functional results come from :class:`repro.mc.fastsim.AcaModel`, which the
+Functional results come from :class:`repro.families.aca.AcaModel`, which the
 test suite proves bit-equivalent to the gate-level circuits; this keeps
 million-operation streams cheap while staying faithful.
 """

@@ -19,7 +19,7 @@ Every run is instrumented through :class:`~repro.engine.RunContext`
 (gate-eval counters, per-phase wall times, RNG seed provenance) which
 experiments attach to their tables and the CLI writes as a JSON run
 manifest.  Functional fast-path models (e.g. the closed-form ACA in
-:mod:`repro.mc.fastsim`) register beside the gate-level path via
+:mod:`repro.families.aca`) register beside the gate-level path via
 :func:`register_functional`, keeping the two cross-checkable by
 construction.
 

@@ -1,10 +1,28 @@
-"""The Almost Correct Adder as the first registered :class:`AdderFamily`.
+"""The Almost Correct Adder: its word-level algorithm and its family entry.
 
-This wraps the repo's original subject — the paper's ACA speculative
-core, its all-propagate-run detector and its shared-logic recovery path
-(:mod:`repro.core`) plus the :class:`~repro.mc.fastsim.AcaModel`
-functional fast path — behind the family protocol, so every layer that
-went through ACA-specific entry points now goes through the registry.
+This is the one module that knows the ACA's word-level algorithm.  The
+rule the paper's hardware implements: the carry into bit ``i`` is lost
+exactly when the ``window`` bits below ``i`` all propagate and are not
+anchored at bit 0 (the window at bit 0 sees the real carry-in).  With
+``p = a ^ b`` and the true carries ``carries = (a + b + cin) ^ a ^ b``:
+
+* ``window_all_ones(p, window)`` — logarithmic-doubling AND marking every
+  bit that starts an all-propagate window (the detector word ``starts``);
+* the detector fires iff ``starts != 0``;
+* speculation is wrong iff a non-anchored start receives a carry,
+  ``starts & carries & ~1 != 0``;
+* the speculative sum flips exactly the lost carries,
+  ``spec = total ^ (carries & ((starts & ~1) << window))``, and the
+  carry-out bit of the same word is the speculative carry-out.
+
+:class:`AcaModel` evaluates this on Python ints at any width (the Monte
+Carlo experiments, the service's bigint backend and the cycle-accurate
+VLSA machine run on it); :func:`aca_numpy_kernel` evaluates it on uint64
+arrays (the serving, cluster and verify hot path).  The differential
+verifier's oracle (:mod:`repro.verify.oracle`) recomputes everything
+from the definition without either, and the test suite cross-checks
+both against the gate-level circuits and the exact DP in
+:mod:`repro.analysis.error_model`.
 
 Boundary view (used by the shared statistics): the ACA is the block
 family with 1-bit blocks and an ``window``-bit lookahead at every cut.
@@ -15,8 +33,10 @@ the verify suite.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional
+from functools import lru_cache
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,51 +46,198 @@ from ..circuit import Circuit
 from ..core.aca import build_aca
 from ..core.vlsa import build_vlsa_datapath
 from ..engine.functional import register_functional
-from ..mc.fastsim import AcaModel, window_all_ones, window_generate
 from .base import (AdderFamily, FamilyErrorModel, KernelBatch,
                    SpeculativeModel, register_family)
 
-__all__ = ["AcaFamily", "aca_numpy_kernel", "FAMILY"]
+__all__ = [
+    "AcaFamily",
+    "AcaModel",
+    "FAMILY",
+    "aca_add",
+    "aca_is_correct",
+    "aca_numpy_kernel",
+    "detector_flag",
+    "window_all_ones",
+]
+
+
+#: A Python int, or a uint64 array evaluated elementwise.
+Word = Union[int, np.ndarray]
+
+
+@lru_cache(maxsize=256)
+def _doubling_steps(window: int) -> Tuple[int, ...]:
+    """Shift amounts of a log-doubling that certifies *window* bits.
+
+    Each step at most doubles the certified run length, and the last
+    one stops exactly at *window*.
+    """
+    if window <= 0:
+        raise ValueError("window must be positive")
+    steps = []
+    certified = 1  # each bit currently certifies a run of this length
+    while certified < window:
+        step = min(certified, window - certified)
+        steps.append(step)
+        certified += step
+    return tuple(steps)
+
+
+def window_all_ones(word: Word, window: int) -> Word:
+    """Bit ``i`` of the result is 1 iff bits ``i .. i+window-1`` are all 1.
+
+    Uses shift-doubling: ANDing with a copy shifted by ``s`` certifies
+    ``s`` extra ones, so ``O(log window)`` word operations suffice, on a
+    Python int or elementwise on a uint64 array.
+    """
+    out = word
+    for step in _doubling_steps(window):
+        out = out & (out >> step)  # not in place: *word* may be an array
+    return out
+
+
+@dataclass
+class AcaModel(SpeculativeModel):
+    """Functional ACA configured once, reused across many additions.
+
+    Construction validates *window* and fixes the operand mask; every
+    call is ``O(log window)`` big-int operations.  ``exact`` and
+    ``run_ints`` come from :class:`SpeculativeModel`.
+
+    Attributes:
+        width: Operand bitwidth.
+        window: Speculation window.
+    """
+
+    width: int
+    window: int
+
+    def __post_init__(self) -> None:
+        if self.window <= 0:
+            raise ValueError("window must be positive")
+        self._word_mask = self._mask()
+
+    def add(self, a: int, b: int, cin: int = 0) -> Tuple[int, int]:
+        """Speculative ``(sum, cout)``.
+
+        The exact sum with every lost carry flipped back: a carry into
+        bit ``i`` is lost iff a non-anchored window starts at
+        ``i - window``.
+        """
+        mask = self._word_mask
+        a &= mask
+        b &= mask
+        p = a ^ b
+        total = a + b + (cin & 1)
+        lost = (window_all_ones(p, self.window) & ~1) << self.window
+        spec = total ^ ((total ^ p) & lost)
+        return spec & mask, spec >> self.width
+
+    def is_correct(self, a: int, b: int, cin: int = 0) -> bool:
+        """Whether speculation succeeds on this operand pair.
+
+        Wrong exactly when some all-propagate window of length *window*
+        has an incoming carry.  The window starting at bit 0 is excluded
+        — it is anchored and absorbs the real carry-in, so it can never
+        be wrong (which also makes the error probability independent of
+        ``cin``).
+        """
+        mask = self._word_mask
+        a &= mask
+        b &= mask
+        p = a ^ b
+        starts = window_all_ones(p, self.window)
+        return (starts & ((a + b + (cin & 1)) ^ p) & ~1) == 0
+
+    def flags_error(self, a: int, b: int) -> bool:
+        """Whether the detector requests a recovery cycle."""
+        return window_all_ones((a ^ b) & self._word_mask, self.window) != 0
+
+
+@lru_cache(maxsize=256)
+def _model(width: int, window: int) -> AcaModel:
+    """The shared model behind the module-level ACA functions."""
+    return AcaModel(width, window)
+
+
+def aca_add(a: int, b: int, width: int, window: int,
+            cin: int = 0) -> Tuple[int, int]:
+    """Speculative sum exactly as the ACA hardware computes it.
+
+    The carry into bit ``i`` is the *generate* of the block
+    ``[max(0, i-window) .. i-1]`` — i.e. the true carry under the
+    assumption that nothing enters the block from below.  Blocks anchored
+    at position 0 additionally see the real carry-in, so the low ``window``
+    bits are always exact.  See :meth:`AcaModel.add`.
+
+    Args:
+        a, b: Operands (masked to *width* bits).
+        width: Operand bitwidth.
+        window: Speculation window ``w``.
+        cin: External carry-in (0 or 1).
+
+    Returns:
+        ``(sum, carry_out)`` as the speculative hardware would produce them.
+    """
+    return _model(width, window).add(a, b, cin)
+
+
+def aca_is_correct(a: int, b: int, width: int, window: int,
+                   cin: int = 0) -> bool:
+    """True iff the ACA result (sum and carry out) equals exact addition.
+
+    See :meth:`AcaModel.is_correct`.
+    """
+    return _model(width, window).is_correct(a, b, cin)
+
+
+def detector_flag(a: int, b: int, width: int, window: int) -> bool:
+    """The error-detection signal: any propagate run of length >= window.
+
+    Conservative superset of the actual-error condition (never misses a
+    real error, may fire when the speculative sum happens to be right).
+    """
+    return _model(width, window).flags_error(a, b)
 
 
 def aca_numpy_kernel(width: int, window: int
                      ) -> Callable[[np.ndarray, np.ndarray], KernelBatch]:
-    """uint64 batch kernel bit-identical to :class:`AcaModel`."""
+    """uint64 batch kernel bit-identical to :class:`AcaModel`.
+
+    *window* is clamped to *width*, as :meth:`AcaFamily.functional` does.
+    """
     if width > 64:
         raise ValueError("numpy kernels support widths up to 64 bits")
-    window = min(max(1, window), width)
-    int_mask = (1 << width) - 1
-    mask = np.uint64(int_mask if width < 64 else 0xFFFFFFFFFFFFFFFF)
+    if window <= 0:
+        raise ValueError("window must be positive")
+    window = min(window, width)
+    mask = np.uint64((1 << width) - 1)
+    not_bit0 = ~np.uint64(1)
+    shift = np.uint64(window)
+    top = np.uint64(width - window)  # the highest possible start
 
     def kernel(a: np.ndarray, b: np.ndarray) -> KernelBatch:
         a = np.asarray(a, dtype=np.uint64) & mask
         b = np.asarray(b, dtype=np.uint64) & mask
-        s = (a + b) & mask  # uint64 wraparound == mod 2^64 at width 64
+        total = a + b  # uint64 wraparound == mod 2^64 at width 64
+        s = total & mask
         if width < 64:
-            exact_couts = ((a + b) >> np.uint64(width)).astype(np.uint64)
+            exact_couts = total >> np.uint64(width)
         else:
             exact_couts = (s < a).astype(np.uint64)
         p = a ^ b
-        g = a & b
-        spec_carries = window_generate(g, p, window)
-        spec = (p ^ (spec_carries << np.uint64(1))) & mask
-        spec_couts = (spec_carries >> np.uint64(width - 1)) & np.uint64(1)
-        if window >= width:
-            # Every window is anchored: the speculative sum is exact,
-            # but the reference detector still fires on an all-propagate
-            # word (see fastsim.detector_flag).
-            flags = p == mask
-            spec_err = np.zeros(a.shape, dtype=bool)
-        else:
-            starts = window_all_ones(p, window)
-            flags = starts != 0
-            # Wrong iff a non-anchored all-propagate window receives a
-            # carry; carry into bit i is bit i of (a + b) ^ a ^ b.
-            carries = s ^ p
-            spec_err = (starts & carries & ~np.uint64(1)) != 0
+        carries = s ^ p  # bit i: the true carry into bit i
+        starts = window_all_ones(p, window)
+        unanchored = starts & not_bit0
+        # ``carries`` stops below bit ``width``, so the carry-out is
+        # taken apart: it is lost iff a non-anchored window starts at
+        # the top.
+        spec = s ^ (carries & (unanchored << shift))
+        spec_couts = exact_couts & ~(unanchored >> top)
         return KernelBatch(spec_sums=spec, spec_couts=spec_couts,
                            exact_sums=s, exact_couts=exact_couts,
-                           flags=flags, spec_errors=spec_err)
+                           flags=starts != 0,
+                           spec_errors=(unanchored & carries) != 0)
 
     return kernel
 
@@ -104,15 +271,12 @@ class AcaFamily(AdderFamily):
     def _error_model(self, width: int, window: int) -> FamilyErrorModel:
         window = min(max(1, window), width)
         err = aca_error_probability(width, window, exact=True)
-        if window > width:  # unreachable after clamping; kept for clarity
-            flag = Fraction(0)
-        else:
-            # Every propagate pattern is shared by exactly 2^width
-            # operand pairs, so the flag rate reduces to the longest-run
-            # distribution of a fair 2^width-coin word.
-            flag = Fraction(
-                (1 << width) - count_max_run_at_most(width, window - 1),
-                1 << width)
+        # Every propagate pattern is shared by exactly 2^width operand
+        # pairs, so the flag rate reduces to the longest-run
+        # distribution of a fair 2^width-coin word.
+        flag = Fraction(
+            (1 << width) - count_max_run_at_most(width, window - 1),
+            1 << width)
         return FamilyErrorModel(width=width, params={"window": window},
                                 exact_error_rate=Fraction(err),
                                 exact_flag_rate=flag)
@@ -122,6 +286,5 @@ class AcaFamily(AdderFamily):
 FAMILY = register_family(AcaFamily())
 
 # The functional fast path stands in for build_aca(width, window) in the
-# engine's cross-check registry (moved here from repro.mc.fastsim so the
-# registry and the family zoo share one import root).
+# engine's cross-check registry.
 register_functional("aca", AcaModel)

@@ -86,8 +86,7 @@ class SpeculativeModel:
     and :meth:`flags_error` (the detector).  ``exact``, ``is_correct``
     and the bus-level ``run_ints`` interface are shared — so the
     machine, the service executor and the verify reference can treat
-    every family identically (:class:`repro.mc.fastsim.AcaModel`
-    predates this class but satisfies the same contract).
+    every family identically.
     """
 
     width: int

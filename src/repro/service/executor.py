@@ -3,12 +3,14 @@
 One coalesced batch of operand pairs is evaluated in a single call,
 mirroring the engine's backend split:
 
-* ``numpy`` — vectorised ``uint64`` kernel for widths up to 64 bits
-  (the throughput path: exact sums, detector flags and speculative-error
-  flags for a whole batch in a handful of array ops);
-* ``bigint`` — per-pair :class:`~repro.mc.fastsim.AcaModel` loop, the
-  fallback for arbitrary widths and the reference the numpy kernel is
-  cross-checked against in the tests.
+* ``numpy`` — the family's own ``numpy_kernel`` for widths up to 64
+  bits (the throughput path: exact sums, detector flags and
+  speculative-error flags for a whole batch in a handful of array ops;
+  the same kernel the cluster workers and the verifier run);
+* ``bigint`` — per-pair loop over the family's functional model (for
+  the ACA, :class:`~repro.families.aca.AcaModel`), the fallback for
+  arbitrary widths and the reference the numpy kernel is cross-checked
+  against in the tests.
 
 Latency semantics are exactly those of
 :class:`~repro.arch.vlsa_machine.VlsaMachine`: the VLSA always returns
@@ -112,17 +114,6 @@ class BatchArrays:
         )
 
 
-def _window_all_ones_np(word: np.ndarray, window: int) -> np.ndarray:
-    """Vectorised :func:`repro.mc.fastsim.window_all_ones` on uint64."""
-    certified = 1
-    out = word.copy()
-    while certified < window:
-        step = min(certified, window - certified)
-        out &= out >> np.uint64(step)
-        certified += step
-    return out
-
-
 class VlsaBatchExecutor:
     """Evaluates coalesced operand batches with VLSA latency semantics.
 
@@ -136,9 +127,8 @@ class VlsaBatchExecutor:
         ctx: Optional run context; batches bump its ``service_ops`` /
             ``service_stalls`` counters and the ``service_execute``
             phase timer.
-        family: Registered adder family (default the paper's ``"aca"``,
-            which keeps the hand-tuned inline kernel; other families
-            run their own vectorised numpy kernels).
+        family: Registered adder family (default the paper's
+            ``"aca"``); the numpy backend runs its ``numpy_kernel``.
     """
 
     def __init__(self, width: int, window: Optional[int] = None,
@@ -167,10 +157,8 @@ class VlsaBatchExecutor:
         self.ctx = ctx
         # Functional reference model (shared with VlsaMachine).
         self.model = functional_model(family, width=width, window=window)
-        # The ACA keeps its original inline uint64 kernel below; every
-        # other family brings its own vectorised kernel via the registry.
         self._kernel = None
-        if family != "aca" and backend == "numpy":
+        if backend == "numpy":
             self._kernel = fam.numpy_kernel(width, **params)
             if self._kernel is None:
                 raise ValueError(
@@ -220,49 +208,13 @@ class VlsaBatchExecutor:
         """
         if self.backend != "numpy":
             raise ValueError("execute_arrays requires the numpy backend")
-        if self._kernel is not None:
-            batch = self._kernel(arr[:, 0], arr[:, 1])
-            flags = np.asarray(batch.flags, dtype=bool)
-            spec_err = np.asarray(batch.spec_errors, dtype=bool)
-            stall_count = int(flags.sum())
-            return BatchArrays(
-                sums=np.asarray(batch.exact_sums, dtype=np.uint64),
-                couts=np.asarray(batch.exact_couts, dtype=np.uint64),
-                stalled=flags, spec_errors=spec_err,
-                cycles=arr.shape[0] + self.recovery_cycles * stall_count,
-                recovery_cycles=self.recovery_cycles)
-        width, window = self.width, self.window
-        int_mask = (1 << width) - 1
-        mask = np.uint64(int_mask if width < 64 else 0xFFFFFFFFFFFFFFFF)
-        a = arr[:, 0] & mask
-        b = arr[:, 1] & mask
-        s = (a + b) & mask  # uint64 wraparound == mod 2^64 at width 64
-        if width < 64:
-            couts = ((a + b) >> np.uint64(width)).astype(np.uint64)
-        else:
-            couts = (s < a).astype(np.uint64)  # wrapped iff sum < operand
-        p = a ^ b
-        if window >= width:
-            # The bit-0-anchored window spans the whole word, so the
-            # speculative sum is exact — but the reference detector
-            # (fastsim.detector_flag, used by the bigint backend and
-            # VlsaMachine) still fires on an all-propagate word.
-            flags = p == mask
-            spec_err = np.zeros(len(a), dtype=bool)
-        else:
-            starts = _window_all_ones_np(p, window)
-            flags = starts != 0
-            # Speculation is actually wrong iff an all-propagate window
-            # (not anchored at bit 0) receives a carry: carry into bit i
-            # is bit i of (a + b) ^ a ^ b, which depends only on lower
-            # bits, so the wrapped uint64 sum is exact for it.
-            carries = s ^ p
-            spec_err = (starts & carries & ~np.uint64(1)) != 0
-        stall_count = int(flags.sum())
-        cycles = len(a) + self.recovery_cycles * stall_count
-        return BatchArrays(sums=s, couts=couts, stalled=flags,
-                           spec_errors=spec_err, cycles=cycles,
-                           recovery_cycles=self.recovery_cycles)
+        batch = self._kernel(arr[:, 0], arr[:, 1])
+        stall_count = int(np.count_nonzero(batch.flags))
+        return BatchArrays(
+            sums=batch.exact_sums, couts=batch.exact_couts,
+            stalled=batch.flags, spec_errors=batch.spec_errors,
+            cycles=arr.shape[0] + self.recovery_cycles * stall_count,
+            recovery_cycles=self.recovery_cycles)
 
     def _execute_numpy(self, pairs: Sequence[Tuple[int, int]]
                        ) -> BatchOutcome:

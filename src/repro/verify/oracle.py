@@ -38,8 +38,8 @@ from typing import Any, Sequence, Tuple
 
 import numpy as np
 
+from ..families.aca import AcaModel
 from ..families.blocks import BlockSpecModel
-from ..mc.fastsim import AcaModel
 
 __all__ = ["OracleBatch", "evaluate"]
 
@@ -87,7 +87,7 @@ def evaluate(pairs: Sequence[Tuple[int, int]], model: Any) -> OracleBatch:
     Args:
         pairs: Operand pairs.
         model: The family's functional model (an
-            :class:`~repro.mc.fastsim.AcaModel` or a
+            :class:`~repro.families.aca.AcaModel` or a
             :class:`~repro.families.blocks.BlockSpecModel`); only its
             geometry is read.
 

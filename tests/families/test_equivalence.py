@@ -80,6 +80,50 @@ def test_exhaustive_equivalence_nightly(name, width):
 
 
 # ----------------------------------------------------------------------
+# Widths 63/64: the uint64 branches no exhaustive width reaches (the
+# ``s < a`` carry-out, the carry-out kill at the top of the word and
+# the full-word mask).
+# ----------------------------------------------------------------------
+def _wide_pairs(width, count=600, seed=0):
+    """Seeded pairs, one in ten all-propagate or one bit short of it."""
+    rng = np.random.default_rng(seed)
+    mask = (1 << width) - 1
+    pairs = []
+    for a, b in rng.integers(0, mask, size=(count, 2), dtype=np.uint64,
+                             endpoint=True).tolist():
+        roll = rng.random()
+        if roll < 0.05:
+            b = ~a & mask
+        elif roll < 0.1:
+            b = (~a ^ (1 << int(rng.integers(width)))) & mask
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("width", (63, 64))
+@pytest.mark.parametrize("name", family_names())
+def test_wide_kernel_matches_functional(name, width):
+    fam = get_family(name)
+    default = fam.primary_value(width, fam.resolve_params(width))
+    pairs = _wide_pairs(width)
+    a = np.array([p[0] for p in pairs], dtype=np.uint64)
+    b = np.array([p[1] for p in pairs], dtype=np.uint64)
+    for knob in (1, default, width - 1, width):
+        params = fam.resolve_params(width, window=knob)
+        model = fam.functional(width, **params)
+        batch = fam.numpy_kernel(width, **params)(a, b)
+        got = list(zip(batch.spec_sums.tolist(), batch.spec_couts.tolist(),
+                       batch.exact_sums.tolist(),
+                       batch.exact_couts.tolist(), batch.flags.tolist(),
+                       batch.spec_errors.tolist()))
+        for (x, y), row in zip(pairs, got):
+            spec = model.add(x, y)
+            exact = model.exact(x, y)
+            want = (*spec, *exact, model.flags_error(x, y), spec != exact)
+            assert row == want, (params, x, y)
+
+
+# ----------------------------------------------------------------------
 # Property: recovery is exact for every family, width and knob setting.
 # ----------------------------------------------------------------------
 _CIRCUITS = {}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch import VlsaMachine
+from repro.families.base import family_names
 from repro.mc.fastsim import detector_flag
 from repro.service import VlsaBatchExecutor
 
@@ -12,20 +13,36 @@ def _pairs(rng, width, count):
             for _ in range(count)]
 
 
+def _propagate_pairs(rng, width, count):
+    """``b = ~a`` (all-propagate) and ``b = ~a ^ 1`` (a carry generated
+    or killed at bit 0, then propagated across the word) pairs."""
+    mask = (1 << width) - 1
+    pairs = []
+    for _ in range(count):
+        a = rng.getrandbits(width)
+        pairs += [(a, ~a & mask), (a, (~a ^ 1) & mask)]
+    return pairs
+
+
+def _run_both(family, width, window, pairs):
+    """Each family's numpy and bigint outcomes for *pairs*."""
+    return [VlsaBatchExecutor(width, window=window, backend=backend,
+                              family=family).execute(pairs)
+            for backend in ("numpy", "bigint")]
+
+
 @pytest.mark.parametrize("width,window", [(8, 2), (16, 4), (32, 8),
                                           (63, 10), (64, 12), (16, 16)])
 def test_numpy_matches_bigint(rng, width, window):
-    pairs = _pairs(rng, width, 400)
-    np_out = VlsaBatchExecutor(width, window=window,
-                               backend="numpy").execute(pairs)
-    bi_out = VlsaBatchExecutor(width, window=window,
-                               backend="bigint").execute(pairs)
-    assert np_out.sums == bi_out.sums
-    assert np_out.couts == bi_out.couts
-    assert np_out.stalled == bi_out.stalled
-    assert np_out.spec_errors == bi_out.spec_errors
-    assert np_out.latencies == bi_out.latencies
-    assert np_out.cycles == bi_out.cycles
+    pairs = _pairs(rng, width, 400) + _propagate_pairs(rng, width, 50)
+    for family in family_names():
+        np_out, bi_out = _run_both(family, width, window, pairs)
+        assert np_out.sums == bi_out.sums, family
+        assert np_out.couts == bi_out.couts, family
+        assert np_out.stalled == bi_out.stalled, family
+        assert np_out.spec_errors == bi_out.spec_errors, family
+        assert np_out.latencies == bi_out.latencies, family
+        assert np_out.cycles == bi_out.cycles, family
 
 
 def test_sums_always_exact(rng):
@@ -99,23 +116,23 @@ def test_configuration_validation():
 
 
 def test_window_equal_width_matches_reference_detector(rng):
-    """window == width: speculation is exact, but the detector still
-    fires on an all-propagate word — both backends must agree."""
+    """window == width: speculation is exact, but the ACA detector
+    still fires on an all-propagate word — both backends must agree."""
     width = 8
-    pairs = _pairs(rng, width, 200) + [(0, 255), (0x0F, 0xF0), (255, 255)]
-    np_out = VlsaBatchExecutor(width, window=width,
-                               backend="numpy").execute(pairs)
-    bi_out = VlsaBatchExecutor(width, window=width,
-                               backend="bigint").execute(pairs)
-    assert np_out.stalled == bi_out.stalled
-    assert np_out.spec_errors == bi_out.spec_errors
-    assert np_out.latencies == bi_out.latencies
-    assert np_out.cycles == bi_out.cycles
-    # (0, 255) and (0x0F, 0xF0) propagate across the whole word.
-    assert np_out.stalled[-3:] == [True, True, False]
-    # The bit-0-anchored window covers every bit, so speculation is
-    # never actually wrong at window == width.
-    assert np_out.spec_error_count == 0
+    pairs = (_pairs(rng, width, 200) + _propagate_pairs(rng, width, 20)
+             + [(0, 255), (0x0F, 0xF0), (255, 255)])
+    for family in family_names():
+        np_out, bi_out = _run_both(family, width, width, pairs)
+        assert np_out.stalled == bi_out.stalled, family
+        assert np_out.spec_errors == bi_out.spec_errors, family
+        assert np_out.latencies == bi_out.latencies, family
+        assert np_out.cycles == bi_out.cycles, family
+        # The bit-0-anchored window covers every bit, so speculation is
+        # never actually wrong at window == width.
+        assert np_out.spec_error_count == 0, family
+        if family == "aca":
+            # (0, 255) and (0x0F, 0xF0) propagate across the whole word.
+            assert np_out.stalled[-3:] == [True, True, False]
 
 
 def test_out_of_range_operands_masked_consistently():
