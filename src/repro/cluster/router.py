@@ -50,6 +50,7 @@ import numpy as np
 from ..analysis.error_model import expected_latency_cycles
 from ..families import get_family
 from ..engine.context import RunContext
+from ..service.executor import pairs_array, pairs_list
 from ..service.metrics import MetricsRegistry
 from ..service.service import (
     AddResponse,
@@ -434,20 +435,9 @@ class ClusterRouter:
             return (np.empty((0, 2), dtype=np.uint64)
                     if self.cfg.backend == "numpy" else []), 0
         if self.cfg.backend == "numpy":
-            if (isinstance(pairs, np.ndarray)
-                    and pairs.dtype == np.uint64 and pairs.ndim == 2):
-                return pairs, int(pairs.shape[0])
-            try:
-                arr = np.asarray(pairs, dtype=np.uint64)
-            except (OverflowError, ValueError, TypeError):
-                mask = self._operand_mask
-                arr = np.array([[a & mask, b & mask] for a, b in pairs],
-                               dtype=np.uint64)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError("expected (n, 2) operand pairs")
+            arr = pairs_array(pairs, self.width)
             return arr, int(arr.shape[0])
-        mask = self._operand_mask
-        masked = [(a & mask, b & mask) for a, b in pairs]
+        masked = pairs_list(pairs, self.width)
         return masked, len(masked)
 
     def _first_pair(self, payload: Any) -> Pair:
@@ -600,6 +590,10 @@ class ClusterRouter:
         stalled, spec = result["stalled"], result["spec_errors"]
         cycles, start_cycle = result["cycles"], result["start_cycle"]
         is_np = isinstance(sums, np.ndarray)
+        if is_np:
+            # Ring results are views into their slot, which is reused
+            # once this returns; the responses keep copies.
+            sums, couts, stalled = sums.copy(), couts.copy(), stalled.copy()
         n = wb.ops
         stall_count = int(stalled.sum()) if is_np else sum(stalled)
         rc = self.recovery_cycles
@@ -632,19 +626,17 @@ class ClusterRouter:
                         accept: int, seg_cycles: int, seg_stalls: int,
                         is_np: bool):
         rc = self.recovery_cycles
-        if is_np:
-            sums, couts, stalled = (sums.tolist(), couts.tolist(),
-                                    stalled.tolist())
         if pending.scalar:
             a, b = pending.scalar_pair
+            flag = bool(stalled[0])
             return AddResponse(
-                a=a, b=b, sum_out=sums[0], cout=couts[0],
-                stalled=stalled[0],
-                latency_cycles=1 + (rc if stalled[0] else 0),
+                a=a, b=b, sum_out=int(sums[0]), cout=int(couts[0]),
+                stalled=flag, latency_cycles=1 + (rc if flag else 0),
                 accept_cycle=accept)
+        latencies = (np.where(stalled, 1 + rc, 1) if is_np
+                     else [1 + (rc if f else 0) for f in stalled])
         return BatchResponse(
-            sums=sums, couts=couts, stalled=stalled,
-            latencies=[1 + (rc if f else 0) for f in stalled],
+            sums=sums, couts=couts, stalled=stalled, latencies=latencies,
             accept_cycle=accept, cycles=seg_cycles,
             stall_count=seg_stalls)
 
@@ -695,15 +687,15 @@ class ClusterRouter:
         width, mask = self.width, self._operand_mask
         payload, n = pending.payload, pending.ops
         if isinstance(payload, np.ndarray):
-            arrays = _exact_add_arrays(payload, width)
-            sums, couts = arrays
-            sums, couts = sums.tolist(), couts.tolist()
+            sums, couts = _exact_add_arrays(payload, width)
+            stalled, latencies = np.zeros(n, bool), np.ones(n, np.int64)
         else:
             sums, couts = [], []
             for a, b in payload:
                 total = (a & mask) + (b & mask)
                 sums.append(total & mask)
                 couts.append(total >> width)
+            stalled, latencies = [False] * n, [1] * n
         self.m_degraded.inc()
         self.m_degraded_ops.inc(n)
         self.m_ops.inc(n)
@@ -716,12 +708,12 @@ class ClusterRouter:
         if pending.scalar:
             a, b = pending.scalar_pair
             pending.future.set_result(AddResponse(
-                a=a, b=b, sum_out=sums[0], cout=couts[0], stalled=False,
-                latency_cycles=1, accept_cycle=accept))
+                a=a, b=b, sum_out=int(sums[0]), cout=int(couts[0]),
+                stalled=False, latency_cycles=1, accept_cycle=accept))
         else:
             pending.future.set_result(BatchResponse(
-                sums=sums, couts=couts, stalled=[False] * n,
-                latencies=[1] * n, accept_cycle=accept, cycles=n,
+                sums=sums, couts=couts, stalled=stalled,
+                latencies=latencies, accept_cycle=accept, cycles=n,
                 stall_count=0))
 
     # -- cluster-wide metrics aggregation -------------------------------

@@ -4,13 +4,14 @@
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterRouter
 from repro.engine import RunContext
 from repro.service import VlsaServer, VlsaService, run_loadgen
 from repro.service.executor import VlsaBatchExecutor
-from repro.service.server import install_uvloop
+from repro.service.server import LINE_LIMIT, install_uvloop, parse_pairs_line
 
 WIDTH, WINDOW = 32, 8
 MASK = (1 << WIDTH) - 1
@@ -62,12 +63,12 @@ def test_batch_verb_rejects_malformed_pairs():
 
 
 def test_oversized_line_gets_typed_reply_and_server_keeps_serving():
-    """A request line over the stream's 64 KiB limit is answered with
+    """A request line over the edge's ``LINE_LIMIT`` is answered with
     ``too_large`` and counted; its connection closes, the server does
     not, and the next connection is answered."""
     big = (1 << 64) - 1
     line = json.dumps({"pairs": [[big, big - i] for i in range(1500)]})
-    assert len(line) > 1 << 16
+    assert len(line) > LINE_LIMIT
 
     async def main():
         service = VlsaService(width=WIDTH, window=WINDOW)
@@ -89,6 +90,35 @@ def test_oversized_line_gets_typed_reply_and_server_keeps_serving():
             assert counter is not None and counter.value == 1
 
     asyncio.run(main())
+
+
+def test_largest_bulk_request_fits_and_takes_the_hot_path():
+    """A 1024-pair request of uniform 64-bit operands (~46 KB) is under
+    ``LINE_LIMIT``, parses on the hot path, and is answered exactly."""
+    ops = np.random.default_rng(5).integers(
+        0, (1 << 64) - 1, size=(1024, 2), dtype=np.uint64)
+    line = json.dumps({"id": 4, "pairs": ops.tolist()}).encode() + b"\n"
+    assert 40_000 < len(line) < LINE_LIMIT
+    req_id, parsed = parse_pairs_line(line)
+    assert req_id == 4 and np.array_equal(parsed, ops)
+    want = VlsaBatchExecutor(64).execute(ops.tolist())
+
+    async def main():
+        async with VlsaServer(VlsaService(width=64), port=0) as server:
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(line)
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            writer.close()
+            return reply
+
+    reply = asyncio.run(main())
+    assert reply["id"] == 4
+    assert reply["sums"] == want.sums
+    assert reply["couts"] == want.couts
+    assert reply["stalled"] == want.stalled
+    assert reply["latencies"] == want.latencies
 
 
 def test_batch_verb_over_cluster_front():

@@ -64,9 +64,16 @@ def test_bad_requests_get_error_codes():
                 {"cmd": "frobnicate"},
                 {"a": 1},
                 {"a": "x", "b": 2},
+                # json.loads accepts these; int() of an infinity raises
+                # OverflowError, which used to drop the connection.
+                b'{"id": 1, "a": Infinity, "b": 1}',
+                b'{"id": 2, "pairs": [[Infinity, 1]]}',
+                b'{"id": 3, "pairs": [[1, -Infinity]]}',
+                b'{"id": 4, "a": NaN, "b": 1}',
+                b'{"id": 5, "pairs": [[NaN, 1]]}',
             ])
     replies = asyncio.run(main())
-    assert [r["code"] for r in replies] == ["bad_request"] * 4
+    assert [r["code"] for r in replies] == ["bad_request"] * 9
     assert all("error" in r for r in replies)
 
 
