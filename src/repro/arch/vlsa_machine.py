@@ -9,6 +9,13 @@ sum.  Average latency over a stream therefore comes out to
 ``1 + P(error) * recovery_cycles`` cycles — the quantity the paper reports
 as ~1.0002 for the 99.99 % window.
 
+That handshake is a scan over the detector flags, so the machine
+evaluates it as one: per block of operands, one batch call of the
+functional model (:meth:`~repro.families.base.SpeculativeModel.
+run_arrays`) gives every speculative sum, flag and recovered sum, an op
+takes ``1 + recovery_cycles * stalled`` cycles, and its accept cycle is
+the running total of the latencies before it.
+
 Functional results come from :class:`repro.families.aca.AcaModel`, which the
 test suite proves bit-equivalent to the gate-level circuits; this keeps
 million-operation streams cheap while staying faithful.
@@ -17,17 +24,30 @@ million-operation streams cheap while staying faithful.
 from __future__ import annotations
 
 import contextlib
-import math
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from ..engine.context import RunContext
 from ..engine.functional import functional_model
-from ..families.base import get_family
+from ..families.base import get_family, object_lanes
 from .clocking import ClockDomain
 from .vcd import VcdWriter
 
 __all__ = ["VlsaOpResult", "VlsaTrace", "VlsaMachine"]
+
+#: Operand pairs per model call; a stream is scanned block by block so
+#: its lanes never hold more than this many pairs at once.
+_BLOCK = 4096
+
+Pairs = Union[Iterable[Tuple[int, int]], np.ndarray]
+
+
+def _empty(dtype: type) -> np.ndarray:
+    return np.zeros(0, dtype=dtype)
 
 
 @dataclass
@@ -59,30 +79,60 @@ class VlsaOpResult:
 
 @dataclass
 class VlsaTrace:
-    """Full trace of a stream run through the VLSA machine."""
+    """Full trace of a stream run through the VLSA machine.
+
+    The trace is stored as columns, one array element per operation:
+    operands and output words as ``dtype=object`` arrays of Python ints,
+    ``stalled``/``speculative_correct`` as bool arrays and the cycle
+    columns as int64.  :attr:`results` builds the per-op
+    :class:`VlsaOpResult` list from them on first read.
+    """
 
     width: int
     window: int
     clock_period: float
     recovery_cycles: int
     family: str = "aca"
-    results: List[VlsaOpResult] = field(default_factory=list)
+    a: np.ndarray = field(default_factory=lambda: _empty(object))
+    b: np.ndarray = field(default_factory=lambda: _empty(object))
+    sums: np.ndarray = field(default_factory=lambda: _empty(object))
+    couts: np.ndarray = field(default_factory=lambda: _empty(object))
+    stalled: np.ndarray = field(default_factory=lambda: _empty(bool))
+    speculative_correct: np.ndarray = field(
+        default_factory=lambda: _empty(bool))
+    latency_cycles: np.ndarray = field(
+        default_factory=lambda: _empty(np.int64))
+    accept_cycles: np.ndarray = field(
+        default_factory=lambda: _empty(np.int64))
     total_cycles: int = 0
 
     @property
     def operations(self) -> int:
-        return len(self.results)
+        return len(self.stalled)
 
     @property
     def stall_count(self) -> int:
-        return sum(1 for r in self.results if r.stalled)
+        return int(np.count_nonzero(self.stalled))
+
+    @cached_property
+    def results(self) -> List[VlsaOpResult]:
+        """Per-operation outcomes (built from the columns when read)."""
+        return self._ops(self.operations)
+
+    def _ops(self, count: int) -> List[VlsaOpResult]:
+        """The first *count* operations as :class:`VlsaOpResult`."""
+        cols = (self.a, self.b, self.sums, self.couts,
+                self.speculative_correct, self.stalled,
+                self.latency_cycles, self.accept_cycles)
+        return [VlsaOpResult(i, *row) for i, row in
+                enumerate(zip(*(c[:count].tolist() for c in cols)))]
 
     @property
     def average_latency_cycles(self) -> float:
         """Mean cycles per addition (the paper's ~1.0002 figure)."""
-        if not self.results:
+        if not self.operations:
             return 0.0
-        return sum(r.latency_cycles for r in self.results) / len(self.results)
+        return int(self.latency_cycles.sum()) / self.operations
 
     @property
     def average_latency_time(self) -> float:
@@ -90,14 +140,14 @@ class VlsaTrace:
 
     def speedup_over(self, traditional_delay: float) -> float:
         """Average-time speedup versus a single-cycle traditional adder."""
-        if not self.results:
+        if not self.operations:
             raise ValueError("empty trace")
         return traditional_delay / self.average_latency_time
 
     # ------------------------------------------------------------------
     def timing_diagram(self, first: int = 8) -> str:
         """ASCII rendition of the paper's Fig. 7 timing diagram."""
-        shown = self.results[:first]
+        shown = self._ops(first)
         if not shown:
             return "(empty trace)"
         horizon = shown[-1].accept_cycle + shown[-1].latency_cycles + 1
@@ -150,6 +200,11 @@ class VlsaTrace:
 class VlsaMachine:
     """Synchronous VALID/STALL wrapper around the speculative adder.
 
+    A run is a scan, not a clock loop: each block of operand pairs goes
+    through the functional model in one batch call, and the cycle
+    columns follow from the flags by a cumulative sum.  ``clock`` ends
+    each run at the total cycle count.
+
     Args:
         width: Operand bitwidth.
         window: The family's primary parameter — for ACA, the
@@ -185,60 +240,71 @@ class VlsaMachine:
         self.width = width
         self.recovery_cycles = recovery_cycles
         self.clock = ClockDomain(clock_period)
-        # Architectural state (Fig. 6): operand register, busy counter.
-        self._op_a = self.clock.register(0, "op_a")
-        self._op_b = self.clock.register(0, "op_b")
-        self._busy = self.clock.register(0, "busy")
 
-    def run(self, pairs: Iterable[Tuple[int, int]]) -> VlsaTrace:
+    def run(self, pairs: Pairs) -> VlsaTrace:
         """Stream operand *pairs* through the pipeline, one per free cycle.
+
+        Args:
+            pairs: ``(a, b)`` int pairs, or an ``(n, 2)`` integer array
+                (``uint64`` included).
 
         Returns:
             A :class:`VlsaTrace` with per-operation outcomes and the cycle
             count actually consumed.
         """
-        trace = VlsaTrace(self.width, self.window, self.clock.period,
-                          self.recovery_cycles, family=self.family)
         self.clock.reset()
         timer = (self.ctx.phase("vlsa_run") if self.ctx is not None
                  else contextlib.nullcontext())
         with timer:
-            self._run_stream(pairs, trace)
+            trace = self._scan(pairs)
+        self.clock.cycle = trace.total_cycles
         if self.ctx is not None:
             self.ctx.add("vlsa_ops", trace.operations)
             self.ctx.add("vlsa_stalls", trace.stall_count)
         return trace
 
-    def _run_stream(self, pairs: Iterable[Tuple[int, int]],
-                    trace: VlsaTrace) -> None:
-        for index, (a, b) in enumerate(pairs):
-            accept_cycle = self.clock.cycle
-            self._op_a.set_next(a)
-            self._op_b.set_next(b)
-            self._busy.set_next(1)
-            self.clock.tick()  # operands latched; ACA + detector evaluate
+    def _scan(self, pairs: Pairs) -> VlsaTrace:
+        cols: List[Tuple[np.ndarray, ...]] = []
+        offset = 0
+        rc = self.recovery_cycles
+        for a, b in _blocks(pairs):
+            batch = self.model.run_arrays(a, b)
+            stalled = batch.flags
+            spec_ok = ~batch.spec_errors
+            assert np.all(stalled | spec_ok), \
+                "detector must never miss an error"
+            # STALL: the recovery result replaces the speculative one.
+            sums = np.where(stalled, batch.exact_sums, batch.spec_sums)
+            couts = np.where(stalled, batch.exact_couts, batch.spec_couts)
+            stalls = stalled.astype(np.int64)
+            latency = 1 + rc * stalls
+            before = np.cumsum(stalls) - stalls  # stalls ahead of each op
+            accept = offset + np.arange(len(stalls)) + rc * before
+            offset += int(latency.sum())
+            cols.append((a, b, sums, couts, stalled, spec_ok, latency,
+                         accept))
+        trace = VlsaTrace(self.width, self.window, self.clock.period,
+                          self.recovery_cycles, family=self.family,
+                          total_cycles=offset)
+        if cols:
+            (trace.a, trace.b, trace.sums, trace.couts, trace.stalled,
+             trace.speculative_correct, trace.latency_cycles,
+             trace.accept_cycles) = (np.concatenate(c) for c in zip(*cols))
+        return trace
 
-            a_r, b_r = self._op_a.q, self._op_b.q
-            spec_sum, spec_cout = self.model.add(a_r, b_r)
-            flagged = self.model.flags_error(a_r, b_r)
-            exact_sum, exact_cout = self.model.exact(a_r, b_r)
 
-            if flagged:
-                # STALL: recovery result replaces the speculative one.
-                for _ in range(self.recovery_cycles):
-                    self._busy.set_next(1)
-                    self.clock.tick()
-                sum_out, cout = exact_sum, exact_cout
-                latency = 1 + self.recovery_cycles
-            else:
-                sum_out, cout = spec_sum, spec_cout
-                latency = 1
-
-            spec_ok = (spec_sum, spec_cout) == (exact_sum, exact_cout)
-            assert flagged or spec_ok, "detector must never miss an error"
-            trace.results.append(VlsaOpResult(
-                index=index, a=a, b=b, sum_out=sum_out, cout=cout,
-                speculative_correct=spec_ok, stalled=flagged,
-                latency_cycles=latency, accept_cycle=accept_cycle))
-            self._busy.set_next(0)
-        trace.total_cycles = self.clock.cycle
+def _blocks(pairs: Pairs) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``(a, b)`` object lanes of *pairs*, :data:`_BLOCK` pairs at a time."""
+    if isinstance(pairs, np.ndarray):
+        ops = pairs.reshape(-1, 2)
+        for lo in range(0, len(ops), _BLOCK):
+            block = ops[lo:lo + _BLOCK]
+            yield object_lanes(block[:, 0]), object_lanes(block[:, 1])
+        return
+    it = iter(pairs)
+    while True:
+        block = list(itertools.islice(it, _BLOCK))
+        if not block:
+            return
+        yield (object_lanes([a for a, _ in block]),
+               object_lanes([b for _, b in block]))

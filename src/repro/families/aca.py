@@ -15,9 +15,12 @@ anchored at bit 0 (the window at bit 0 sees the real carry-in).  With
   ``spec = total ^ (carries & ((starts & ~1) << window))``, and the
   carry-out bit of the same word is the speculative carry-out.
 
-:class:`AcaModel` evaluates this on Python ints at any width (the Monte
-Carlo experiments, the service's bigint backend and the cycle-accurate
-VLSA machine run on it); :func:`aca_numpy_kernel` evaluates it on uint64
+:class:`AcaModel` evaluates this on Python ints at any width, one pair
+at a time or elementwise on ``dtype=object`` lanes of them (the Monte
+Carlo experiments, the service's bigint backend and, through
+:meth:`~repro.families.base.SpeculativeModel.run_arrays`, the
+cycle-accurate VLSA machine and the verifier's functional row run on
+it); :func:`aca_numpy_kernel` evaluates it on uint64
 arrays (the serving, cluster and verify hot path).  The differential
 verifier's oracle (:mod:`repro.verify.oracle`) recomputes everything
 from the definition without either, and the test suite cross-checks
@@ -125,8 +128,8 @@ class AcaModel(SpeculativeModel):
         ``i - window``.
         """
         mask = self._word_mask
-        a &= mask
-        b &= mask
+        a = a & mask  # not in place: *a* may be an array
+        b = b & mask
         p = a ^ b
         total = a + b + (cin & 1)
         lost = (window_all_ones(p, self.window) & ~1) << self.window
@@ -143,8 +146,8 @@ class AcaModel(SpeculativeModel):
         ``cin``).
         """
         mask = self._word_mask
-        a &= mask
-        b &= mask
+        a = a & mask
+        b = b & mask
         p = a ^ b
         starts = window_all_ones(p, self.window)
         return (starts & ((a + b + (cin & 1)) ^ p) & ~1) == 0

@@ -28,10 +28,12 @@ suites all share.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
+
+import numpy as np
 
 from ..circuit import Circuit
 from .stats import EdDistribution
@@ -46,6 +48,7 @@ __all__ = [
     "unregister_family",
     "get_family",
     "family_names",
+    "object_lanes",
     "resolve_params",
     "functional_factory",
 ]
@@ -60,7 +63,8 @@ class FamilyError(ValueError):
 # ----------------------------------------------------------------------
 @dataclass
 class KernelBatch:
-    """Vectorised output of one family numpy kernel.
+    """Vectorised output of a family numpy kernel (or of
+    :meth:`SpeculativeModel.run_arrays`).
 
     Everything the speculative/detect/recover path produces for a
     batch, as arrays: the raw speculative result, the detector word,
@@ -79,14 +83,28 @@ class KernelBatch:
 # ----------------------------------------------------------------------
 # Functional-model contract
 # ----------------------------------------------------------------------
+def object_lanes(values: Union[Sequence[int], np.ndarray]) -> np.ndarray:
+    """A 1-D ``dtype=object`` array of Python ints: one lane per value.
+
+    Integer arrays (``uint64`` included) are converted element by
+    element to Python ints, so the models' big-int arithmetic (``~1``,
+    carries past bit 63) never meets a fixed-width numpy scalar.
+    """
+    if isinstance(values, np.ndarray):
+        return values.astype(object).reshape(-1)
+    return np.array(list(values), dtype=object).reshape(-1)
+
+
 class SpeculativeModel:
     """Uniform big-int contract every family functional model obeys.
 
     Subclasses implement :meth:`add` (the speculative hardware result)
-    and :meth:`flags_error` (the detector).  ``exact``, ``is_correct``
-    and the bus-level ``run_ints`` interface are shared — so the
-    machine, the service executor and the verify reference can treat
-    every family identically.
+    and :meth:`flags_error` (the detector), on Python ints and
+    elementwise on ``dtype=object`` arrays of them alike.  ``exact``,
+    ``is_correct``, the batch :meth:`run_arrays` and the bus-level
+    ``run_ints`` interface are shared — so the machine, the service
+    executor and the verify reference can treat every family
+    identically.
     """
 
     width: int
@@ -110,7 +128,31 @@ class SpeculativeModel:
 
     def is_correct(self, a: int, b: int, cin: int = 0) -> bool:
         """Whether speculation succeeds on this operand pair."""
-        return self.add(a, b, cin) == self.exact(a, b, cin)
+        spec_sum, spec_cout = self.add(a, b, cin)
+        exact_sum, exact_cout = self.exact(a, b, cin)
+        return (spec_sum == exact_sum) & (spec_cout == exact_cout)
+
+    def run_arrays(self, a: Union[Sequence[int], np.ndarray],
+                   b: Union[Sequence[int], np.ndarray]) -> KernelBatch:
+        """The whole speculate/detect/recover path for a batch of pairs.
+
+        Calls :meth:`add`, :meth:`flags_error` and :meth:`exact` once
+        each on :func:`object_lanes` of *a* and *b*, so it runs at any
+        width.  Sums and carries come back as ``dtype=object`` arrays of
+        Python ints, ``flags``/``spec_errors`` as bool arrays; a
+        detector that answers with one scalar is broadcast over the
+        batch.
+        """
+        a = object_lanes(a)
+        b = object_lanes(b)
+        spec_sums, spec_couts = self.add(a, b)
+        exact_sums, exact_couts = self.exact(a, b)
+        flags = np.array(np.broadcast_to(
+            np.asarray(self.flags_error(a, b), dtype=bool), a.shape))
+        spec_errors = (spec_sums != exact_sums) | (spec_couts != exact_couts)
+        return KernelBatch(spec_sums=spec_sums, spec_couts=spec_couts,
+                           exact_sums=exact_sums, exact_couts=exact_couts,
+                           flags=flags, spec_errors=spec_errors)
 
     def run_ints(self, vectors: Mapping[str, Union[int, Sequence[int]]]
                  ) -> Dict[str, Union[int, List[int]]]:
@@ -120,23 +162,15 @@ class SpeculativeModel:
         family's speculative circuit: inputs ``a``/``b`` (optionally
         ``cin``), outputs ``sum``/``cout``; scalars in, scalars out.
         """
-        scalar = isinstance(vectors["a"], int)
+        def lanes(value: Union[int, Sequence[int]]) -> np.ndarray:
+            return object_lanes([value] if isinstance(value, int)
+                                else value)
 
-        def as_list(value: Union[int, Sequence[int]]) -> List[int]:
-            return [value] if isinstance(value, int) else list(value)
-
-        a_vals = as_list(vectors["a"])
-        b_vals = as_list(vectors["b"])
-        cin_vals = as_list(vectors.get("cin", [0] * len(a_vals)))
-        sums: List[int] = []
-        couts: List[int] = []
-        for a, b, cin in zip(a_vals, b_vals, cin_vals):
-            s, c = self.add(a, b, cin)
-            sums.append(s)
-            couts.append(c)
-        if scalar:
+        sums, couts = self.add(lanes(vectors["a"]), lanes(vectors["b"]),
+                               lanes(vectors.get("cin", 0)))
+        if isinstance(vectors["a"], int):
             return {"sum": sums[0], "cout": couts[0]}
-        return {"sum": sums, "cout": couts}
+        return {"sum": sums.tolist(), "cout": couts.tolist()}
 
 
 # ----------------------------------------------------------------------

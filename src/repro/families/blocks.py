@@ -86,6 +86,10 @@ def block_boundaries(width: int, block: int,
 class BlockSpecModel(SpeculativeModel):
     """Big-int functional model of a block-boundary speculative adder.
 
+    Evaluates one pair of Python ints, or elementwise ``dtype=object``
+    lanes of them (:meth:`~repro.families.base.SpeculativeModel.
+    run_arrays`).
+
     Args:
         width: Operand bitwidth.
         block: Block size ``k`` (clamped to *width*).
@@ -126,8 +130,8 @@ class BlockSpecModel(SpeculativeModel):
         it: each block adds its operand slice to its carry estimate; the
         carry out comes from the top block."""
         mask = self._mask()
-        a &= mask
-        b &= mask
+        a = a & mask  # not in place: *a* may be an array
+        b = b & mask
         result = 0
         carry_out = 0
         for lo, hi in self.bounds:
@@ -144,20 +148,19 @@ class BlockSpecModel(SpeculativeModel):
         ACA's; the gate-level datapath agrees whenever it is built
         without a carry-in port, which is how every serving/verify layer
         instantiates it)."""
-        mask = self._mask()
-        a &= mask
-        b &= mask
         if self.detector == "exact":
-            return self.add(a, b) != self.exact(a, b)
-        p = a ^ b
+            spec_sum, spec_cout = self.add(a, b)
+            exact_sum, exact_cout = self.exact(a, b)
+            return (spec_sum != exact_sum) | (spec_cout != exact_cout)
+        p = (a ^ b) & self._mask()
         t = self.lookahead
         w_mask = (1 << t) - 1
+        flag = False
         for lo, _ in self.bounds:
             if lo == 0 or t >= lo:
                 continue
-            if (p >> (lo - t)) & w_mask == w_mask:
-                return True
-        return False
+            flag = flag | ((p >> (lo - t)) & w_mask == w_mask)
+        return flag
 
 
 # ----------------------------------------------------------------------

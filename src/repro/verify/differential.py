@@ -138,7 +138,8 @@ class Implementation:
 
 
 class FunctionalImpl(Implementation):
-    """The family's functional model through its ``run_ints`` interface."""
+    """The family's functional model, one batch call per chunk
+    (:meth:`~repro.families.base.SpeculativeModel.run_arrays`)."""
 
     family = "speculative"
 
@@ -148,11 +149,11 @@ class FunctionalImpl(Implementation):
         self.model = functional_model(family, width=width, window=window)
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
-        out = self.model.run_ints({"a": [a for a, _ in pairs],
-                                   "b": [b for _, b in pairs]})
-        flags = [self.model.flags_error(a, b) for a, b in pairs]
-        return ImplResult(sums=list(out["sum"]), couts=list(out["cout"]),
-                          flags=flags)
+        batch = self.model.run_arrays([a for a, _ in pairs],
+                                      [b for _, b in pairs])
+        return ImplResult(sums=batch.spec_sums.tolist(),
+                          couts=batch.spec_couts.tolist(),
+                          flags=batch.flags.tolist())
 
 
 class EngineImpl(Implementation):
@@ -276,12 +277,12 @@ class MachineImpl(Implementation):
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
         trace = self.machine.run(pairs)
         return ImplResult(
-            sums=[r.sum_out for r in trace.results],
-            couts=[r.cout for r in trace.results],
-            flags=[r.stalled for r in trace.results],
-            latencies=[r.latency_cycles for r in trace.results],
-            spec_errors=[r.stalled and not r.speculative_correct
-                         for r in trace.results])
+            sums=trace.sums.tolist(),
+            couts=trace.couts.tolist(),
+            flags=trace.stalled.tolist(),
+            latencies=trace.latency_cycles.tolist(),
+            spec_errors=(trace.stalled
+                         & ~trace.speculative_correct).tolist())
 
 
 class ExecutorImpl(Implementation):

@@ -43,14 +43,30 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def _uniform_ints(rng: np.random.Generator, width: int,
-                  n: int) -> List[int]:
-    """*n* uniform *width*-bit integers from one bulk byte draw."""
+def _uniform_words(rng: np.random.Generator, width: int,
+                   n: int) -> np.ndarray:
+    """*n* uniform *width*-bit integers from one bulk byte draw.
+
+    Each integer is the next ``ceil(width / 8)`` bytes, little-endian,
+    masked to *width* bits.  Widths up to 64 come back as a ``uint64``
+    array read straight from the buffer (each group zero-padded to 8
+    bytes), wider ones as a ``dtype=object`` array of Python ints.
+    """
     nbytes = (width + 7) // 8
     mask = _mask(width)
     raw = rng.bytes(n * nbytes)
-    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") & mask
-            for i in range(n)]
+    if width > 64:
+        return np.array(
+            [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
+             & mask for i in range(n)], dtype=object)
+    if nbytes == 8:
+        words = np.frombuffer(raw, dtype="<u8")
+    else:
+        padded = np.zeros((n, 8), dtype=np.uint8)
+        padded[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8
+                                           ).reshape(n, nbytes)
+        words = padded.view("<u8").reshape(n)
+    return words & np.uint64(mask)
 
 
 def _biased_ints(rng: np.random.Generator, width: int, n: int,
@@ -66,14 +82,11 @@ def _biased_ints(rng: np.random.Generator, width: int, n: int,
     candidates += [(abs(alpha - (1 - 0.5 ** k)), "or", k)
                    for k in range(2, 7)]
     _, mode, k = min(candidates)
-    out = _uniform_ints(rng, width, n)
+    out = _uniform_words(rng, width, n)
     for _ in range(k - 1):
-        extra = _uniform_ints(rng, width, n)
-        if mode == "and":
-            out = [a & b for a, b in zip(out, extra)]
-        else:
-            out = [a | b for a, b in zip(out, extra)]
-    return out
+        extra = _uniform_words(rng, width, n)
+        out = out & extra if mode == "and" else out | extra
+    return out.tolist()
 
 
 def _adversarial_pairs(rng: np.random.Generator, width: int, window: int,
@@ -87,26 +100,21 @@ def _adversarial_pairs(rng: np.random.Generator, width: int, window: int,
     just detector-flagged, whenever the run is unanchored).
     """
     run = min(max(window, 1), width)
-    mask = _mask(width)
-    run_mask = _mask(run)
-    a_vals = _uniform_ints(rng, width, n)
-    p_vals = _uniform_ints(rng, width, n)
+    word = np.uint64 if width <= 64 else int
+    a = _uniform_words(rng, width, n)
+    p = _uniform_words(rng, width, n)
     if width > run:
         starts = rng.integers(0, width - run + 1, size=n)
     else:
         starts = np.zeros(n, dtype=np.int64)
-    out: PairChunk = []
-    for a, p, j in zip(a_vals, p_vals, starts):
-        j = int(j)
-        p |= run_mask << j
-        b = (a ^ p) & mask
-        if j > 0:
-            # Generate right below the run: carry enters it for sure.
-            g = 1 << (j - 1)
-            a |= g
-            b |= g
-        out.append((a & mask, b))
-    return out
+    starts = starts.astype(a.dtype)  # shifts in the operands' own type
+    one = word(1)
+    p = p | (word(_mask(run)) << starts)
+    b = (a ^ p) & word(_mask(width))
+    # Generate right below the run: carry enters it for sure.
+    g = np.where(starts > 0, one << (np.maximum(starts, one) - one),
+                 word(0))
+    return list(zip((a | g).tolist(), (b | g).tolist()))
 
 
 def boundary_patterns(width: int, window: int) -> List[int]:
@@ -154,8 +162,9 @@ def _random_blocks(name: str, width: int, window: int, count: int,
     while done < count:
         n = min(_BLOCK, count - done)
         if name == "uniform":
-            yield list(zip(_uniform_ints(rng, width, n),
-                           _uniform_ints(rng, width, n)))
+            a = _uniform_words(rng, width, n)
+            b = _uniform_words(rng, width, n)
+            yield list(zip(a.tolist(), b.tolist()))
         elif name == "biased":
             yield list(zip(_biased_ints(rng, width, n, alpha),
                            _biased_ints(rng, width, n, alpha)))

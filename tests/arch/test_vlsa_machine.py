@@ -1,5 +1,8 @@
 """Cycle-accurate VLSA machine: latency accounting and correctness."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.arch import VlsaMachine
@@ -96,3 +99,51 @@ def test_window_defaults_and_validation():
     assert machine.window == choose_window(64)
     with pytest.raises(ValueError):
         VlsaMachine(16, window=4, recovery_cycles=0)
+
+
+def _fields(trace):
+    return [tuple(vars(r).values()) for r in trace.results]
+
+
+def test_uint64_array_stream_matches_int_pairs(rng):
+    """The ``(n, 2)`` uint64 form the executor and edge pass runs the
+    same trace as the equivalent int pairs, operands past bit 63 and
+    all-propagate words included."""
+    pairs = _random_pairs(rng, 64, 300) + [((1 << 64) - 2, 1),
+                                           ((1 << 63) - 1, 1)]
+    by_ints = VlsaMachine(64, window=6).run(pairs)
+    by_array = VlsaMachine(64, window=6).run(
+        np.array(pairs, dtype=np.uint64))
+    assert by_ints.stall_count > 0
+    assert _fields(by_array) == _fields(by_ints)
+    assert by_array.total_cycles == by_ints.total_cycles
+    assert by_array.to_vcd() == by_ints.to_vcd()
+
+
+def test_scan_accounts_cycles_across_blocks(rng):
+    """Accept cycles keep running over the model's fixed-size blocks."""
+    recovery = 3
+    pairs = _random_pairs(rng, 12, 2 * 4096 + 7)
+    machine = VlsaMachine(12, window=3, recovery_cycles=recovery)
+    trace = machine.run(iter(pairs))
+    cycle = 0
+    for i, r in enumerate(trace.results):
+        assert (r.index, r.accept_cycle) == (i, cycle)
+        assert r.latency_cycles == 1 + recovery * r.stalled
+        cycle += r.latency_cycles
+    assert trace.operations == len(pairs)
+    assert machine.clock.cycle == trace.total_cycles == cycle
+
+
+def test_golden_vcd_and_timing_diagram():
+    """Byte-for-byte outputs of a stream with a stall that is not an
+    error (``0xFE + 1`` carries nothing into its propagate run) and an
+    operand wider than the word."""
+    machine = VlsaMachine(8, window=3, recovery_cycles=2)
+    trace = machine.run([(1, 2), (0xFE, 1), (4, 2), (0xFE, 1), (2, 1),
+                         (0x1FF, 3)])
+    assert trace.total_cycles == 12
+    assert hashlib.sha256(trace.to_vcd().encode()).hexdigest() == (
+        "6031b2d9318b6c112b2258cbfdd4a67e7bf6c047f3e9b7bfa041e453511392a7")
+    assert hashlib.sha256(trace.timing_diagram().encode()).hexdigest() == (
+        "5849044859ef6fb4a6de39a5337a76567c663c5a3b870629a668a08e0447854c")

@@ -156,3 +156,70 @@ def test_recovered_output_always_exact(data, name, width, knob):
     # wrong it must have fired.
     if out["sum"][0] != total & mask or out["cout"][0] != total >> width:
         assert out["err"][0] == 1
+
+
+# ----------------------------------------------------------------------
+# The batch method: ``run_arrays`` on object lanes is the per-pair model
+# (and the numpy kernel, where one exists) at every width.
+# ----------------------------------------------------------------------
+def _lane_operands(width, seed=1):
+    """Random, all-propagate, negative and over-width operand pairs."""
+    rng = np.random.default_rng(seed)
+    mask = (1 << width) - 1
+    rand = [int.from_bytes(rng.bytes(17), "little") & mask
+            for _ in range(240)]
+    pairs = list(zip(rand[0::2], rand[1::2]))
+    pairs += [(a, ~a & mask) for a in rand[:20]]           # all-propagate
+    pairs += [(mask - 1, 1), (mask, 1), (0, 0), (mask, mask)]
+    pairs += [(-a, b) for a, b in pairs[:10]]              # negative
+    pairs += [(a | (5 << width), b | (1 << (width + 70)))  # over-width
+              for a, b in pairs[:10]]
+    return pairs
+
+
+@pytest.mark.parametrize("width", (8, 63, 64, 65, 128))
+@pytest.mark.parametrize("name", family_names())
+def test_run_arrays_matches_per_pair_model(name, width):
+    fam = get_family(name)
+    default = fam.primary_value(width, fam.resolve_params(width))
+    pairs = _lane_operands(width)
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    mask = (1 << width) - 1
+    for knob in sorted({1, 3, default, width}):
+        params = fam.resolve_params(width, window=knob)
+        model = fam.functional(width, **params)
+        batch = model.run_arrays(a, b)
+        got = list(zip(batch.spec_sums.tolist(), batch.spec_couts.tolist(),
+                       batch.exact_sums.tolist(),
+                       batch.exact_couts.tolist(), batch.flags.tolist(),
+                       batch.spec_errors.tolist()))
+        for (x, y), row in zip(pairs, got):
+            spec = model.add(x, y)
+            exact = model.exact(x, y)
+            flag = model.flags_error(x, y)
+            assert type(flag) is bool
+            assert row == (*spec, *exact, flag, spec != exact), (params, x, y)
+        assert model.run_ints({"a": a, "b": b}) == {
+            "sum": batch.spec_sums.tolist(),
+            "cout": batch.spec_couts.tolist()}
+        kernel = fam.numpy_kernel(width, **params)
+        if kernel is None:
+            continue
+        ref = kernel(np.array([x & mask for x in a], dtype=np.uint64),
+                     np.array([y & mask for y in b], dtype=np.uint64))
+        for key in ("spec_sums", "spec_couts", "exact_sums", "exact_couts",
+                    "flags", "spec_errors"):
+            assert getattr(batch, key).tolist() == getattr(
+                ref, key).tolist(), (params, key)
+
+
+def test_run_arrays_broadcasts_a_scalar_detector():
+    """A detector answering one scalar for the batch still yields one
+    flag per pair (the shape a silent-detector fault takes)."""
+    model = get_family("aca").functional(16, window=4)
+    model.flags_error = lambda a, b: False
+    batch = model.run_arrays(np.array([1, 0xFFFE], dtype=np.uint64),
+                             [2, 1])
+    assert batch.flags.tolist() == [False, False]
+    assert batch.spec_sums.tolist() == [3, 0xFFFF]

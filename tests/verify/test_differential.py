@@ -239,10 +239,10 @@ def test_crashing_implementation_is_reported_not_raised(mutant_registry):
     assert disc.got.endswith("RuntimeError: boom\n")
 
 
-def _rows_with_mismatches(monkeypatch, attr, fault):
-    """Default width-16 run with one fault injected into ``AcaModel``."""
+def _rows_with_mismatches(monkeypatch, attr, fault, width=WIDTH):
+    """Default run with one fault injected into ``AcaModel``."""
     monkeypatch.setattr(AcaModel, attr, fault)
-    report = DifferentialVerifier(WIDTH, ctx=RunContext(seed=3),
+    report = DifferentialVerifier(width, ctx=RunContext(seed=3),
                                   shrink=False).run(vectors=2000, seed=3)
     assert not report.ok
     return {c.impl for c in report.coverage if c.mismatches}
@@ -264,3 +264,23 @@ def test_silent_detector_fault_in_shared_model_is_caught(monkeypatch):
     rows = _rows_with_mismatches(monkeypatch, "flags_error",
                                  lambda self, a, b: False)
     assert {"functional", "machine", "service:bigint"} <= rows
+
+
+_ACA_ADD = AcaModel.add
+
+
+def _narrow_add(self, a, b, cin=0):
+    return _ACA_ADD(AcaModel(self.width, self.window - 1), a, b, cin)
+
+
+@pytest.mark.parametrize("attr, fault, expected", [
+    ("add", _narrow_add, {"functional", "machine"}),
+    ("flags_error", lambda self, a, b: False,
+     {"functional", "machine", "service:bigint"}),
+], ids=["narrow-window", "silent-detector"])
+def test_model_faults_caught_at_benchmarked_width(monkeypatch, attr, fault,
+                                                   expected):
+    """The same faults at width 64, where the batch rows run on object
+    lanes beside the uint64 kernels."""
+    assert expected <= _rows_with_mismatches(monkeypatch, attr, fault,
+                                             width=64)
