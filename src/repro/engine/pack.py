@@ -9,9 +9,22 @@ The engine moves data between three representations:
 * **uint64 word arrays** — the same bit-sliced layout chunked into
   64-vector machine words (the NumPy backend's native form).
 
-Packing and unpacking are the same bit-matrix transpose: one joined
-byte buffer (one ``int`` render per vector or word) plus one
-``unpackbits``/``packbits`` pass in C.
+Packing and unpacking are the same bit-matrix transpose, one numpy
+kernel for both directions:
+
+1. *Rows in.*  Inputs of at most 64 bits become one ``uint64`` array
+   (a ``uint64`` array passes straight through; Python ints outside
+   ``[0, 2^64)`` are masked one by one first).  Wider inputs — the
+   ~65 packed words of an unpack — are rendered to little-endian bytes,
+   one ``to_bytes`` each.  Either way the result is a byte matrix of
+   one row per input, padded with zero rows to a multiple of 8.
+2. *8x8 blocks.*  A byte transpose gathers byte ``k`` of 8 consecutive
+   rows into one ``uint64``: an 8x8 bit block whose bit ``8r + c`` is
+   bit ``8k + c`` of row ``r``.  Three delta swaps (shifts 7, 14, 28)
+   transpose every block at once.
+3. *Rows out.*  The inverse byte transpose lays the blocks out as one
+   byte row per output bit; rows of at most 8 bytes are read as
+   ``uint64``, longer ones with one ``int.from_bytes`` each.
 """
 
 from __future__ import annotations
@@ -30,40 +43,68 @@ __all__ = [
 ]
 
 
+#: ``(shift, mask)`` of the delta swaps that transpose the 8x8 bit block
+#: held in a ``uint64`` (bit ``8r + c`` <-> bit ``8c + r``): 1x1, 2x2
+#: and then 4x4 sub-blocks trade places across the diagonal.
+_BLOCK_SWAPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (7, 0x00AA00AA00AA00AA),
+    (14, 0x0000CCCC0000CCCC),
+    (28, 0x00000000F0F0F0F0),
+))
+
+
 def _transpose(ints: Sequence[int], nbits: int) -> List[int]:
     """Bit-matrix transpose: ``nbits`` integers of ``len(ints)`` bits.
 
     Bit ``j`` of result ``i`` is bit ``i`` of ``ints[j]``; bits at or
-    above *nbits* are ignored.  One little-endian render per integer
-    into one buffer, then a single unpackbits/packbits pass.
+    above *nbits* are ignored.  *ints* may be a ``uint64`` (or other
+    integer) array when ``nbits <= 64``.
     """
     n = len(ints)
     if n == 0 or nbits <= 0:
         return [0] * max(nbits, 0)
     mask = (1 << nbits) - 1
     nbytes = (nbits + 7) // 8
-    # Result rows of 8 bytes (one uint64) when they hold at most 64 bits,
-    # whole bytes beyond; zero inputs pad *n* up to the row size.
-    stride = 8 if n <= 64 else (n + 7) // 8
-    raw = np.frombuffer(b"".join((int(v) & mask).to_bytes(nbytes, "little")
-                                 for v in ints)
-                        + bytes((stride * 8 - n) * nbytes), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(stride * 8, nbytes), axis=1,
-                         count=nbits, bitorder="little")
-    rows = np.packbits(np.ascontiguousarray(bits.T), axis=1,
-                       bitorder="little")
-    if n <= 64:
-        return rows.view("<u8").ravel().tolist()
-    buf = rows.tobytes()
-    return [int.from_bytes(buf[i:i + stride], "little")
-            for i in range(0, nbits * stride, stride)]
+    groups = (n + 7) // 8  # 8-row blocks; also the bytes per result
+    if nbits <= 64:
+        try:
+            words = np.array(ints, dtype=np.uint64)
+        except OverflowError:  # outside uint64: mask each value first
+            words = np.array([int(v) & mask for v in ints], dtype=np.uint64)
+        padded = np.zeros(groups * 8, dtype="<u8")
+        padded[:n] = words & np.uint64(mask)
+        rows = padded.view(np.uint8).reshape(groups * 8, 8)[:, :nbytes]
+    else:
+        raw = b"".join((int(v) & mask).to_bytes(nbytes, "little")
+                       for v in ints)
+        rows = np.frombuffer(raw + bytes((groups * 8 - n) * nbytes),
+                             dtype=np.uint8).reshape(groups * 8, nbytes)
+    # blocks[k, g]: byte k of rows 8g .. 8g+7, one row per byte lane.
+    blocks = np.ascontiguousarray(
+        rows.reshape(groups, 8, nbytes).transpose(2, 0, 1)).view("<u8")
+    for shift, swap in _BLOCK_SWAPS:
+        t = (blocks ^ (blocks >> shift)) & swap
+        blocks ^= t ^ (t << shift)
+    # Byte c of blocks[k, g] is byte g of result 8k + c.
+    out = np.ascontiguousarray(
+        blocks.view(np.uint8).reshape(nbytes, groups, 8).transpose(0, 2, 1)
+    ).reshape(nbytes * 8, groups)[:nbits]
+    if groups <= 8:
+        out8 = np.zeros((nbits, 8), dtype=np.uint8)
+        out8[:, :groups] = out
+        return out8.view("<u8").ravel().tolist()
+    buf = out.tobytes()
+    return [int.from_bytes(buf[i:i + groups], "little")
+            for i in range(0, nbits * groups, groups)]
 
 
 def pack_vectors(values: Sequence[int], width: int) -> List[int]:
     """Transpose per-vector integers into per-bit packed words.
 
     Args:
-        values: One integer per test vector (masked to *width* bits).
+        values: One integer per test vector, masked to *width* bits
+            (negative ints in two's complement); a ``uint64`` (or other
+            integer) array is accepted when *width* is at most 64.
         width: Bit width of each value.
 
     Returns:

@@ -19,6 +19,7 @@ repro verify --help`` for the CLI front-end.
 
 from .differential import (
     DEFAULT_STREAMS,
+    Chunk,
     DifferentialVerifier,
     ImplResult,
     Implementation,
@@ -41,6 +42,7 @@ __all__ = [
     "DEFAULT_STREAMS",
     "STREAMS",
     "VERIFY_METHODS",
+    "Chunk",
     "Coverage",
     "DifferentialVerifier",
     "Discrepancy",

@@ -46,13 +46,16 @@ from __future__ import annotations
 import inspect
 import traceback
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
+from ..engine.api import execute
 from ..engine.context import RunContext, get_default_context
 from ..engine.functional import functional_model
+from ..engine.pack import pack_vectors, unpack_vectors
 from ..families.base import get_family
 from ..service.metrics import MetricsRegistry
 from .oracle import OracleBatch, evaluate as evaluate_oracle
@@ -65,6 +68,7 @@ __all__ = [
     "VerificationError",
     "ImplResult",
     "Implementation",
+    "Chunk",
     "register_implementation",
     "available_implementations",
     "default_implementations",
@@ -98,6 +102,42 @@ def _resolved(family: str, width: int, window: Optional[int]
     fam = get_family(family)
     params = fam.resolve_params(width, window=window)
     return fam, params, fam.primary_value(width, params)
+
+
+class Chunk(tuple):
+    """One chunk of operand pairs that every row of a run shares.
+
+    A ``tuple`` of the ``(a, b)`` pairs, so ``len``, indexing, iteration
+    and ``list(chunk)`` behave as on the plain pairs.  The operand
+    columns :attr:`a`/:attr:`b` and the bit-sliced stimulus
+    :meth:`packed` are computed the first time they are read, so the
+    gate-level rows pack each chunk once between them.
+    """
+
+    @cached_property
+    def a(self) -> Tuple[int, ...]:
+        """First operand of every pair."""
+        return tuple([a for a, _ in self])
+
+    @cached_property
+    def b(self) -> Tuple[int, ...]:
+        """Second operand of every pair."""
+        return tuple([b for _, b in self])
+
+    def packed(self, width: int) -> Dict[str, Tuple[int, ...]]:
+        """``{"a": words, "b": words}``: both operands bit-sliced at
+        *width* bits (:func:`~repro.engine.pack.pack_vectors`), the
+        stimulus :func:`~repro.engine.execute` takes."""
+        cache = self.__dict__.setdefault("_packed", {})
+        if width not in cache:
+            cache[width] = {"a": tuple(pack_vectors(self.a, width)),
+                            "b": tuple(pack_vectors(self.b, width))}
+        return cache[width]
+
+
+def _chunk(pairs: Sequence[Pair]) -> Chunk:
+    """*pairs* as a :class:`Chunk` (a plain sequence is wrapped)."""
+    return pairs if isinstance(pairs, Chunk) else Chunk(pairs)
 
 
 # ----------------------------------------------------------------------
@@ -149,11 +189,24 @@ class FunctionalImpl(Implementation):
         self.model = functional_model(family, width=width, window=window)
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
-        batch = self.model.run_arrays([a for a, _ in pairs],
-                                      [b for _, b in pairs])
+        chunk = _chunk(pairs)
+        batch = self.model.run_arrays(chunk.a, chunk.b)
         return ImplResult(sums=batch.spec_sums.tolist(),
                           couts=batch.spec_couts.tolist(),
                           flags=batch.flags.tolist())
+
+
+def _run_netlist(simulate: Callable[..., Dict[str, List[int]]],
+                 circuit: Any, pairs: Sequence[Pair],
+                 outputs: Sequence[str], **kwargs: Any) -> List[List[int]]:
+    """Per-vector values of *outputs* of *circuit*: *simulate* (the
+    engine's ``execute`` or the interpreter) on the chunk's packed
+    operands, each output unpacked."""
+    chunk = _chunk(pairs)
+    n = len(chunk)
+    words = simulate(circuit, chunk.packed(len(circuit.inputs["a"])),
+                     num_vectors=n, **kwargs)
+    return [unpack_vectors(words[name], n) for name in outputs]
 
 
 class EngineImpl(Implementation):
@@ -170,13 +223,9 @@ class EngineImpl(Implementation):
         self.circuit = fam.build_speculative(width, **params)
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
-        from ..engine import execute_ints
-
-        out = execute_ints(self.circuit,
-                           {"a": [a for a, _ in pairs],
-                            "b": [b for _, b in pairs]},
-                           backend=self.backend)
-        return ImplResult(sums=out["sum"], couts=out["cout"])
+        sums, couts = _run_netlist(execute, self.circuit, pairs,
+                                   ("sum", "cout"), backend=self.backend)
+        return ImplResult(sums=sums, couts=couts)
 
 
 class InterpreterImpl(Implementation):
@@ -192,18 +241,10 @@ class InterpreterImpl(Implementation):
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
         from ..circuit import simulate_interpreted
-        from ..engine.pack import pack_vectors, unpack_vectors
 
-        n = len(pairs)
-        stim = {
-            "a": pack_vectors([a for a, _ in pairs],
-                              len(self.circuit.inputs["a"])),
-            "b": pack_vectors([b for _, b in pairs],
-                              len(self.circuit.inputs["b"])),
-        }
-        words = simulate_interpreted(self.circuit, stim, num_vectors=n)
-        return ImplResult(sums=unpack_vectors(words["sum"], n),
-                          couts=unpack_vectors(words["cout"], n))
+        sums, couts = _run_netlist(simulate_interpreted, self.circuit, pairs,
+                                   ("sum", "cout"))
+        return ImplResult(sums=sums, couts=couts)
 
 
 class KernelImpl(Implementation):
@@ -221,9 +262,9 @@ class KernelImpl(Implementation):
                 f"family {family!r} has no numpy kernel at width {width}")
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
-        a = np.array([a for a, _ in pairs], dtype=np.uint64)
-        b = np.array([b for _, b in pairs], dtype=np.uint64)
-        batch = self.kernel(a, b)
+        chunk = _chunk(pairs)
+        batch = self.kernel(np.array(chunk.a, dtype=np.uint64),
+                            np.array(chunk.b, dtype=np.uint64))
         return ImplResult(
             sums=batch.spec_sums.tolist(),
             couts=batch.spec_couts.tolist(),
@@ -251,13 +292,10 @@ class RecoveryImpl(Implementation):
         self.circuit = fam.build_circuit(width, **params)
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
-        from ..engine import execute_ints
-
-        out = execute_ints(self.circuit,
-                           {"a": [a for a, _ in pairs],
-                            "b": [b for _, b in pairs]})
-        return ImplResult(sums=out["sum_exact"], couts=out["cout_exact"],
-                          flags=[bool(v) for v in out["err"]])
+        sums, couts, err = _run_netlist(
+            execute, self.circuit, pairs, ("sum_exact", "cout_exact", "err"))
+        return ImplResult(sums=sums, couts=couts,
+                          flags=[bool(v) for v in err])
 
 
 class MachineImpl(Implementation):
@@ -411,39 +449,39 @@ def unregister_implementation(name: str) -> None:
 
 
 def _ensure_builtin() -> None:
-    if "functional" in _FACTORIES:
+    if _BUILTIN:
         return
     from ..engine import available_backends
 
-    register_implementation("functional", FunctionalImpl)
+    builtin: Dict[str, Callable[..., Implementation]] = {
+        "functional": FunctionalImpl,
+        "interpreter": InterpreterImpl,
+        "kernel": KernelImpl,
+        "recovery": RecoveryImpl,
+        "machine": MachineImpl,
+        "service:numpy": lambda w, win, rc, family="aca":
+            ExecutorImpl(w, win, "numpy", rc, family=family),
+        "service:bigint": lambda w, win, rc, family="aca":
+            ExecutorImpl(w, win, "bigint", rc, family=family),
+    }
     for backend in available_backends():
-        register_implementation(
-            f"engine:{backend}",
+        builtin[f"engine:{backend}"] = (
             lambda w, win, rc, family="aca", _b=backend:
                 EngineImpl(w, win, _b, rc, family=family))
-    register_implementation("interpreter", InterpreterImpl)
-    register_implementation("kernel", KernelImpl)
-    register_implementation("recovery", RecoveryImpl)
-    register_implementation("machine", MachineImpl)
-    register_implementation(
-        "service:numpy",
-        lambda w, win, rc, family="aca":
-            ExecutorImpl(w, win, "numpy", rc, family=family))
-    register_implementation(
-        "service:bigint",
-        lambda w, win, rc, family="aca":
-            ExecutorImpl(w, win, "bigint", rc, family=family))
-    _BUILTIN.extend(sorted(_FACTORIES))
-    # One more implementation: the whole multi-process cluster.
-    # Registered after the _BUILTIN snapshot on purpose — it spawns OS
-    # processes, so a plain `repro verify` run does not pay for it; CI
-    # and the cluster tests opt in with explicit impl lists.
+    _FACTORIES.update(builtin)
+    # Only these names: anything registered before the built-ins loaded
+    # stays an external implementation.
+    _BUILTIN.extend(sorted(builtin))
+    # One more implementation: the whole multi-process cluster.  Not
+    # in _BUILTIN on purpose — it spawns OS processes, so a plain
+    # `repro verify` run does not pay for it; CI and the cluster tests
+    # opt in with explicit impl lists.
     register_implementation("cluster", ClusterImpl)
     register_implementation(
         "cluster:shm",
         lambda w, win, rc, family="aca":
             ClusterImpl(w, win, rc, family=family, transport="shm"))
-    # Likewise post-snapshot: the autotuned path reconfigures itself
+    # Likewise not built in: the autotuned path reconfigures itself
     # mid-stream, so its flags are schedule-dependent — it exists to
     # prove sums/couts stay bit-identical across reconfigurations and
     # is driven explicitly (--impls service:numpy,service:autotuned).
@@ -618,6 +656,7 @@ class DifferentialVerifier:
                 base = 0
                 for pairs in pair_stream(stream, self.width, self.window,
                                          vectors, seed=seed, chunk=chunk):
+                    pairs = Chunk(pairs)
                     ref = self._reference(pairs)
                     self._check_reference(ref, pairs, stream, base, seed,
                                           report)
@@ -653,7 +692,7 @@ class DifferentialVerifier:
         base = 0
         with self.ctx.phase("verify"):
             for pairs in pairs_iter:
-                pairs = list(pairs)
+                pairs = Chunk(pairs)
                 ref = self._reference(pairs)
                 self._check_reference(ref, pairs, stream, base, seed,
                                       report)
@@ -716,10 +755,8 @@ class DifferentialVerifier:
             self._compare(impl, res, ref, pairs, stream, base, seed, report,
                           cov)
         elif pairs:
-            cov.mismatches += 1
-            self.m_mismatch.inc()
             a, b = pairs[0]
-            self._record(report, Discrepancy(
+            self._mismatch(report, cov, Discrepancy(
                 kind="crash", impl=impl.name, stream=stream,
                 width=self.width, window=self.window, index=base, a=a, b=b,
                 expected="no exception", got=crash, seed=seed,
@@ -730,34 +767,51 @@ class DifferentialVerifier:
                  ref: _Reference, pairs: Sequence[Pair], stream: str,
                  base: int, seed: int, report: VerifyReport,
                  cov: Coverage) -> None:
-        exp_sums = (ref.spec_sums if impl.family == "speculative"
-                    else ref.exact_sums)
-        exp_couts = (ref.spec_couts if impl.family == "speculative"
-                     else ref.exact_couts)
-        checks: List[Tuple[str, Sequence, Sequence]] = []
-        if res.sums != exp_sums:
-            checks.append(("sum", exp_sums, res.sums))
-        if res.couts is not None and res.couts != exp_couts:
-            checks.append(("cout", exp_couts, res.couts))
-        if res.flags is not None and res.flags != ref.flags:
-            checks.append(("flag", ref.flags, res.flags))
-        if res.latencies is not None:
-            exp_lat = [1 + (self.recovery_cycles if f else 0)
-                       for f in ref.flags]
-            if res.latencies != exp_lat:
-                checks.append(("latency", exp_lat, res.latencies))
-        if (res.spec_errors is not None
-                and res.spec_errors != ref.spec_errors):
-            checks.append(("spec_error", ref.spec_errors, res.spec_errors))
+        checks = [(kind, expected, got) for kind, expected, got
+                  in self._checked_columns(impl, res, ref)
+                  if got != expected]
         for kind, expected, got in checks:
             for i, (e, g) in enumerate(zip(expected, got)):
                 if e != g:
-                    cov.mismatches += 1
-                    self.m_mismatch.inc()
-                    self._record(report, self._discrepancy(
+                    self._mismatch(report, cov, self._discrepancy(
                         impl, kind, pairs[i], stream, base + i, seed,
                         e, g))
                     break  # first failing vector per kind per chunk
+        n = len(pairs)
+        lengths = {kind: len(got) for kind, _, got in checks
+                   if len(got) != n}
+        if lengths and n:
+            # One result per vector or the zip above misses the rest.
+            i = min(min(lengths.values()), n - 1)
+            self._mismatch(report, cov, self._discrepancy(
+                impl, "length", pairs[i], stream, base + i, seed,
+                {kind: n for kind in lengths}, lengths))
+
+    def _checked_columns(self, impl: Implementation, res: ImplResult,
+                         ref: _Reference
+                         ) -> List[Tuple[str, Sequence, Sequence]]:
+        """``(kind, expected, got)`` for every column *res* reports."""
+        spec = impl.family == "speculative"
+        cols: List[Tuple[str, Sequence, Sequence]] = [
+            ("sum", ref.spec_sums if spec else ref.exact_sums, res.sums)]
+        if res.couts is not None:
+            cols.append(("cout", ref.spec_couts if spec else ref.exact_couts,
+                         res.couts))
+        if res.flags is not None:
+            cols.append(("flag", ref.flags, res.flags))
+        if res.latencies is not None:
+            cols.append(("latency",
+                         [1 + (self.recovery_cycles if f else 0)
+                          for f in ref.flags], res.latencies))
+        if res.spec_errors is not None:
+            cols.append(("spec_error", ref.spec_errors, res.spec_errors))
+        return cols
+
+    def _mismatch(self, report: VerifyReport, cov: Coverage,
+                  disc: Discrepancy) -> None:
+        cov.mismatches += 1
+        self.m_mismatch.inc()
+        self._record(report, disc)
 
     def _discrepancy(self, impl: Implementation, kind: str, pair: Pair,
                      stream: str, index: int, seed: int,
@@ -784,23 +838,11 @@ class DifferentialVerifier:
                 res = impl.run([(a, b)])
             except Exception:
                 return True  # crashing on the candidate still counts
-            if kind == "sum":
-                exp = (ref.spec_sums if impl.family == "speculative"
-                       else ref.exact_sums)
-                return res.sums != exp
-            if kind == "cout":
-                exp = (ref.spec_couts if impl.family == "speculative"
-                       else ref.exact_couts)
-                return res.couts != exp
-            if kind == "flag":
-                return res.flags != ref.flags
-            if kind == "latency":
-                exp_lat = [1 + (self.recovery_cycles if f else 0)
-                           for f in ref.flags]
-                return res.latencies != exp_lat
-            if kind == "spec_error":
-                return res.spec_errors != ref.spec_errors
-            return False
+            cols = self._checked_columns(impl, res, ref)
+            if kind == "length":
+                return any(len(got) != 1 for _, _, got in cols)
+            return any(got != expected for k, expected, got in cols
+                       if k == kind)
 
         return fails
 

@@ -284,3 +284,62 @@ def test_model_faults_caught_at_benchmarked_width(monkeypatch, attr, fault,
     lanes beside the uint64 kernels."""
     assert expected <= _rows_with_mismatches(monkeypatch, attr, fault,
                                              width=64)
+
+
+class DropLastMutant(_ExactBase):
+    """Answers every vector of a chunk but the last (a transpose that
+    loses its padding tail)."""
+
+    def run(self, pairs):
+        return super().run(list(pairs)[:-1])
+
+
+class ExtraResultMutant(_ExactBase):
+    """Answers one vector too many per chunk."""
+
+    def run(self, pairs):
+        pairs = list(pairs)
+        return super().run(pairs + pairs[-1:])
+
+
+@pytest.mark.parametrize("mutant, got", [
+    (DropLastMutant, 255), (ExtraResultMutant, 257),
+], ids=["shorter", "longer"])
+def test_wrong_result_count_is_a_length_mismatch(mutant_registry, mutant,
+                                                  got):
+    """Every value the mutant returns is right, so only the result count
+    can fail it: one ``length`` discrepancy per chunk."""
+    mutant_registry("mutant:length", mutant)
+    report = DifferentialVerifier(
+        WIDTH, window=WINDOW, impls=("functional", "mutant:length")).run(
+        vectors=1000, streams=("uniform",), chunk=256)
+
+    assert not report.ok
+    rows = {c.impl: c for c in report.coverage}
+    assert rows["functional"].mismatches == 0
+    assert rows["mutant:length"].mismatches == 4  # chunks of 256 .. 232
+    assert rows["mutant:length"].vectors == 1000
+    assert report.mismatch_count == 4
+    assert {d.kind for d in report.discrepancies} == {"length"}
+    first = report.discrepancies[0]
+    columns = ("sum", "cout", "flag", "latency", "spec_error")
+    assert first.expected == {k: 256 for k in columns}
+    assert first.got == {k: got for k in columns}
+    assert first.index == 255
+    assert report.discrepancies[-1].index == 999
+
+
+def test_registering_before_the_builtins_load_stays_external(monkeypatch):
+    from repro.verify import differential
+
+    monkeypatch.setattr(differential, "_FACTORIES", {})
+    monkeypatch.setattr(differential, "_BUILTIN", [])
+    register_implementation("my_mutant", WrongSumMutant)
+
+    assert "my_mutant" not in default_implementations(WIDTH)
+    assert "my_mutant" in available_implementations()
+    assert "functional" in default_implementations(WIDTH)
+    unregister_implementation("my_mutant")
+    assert "my_mutant" not in available_implementations()
+    with pytest.raises(ValueError, match="refusing"):
+        unregister_implementation("functional")
