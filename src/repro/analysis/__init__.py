@@ -2,7 +2,8 @@
 
 Exact longest-run combinatorics (:mod:`~repro.analysis.runs`), Schilling /
 Gordon asymptotics (:mod:`~repro.analysis.schilling`), the Theorem 1 walk
-(:mod:`~repro.analysis.markov`) and the exact ACA error model
+(:mod:`~repro.analysis.markov`) and the carry-state engine behind every
+family's exact and biased error statistics
 (:mod:`~repro.analysis.error_model`).
 """
 
@@ -31,11 +32,16 @@ from .markov import (
     expected_flips_recurrence,
 )
 from .error_model import (
+    Boundary,
     aca_error_probability,
+    aca_error_probability_biased,
     average_speedup,
     choose_window,
     detector_flag_probability,
     expected_latency_cycles,
+    pg_probabilities,
+    run_at_least_probability_biased,
+    speculation_mass,
 )
 from .delay_theory import (
     aca_depth,
@@ -43,11 +49,6 @@ from .delay_theory import (
     brent_kung_depth,
     detector_depth,
     prefix_adder_depth,
-)
-from .biased import (
-    aca_error_probability_biased,
-    pg_probabilities,
-    run_at_least_probability_biased,
 )
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "expected_flips_linear_solve", "expected_flips_monte_carlo",
     "aca_error_probability", "detector_flag_probability", "choose_window",
     "expected_latency_cycles", "average_speedup",
+    "Boundary", "speculation_mass",
     "aca_error_probability_biased", "pg_probabilities",
     "run_at_least_probability_biased",
     "prefix_adder_depth", "brent_kung_depth", "aca_depth",

@@ -11,7 +11,7 @@ sign extension creates long propagate chains (adding a positive and a
 negative word whose sum is small must carry through every high bit), so
 the uniform-operand stall model badly underestimates the flag rate —
 we measure ~15 % stalls at the "99.99 %" window instead of 1e-4, exactly
-as the biased model of :mod:`repro.analysis.biased` predicts for
+as the biased weights of :mod:`repro.analysis.error_model` predict for
 high-propagate bit positions.  Raw ACA errors are also *large* (a carry
 dropped near the sign bits), so soft-DSP use needs the VLSA semantics:
 :func:`vlsa_fir_filter` detects and recovers, paying extra cycles only on

@@ -1,41 +1,18 @@
 """Analytic stall/latency forecasts for candidate adder configurations.
 
-This is the bridge between the exact-Fraction error models of
+This is the bridge between the family error models of
 :mod:`repro.families` and the online policy engine: given an observed
 operand profile ``(p_propagate, p_generate)`` it predicts, *before any
 reconfiguration is committed*, the stall (flag) rate and latency of a
 candidate ``(family, primary knob, batch size)``.
 
-Model per family (i.i.d. bits at the profiled fractions — the same
-assumption under which the families' uniform Fractions are exact):
-
-``aca``
-    The detector fires iff the operand word contains a propagate run of
-    length >= ``window``; the biased probability of that event is the
-    linear DP :func:`repro.analysis.biased.run_at_least_probability_biased`.
-    At ``p_propagate = 0.5`` this reproduces the family's exact uniform
-    flag rate.  A window >= width degenerates to the all-propagate word
-    (probability ``p^width``), matching the reference detector.
-
-``blockspec`` (Wu et al., arXiv:1703.03522)
-    Each non-anchored block boundary speculates its carry-in from a
-    ``lookahead``-bit window and flags whenever that window is
-    all-propagate: per-boundary probability ``p^L``.  Boundaries are
-    combined under an independence approximation,
-    ``1 - prod(1 - p_j)`` — the same union bound Wu et al. use; at
-    uniform inputs it agrees with the exact boundary DP to well under a
-    percent for practical knobs (cross-checked by the bench band).
-
-``cesa`` (arXiv:2008.11591)
-    The rectifier flag fires only on *actual* mispredictions: the
-    1-bit lookahead window is all-propagate **and** a true carry enters
-    it from below.  The carry-in probability at bit ``i`` follows the
-    stationary recurrence ``c_{i+1} = p_generate + p_propagate * c_i``
-    (Kedem's general inaccurate-adder model, arXiv:1606.01753), giving
-    per-boundary probability ``p^L * c`` before the same combination.
-
-Unknown externally-registered families fall back to their exact uniform
-flag rate (bias-insensitive but always available).
+The stall rate is the family's own
+:meth:`~repro.families.AdderFamily.flag_probability`: the carry-state
+engine of :mod:`repro.analysis.error_model` over the family's
+speculation cuts, with every bit independently propagate/generate/kill
+at the profiled fractions.  Under that i.i.d.-bit model the forecast is
+exact for every family, and at ``p_propagate = 0.5`` it equals the
+family's exact uniform flag rate.
 """
 
 from __future__ import annotations
@@ -44,9 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..analysis.biased import run_at_least_probability_biased
 from ..families import get_family
-from ..families.blocks import block_boundaries
 
 __all__ = [
     "CandidateConfig",
@@ -65,18 +40,6 @@ _EXTRA_DEPTH = 4.0
 DEFAULT_BATCH_OVERHEAD_UNITS = 64.0
 
 
-def _carry_in_probability(bits: int, p: float, g: float) -> float:
-    """P(true carry into bit ``bits``) under i.i.d. (p, g) bits.
-
-    Linear recurrence ``c_0 = 0, c_{i+1} = g + p * c_i``; converges to
-    the stationary ``g / (1 - p)`` within a few bits.
-    """
-    c = 0.0
-    for _ in range(bits):
-        c = g + p * c
-    return c
-
-
 def predict_stall_rate(family: str, width: int, params: Dict[str, int],
                        p_propagate: float,
                        p_generate: Optional[float] = None) -> float:
@@ -87,38 +50,8 @@ def predict_stall_rate(family: str, width: int, params: Dict[str, int],
     mass, which is exact for independent uniform-ish operands.
     """
     p = min(max(p_propagate, 0.0), 1.0)
-    if p_generate is None:
-        g = (1.0 - p) / 2.0
-    else:
-        g = min(max(p_generate, 0.0), 1.0 - p)
-
-    if family == "aca":
-        window = params["window"]
-        if window >= width:
-            # Degenerate detector: fires only on the all-propagate word.
-            return p ** width
-        return run_at_least_probability_biased(width, window, p)
-
-    if family in ("blockspec", "cesa"):
-        if family == "cesa":
-            boundaries = block_boundaries(width, params["block"], 1)
-        else:
-            boundaries = block_boundaries(width, params["block"],
-                                          params["lookahead"])
-        ok = 1.0
-        for bnd in boundaries:
-            p_window = p ** bnd.lookahead
-            if family == "cesa":
-                # Rectifier flags actual errors only: window
-                # all-propagate AND a true carry arriving below it.
-                p_window *= _carry_in_probability(
-                    bnd.pos - bnd.lookahead, p, g)
-            ok *= 1.0 - p_window
-        return 1.0 - ok
-
-    # Unknown family: exact uniform rate, insensitive to the profile.
-    fam = get_family(family)
-    return float(fam.error_model(width, **params).flag_rate)
+    g = None if p_generate is None else min(max(p_generate, 0.0), 1.0 - p)
+    return get_family(family).flag_probability(width, p, g, **params)
 
 
 def delay_units(family: str, width: int, params: Dict[str, int]) -> float:

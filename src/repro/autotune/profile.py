@@ -10,10 +10,11 @@ of two per-bit probabilities of the operand stream:
 
 Under the i.i.d.-bit model of the paper these two numbers determine the
 exact stall rate of every registered adder family (see
-:func:`repro.analysis.biased.run_at_least_probability_biased` and the
-boundary DP in :mod:`repro.families.stats`).  The profile estimates them
-from a **sliding window** of recently observed batches so the policy
-engine reacts to distribution shift while forgetting stale traffic.
+:meth:`repro.families.AdderFamily.flag_probability`, the carry-state
+engine of :mod:`repro.analysis.error_model` over the family's cuts).
+The profile estimates them from a **sliding window** of recently
+observed batches so the policy engine reacts to distribution shift
+while forgetting stale traffic.
 
 The estimator is deliberately cheap: one XOR, one AND, and two
 popcounts per sampled operand pair.  Batches may be subsampled by the

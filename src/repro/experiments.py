@@ -638,7 +638,8 @@ def dsp_table(samples: int = 400, windows: Sequence[int] = (12, 18, 24, 30),
                       round(stats.average_latency(), 3))
     table.note = ("Signed data violates the uniform-operand assumption "
                   "(sign-extension bits are propagate-heavy); see "
-                  "repro.analysis.biased for the matching model.")
+                  "repro.analysis.error_model (biased weights) for the "
+                  "matching model.")
     return _finish(table, ctx)
 
 

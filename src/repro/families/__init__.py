@@ -9,8 +9,8 @@ from .base import (AdderFamily, FamilyError, FamilyErrorModel, KernelBatch,
                    SpeculativeModel, family_names, functional_factory,
                    get_family, register_family, resolve_params,
                    unregister_family)
-from .stats import (Boundary, BoundaryRates, EdDistribution, boundary_rates,
-                    ed_distribution)
+from ..analysis.error_model import Boundary
+from .stats import EdDistribution, ed_distribution
 from .blocks import (BlockSpecModel, block_boundaries, block_bounds,
                      block_numpy_kernel, build_block_datapath,
                      build_block_speculative)
@@ -34,9 +34,7 @@ __all__ = [
     "resolve_params",
     "unregister_family",
     "Boundary",
-    "BoundaryRates",
     "EdDistribution",
-    "boundary_rates",
     "ed_distribution",
     "BlockSpecModel",
     "block_boundaries",

@@ -24,33 +24,29 @@ it); :func:`aca_numpy_kernel` evaluates it on uint64
 arrays (the serving, cluster and verify hot path).  The differential
 verifier's oracle (:mod:`repro.verify.oracle`) recomputes everything
 from the definition without either, and the test suite cross-checks
-both against the gate-level circuits and the exact DP in
+both against the gate-level circuits and the carry-state engine of
 :mod:`repro.analysis.error_model`.
 
-Boundary view (used by the shared statistics): the ACA is the block
-family with 1-bit blocks and an ``window``-bit lookahead at every cut.
-Its analytic rates keep using :mod:`repro.analysis.error_model`, which
-predates the boundary DP and is cross-checked against brute force in
-the verify suite.
+Cut view (what the analytic rates are derived from): the ACA predicts
+the carry into every bit ``pos >= window``, and its carry out, from the
+``window`` bits below; the cut at ``pos == window`` is anchored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..analysis.error_model import aca_error_probability, choose_window
-from ..analysis.runs import count_max_run_at_most
+from ..analysis.error_model import Boundary, aca_cuts, choose_window
 from ..circuit import Circuit
 from ..core.aca import build_aca
 from ..core.vlsa import build_vlsa_datapath
 from ..engine.functional import register_functional
-from .base import (AdderFamily, FamilyErrorModel, KernelBatch,
-                   SpeculativeModel, register_family)
+from .base import (AdderFamily, KernelBatch, SpeculativeModel,
+                   register_family)
 
 __all__ = [
     "AcaFamily",
@@ -271,18 +267,8 @@ class AcaFamily(AdderFamily):
             return None
         return aca_numpy_kernel(width, window)
 
-    def _error_model(self, width: int, window: int) -> FamilyErrorModel:
-        window = min(max(1, window), width)
-        err = aca_error_probability(width, window, exact=True)
-        # Every propagate pattern is shared by exactly 2^width operand
-        # pairs, so the flag rate reduces to the longest-run
-        # distribution of a fair 2^width-coin word.
-        flag = Fraction(
-            (1 << width) - count_max_run_at_most(width, window - 1),
-            1 << width)
-        return FamilyErrorModel(width=width, params={"window": window},
-                                exact_error_rate=Fraction(err),
-                                exact_flag_rate=flag)
+    def speculation_cuts(self, width: int, window: int) -> List[Boundary]:
+        return aca_cuts(width, min(window, width))
 
 
 #: The registered singleton.

@@ -13,9 +13,14 @@ across every layer of the repo.  Each family binds together:
   exposing the uniform contract of :class:`SpeculativeModel`;
 * ``numpy_kernel`` — a vectorised batch kernel bit-identical to the
   functional model (the serving hot path), where the width allows one;
-* ``error_model`` / ``error_distribution`` — exact analytic error-rate
-  and error-distance statistics the verify layer cross-checks observed
-  counts against;
+* ``speculation_cuts`` / ``flag_event`` — the cuts whose carries the
+  family predicts and what makes its detector fire, declared once; the
+  carry-state engine of :mod:`repro.analysis.error_model` derives the
+  exact ``error_model`` the verify layer cross-checks observed counts
+  against and the biased ``flag_probability`` the autotuner and the
+  load generator forecast with;
+* ``error_distribution`` — the exact error-distance distribution,
+  where tractable;
 * parameter defaulting — ``resolve_params`` is the *single* place a
   deployment knob (CLI ``--window``, service configs, the generator)
   is turned into concrete family parameters.
@@ -35,6 +40,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
+from ..analysis.error_model import Boundary, speculation_mass
 from ..circuit import Circuit
 from .stats import EdDistribution
 
@@ -189,9 +195,6 @@ class FamilyErrorModel:
     params: Dict[str, int]
     exact_error_rate: Fraction
     exact_flag_rate: Fraction
-    #: Marginal per-boundary error probabilities, LSB-most first (empty
-    #: for families without a block decomposition).
-    boundary_error_rates: Tuple[Fraction, ...] = ()
 
     @property
     def error_rate(self) -> float:
@@ -321,24 +324,67 @@ class AdderFamily(abc.ABC):
         return None
 
     # -- analytics -----------------------------------------------------
+    #: What makes the detector fire at a cut: ``"window"`` (the
+    #: conservative detector: the lookahead window is all-propagate) or
+    #: ``"error"`` (an exact detector: the prediction is actually wrong).
+    flag_event: str = "window"
+
+    @abc.abstractmethod
+    def speculation_cuts(self, width: int, **params: int
+                         ) -> List[Boundary]:
+        """The cuts whose carries this configuration predicts, each
+        with its lookahead (anchored cuts may be listed; they never
+        err)."""
+
+    def _cuts(self, width: int,
+              params: Mapping[str, int]) -> Tuple[Boundary, ...]:
+        """:meth:`speculation_cuts` of the normalized *params*, memoized
+        per configuration (the policy engine asks for the same cuts on
+        every decision)."""
+        key = (width, tuple(sorted(params.items())))
+        cache = self.__dict__.setdefault("_cuts_cache", {})
+        cuts = cache.get(key)
+        if cuts is None:
+            cuts = cache[key] = tuple(self.speculation_cuts(
+                width, **self.normalize_params(width, dict(params))))
+        return cuts
+
     def error_model(self, width: int, **params: int) -> FamilyErrorModel:
         """Exact analytic error-rate statistics (uniform operands).
 
         Memoized per family instance: the model is a pure function of
-        ``(width, params)`` and the exact-Fraction computation is
-        expensive enough (longest-run DPs over ``2^width``) that hot
-        callers like the verifier's per-run rate checks must not pay
-        it repeatedly.
+        ``(width, params)``, and the verifier's per-run rate checks ask
+        for it repeatedly.
         """
         key = (width, tuple(sorted(params.items())))
         cache = self.__dict__.setdefault("_error_model_cache", {})
         if key not in cache:
-            cache[key] = self._error_model(width, **params)
+            params = self.normalize_params(width, dict(params))
+            cuts = self._cuts(width, params)
+            errors = speculation_mass(width, cuts, "error")
+            flags = (errors if self.flag_event == "error" else
+                     speculation_mass(width, cuts, self.flag_event))
+            total = 1 << (2 * width)
+            cache[key] = FamilyErrorModel(
+                width=width, params=params,
+                exact_error_rate=Fraction(errors, total),
+                exact_flag_rate=Fraction(flags, total))
         return cache[key]
 
-    @abc.abstractmethod
-    def _error_model(self, width: int, **params: int) -> FamilyErrorModel:
-        """Compute the analytic model (uncached; see :meth:`error_model`)."""
+    def flag_probability(self, width: int, p_propagate: float,
+                         p_generate: Optional[float] = None,
+                         **params: int) -> float:
+        """P(detector fires) when every bit independently propagates
+        with probability *p_propagate* and generates with *p_generate*
+        (default: half of the non-propagate mass, as for independent
+        operands of equal bias).  At ``p_propagate = 0.5`` this is the
+        exact uniform :attr:`FamilyErrorModel.flag_rate`."""
+        p = p_propagate
+        g = (1.0 - p) / 2.0 if p_generate is None else p_generate
+        return speculation_mass(width, self._cuts(width, params),
+                                self.flag_event,
+                                (max(1.0 - p - g, 0.0), g, p),
+                                cin=(1.0, 0.0))
 
     def error_distribution(self, width: int, **params: int
                            ) -> Optional[EdDistribution]:

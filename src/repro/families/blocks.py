@@ -12,7 +12,8 @@ window.  This module holds everything the two new families share:
   same way the paper's ACA does;
 * the big-int functional model (:class:`BlockSpecModel`);
 * the vectorised uint64 batch kernel for widths up to 64;
-* the mapping onto :mod:`repro.families.stats` boundaries.
+* the mapping onto the error model's speculation cuts
+  (:class:`~repro.analysis.error_model.Boundary`).
 
 Two detector disciplines exist:
 
@@ -31,10 +32,10 @@ import numpy as np
 
 from ..adders.base import adder_ports
 from ..adders.cla import lookahead_carries
+from ..analysis.error_model import Boundary
 from ..circuit import Circuit, CircuitError, or_tree
 from ..core.aca import AcaBuilder
 from .base import KernelBatch, SpeculativeModel
-from .stats import Boundary
 
 __all__ = [
     "DETECTORS",
@@ -72,8 +73,9 @@ def block_boundaries(width: int, block: int,
     """The non-anchored speculation cuts of this geometry.
 
     Cuts with ``lookahead >= lo`` see every lower bit (plus the external
-    carry-in) and are exact, so they carry no error probability and are
-    excluded — mirroring the gate-level builder and the functional model.
+    carry-in): they never err and no block detector watches them, so
+    they are excluded — mirroring the gate-level builder and the
+    functional model.
     """
     return [Boundary(lo, lookahead)
             for lo, _ in block_bounds(width, block)

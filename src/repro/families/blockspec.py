@@ -13,25 +13,25 @@ prediction window).  Both knobs are free, which makes this the zoo's
   detector/recovery depth.
 
 The detector is the conservative ACA-style one — fire whenever a
-prediction window is all-propagate — and the analytic error model is
-the exact boundary DP of :mod:`repro.families.stats`, including the
+prediction window is all-propagate.  The analytic rates come from the
+shared carry-state engine over :func:`~repro.families.blocks.
+block_boundaries`; :mod:`repro.families.stats` adds the exact
 error-distance distribution that is this paper's main analytical
 contribution.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
-from ..analysis.error_model import choose_window
+from ..analysis.error_model import Boundary, choose_window
 from ..circuit import Circuit
 from ..engine.functional import register_functional
-from .base import (AdderFamily, FamilyErrorModel, KernelBatch,
-                   SpeculativeModel, functional_factory, register_family)
+from .base import (AdderFamily, KernelBatch, SpeculativeModel,
+                   functional_factory, register_family)
 from .blocks import (BlockSpecModel, block_boundaries, block_numpy_kernel,
                      build_block_datapath, build_block_speculative)
-from .stats import EdDistribution, boundary_rates, ed_distribution
+from .stats import EdDistribution, ed_distribution
 
 __all__ = ["BlockSpecFamily", "FAMILY"]
 
@@ -74,19 +74,9 @@ class BlockSpecFamily(AdderFamily):
         return block_numpy_kernel(width, block, lookahead,
                                   detector="window")
 
-    def _error_model(self, width: int, block: int,
-                    lookahead: int) -> FamilyErrorModel:
-        block = min(max(1, block), width)
-        lookahead = min(max(1, lookahead), width)
-        cuts = block_boundaries(width, block, lookahead)
-        rates = boundary_rates(width, cuts, flag_event="window")
-        return FamilyErrorModel(
-            width=width, params={"block": block, "lookahead": lookahead},
-            exact_error_rate=rates.error_rate(exact=True),
-            exact_flag_rate=rates.flag_rate(exact=True),
-            boundary_error_rates=tuple(
-                Fraction(c, rates.denominator)
-                for c in rates.boundary_error_counts))
+    def speculation_cuts(self, width: int, block: int,
+                         lookahead: int) -> List[Boundary]:
+        return block_boundaries(width, block, lookahead)
 
     def error_distribution(self, width: int, block: int, lookahead: int
                            ) -> Optional[EdDistribution]:

@@ -14,16 +14,16 @@ detector that is as deep as the recovery carry chain).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
+from ..analysis.error_model import Boundary
 from ..circuit import Circuit
 from ..engine.functional import register_functional
-from .base import (AdderFamily, FamilyErrorModel, KernelBatch,
-                   SpeculativeModel, functional_factory, register_family)
+from .base import (AdderFamily, KernelBatch, SpeculativeModel,
+                   functional_factory, register_family)
 from .blocks import (BlockSpecModel, block_boundaries, block_numpy_kernel,
                      build_block_datapath, build_block_speculative)
-from .stats import EdDistribution, boundary_rates, ed_distribution
+from .stats import EdDistribution, ed_distribution
 
 __all__ = ["CesaFamily", "CesaModel", "FAMILY"]
 
@@ -45,6 +45,7 @@ class CesaFamily(AdderFamily):
     title = "Carry-Estimating Simultaneous Adder (CESA-R)"
     paper = "arXiv:2008.11591"
     primary_param = "block"
+    flag_event = "error"
 
     def default_params(self, width: int) -> Dict[str, int]:
         # Four simultaneous segments balance segment ripple against the
@@ -71,17 +72,8 @@ class CesaFamily(AdderFamily):
         return block_numpy_kernel(width, block, _LOOKAHEAD,
                                   detector="exact")
 
-    def _error_model(self, width: int, block: int) -> FamilyErrorModel:
-        block = min(max(1, block), width)
-        cuts = block_boundaries(width, block, _LOOKAHEAD)
-        rates = boundary_rates(width, cuts, flag_event="error")
-        return FamilyErrorModel(
-            width=width, params={"block": block},
-            exact_error_rate=rates.error_rate(exact=True),
-            exact_flag_rate=rates.flag_rate(exact=True),
-            boundary_error_rates=tuple(
-                Fraction(c, rates.denominator)
-                for c in rates.boundary_error_counts))
+    def speculation_cuts(self, width: int, block: int) -> List[Boundary]:
+        return block_boundaries(width, block, _LOOKAHEAD)
 
     def error_distribution(self, width: int, block: int
                            ) -> Optional[EdDistribution]:

@@ -1,39 +1,28 @@
-"""Exact error statistics for block-boundary carry speculation.
+"""Exact error-distance distribution of block-boundary speculation.
 
-Both new adder families (and the ACA itself, viewed through the right
-lens) share one structure: the operands are cut at a set of *boundaries*
-and the carry into each boundary is predicted from a bounded
-*lookahead* window of the bits immediately below it, assuming no carry
-enters that window.  The prediction is the window's group generate, so
-it can only *under*-estimate the true carry: the speculative result is
-wrong at a boundary exactly when the lookahead window is all-propagate
-and a true carry enters it from below.
-
-For uniform operands each bit position is independently propagate with
-probability 1/2 and generate/kill with probability 1/4 each, so every
-event of interest is a function of a small Markov chain over
-``(trailing propagate-run length, carry entering the run)`` — the same
-chain :func:`repro.analysis.error_model.aca_error_probability` walks,
-generalised here to arbitrary boundary sets, to per-boundary marginals,
-and (following Wu et al., arXiv:1703.03522) to the **exact distribution
-of the error distance**.
+The block families cut the operands at a set of boundaries
+(:class:`~repro.analysis.error_model.Boundary`) and predict the carry
+into each from a bounded lookahead window.  Their error and flag rates
+come from the shared carry-state engine
+(:func:`repro.analysis.error_model.speculation_mass`); this module adds
+the **exact distribution of the error distance** (following Wu et al.,
+arXiv:1703.03522), which needs the distance carried in the DP state.
 
 Everything is computed with integer weights over the common denominator
-``4^width`` — one DP pass yields exact :class:`fractions.Fraction`
-results and their float projections for free.
+``4^width``, so the results are exact :class:`fractions.Fraction` values
+with float projections for free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
+
+from ..analysis.error_model import Boundary
 
 __all__ = [
-    "Boundary",
-    "BoundaryRates",
     "EdDistribution",
-    "boundary_rates",
     "ed_distribution",
     "MAX_ED_STATES",
 ]
@@ -45,136 +34,8 @@ _W_PROP = 2
 
 #: Default cap on the ED-distribution DP state count (the support grows
 #: like ``3^blocks``; beyond ~10 blocks the exact distribution stops
-#: being the right tool and callers should stick to the rate DP).
+#: being the right tool and callers should stick to the rate engine).
 MAX_ED_STATES = 200_000
-
-
-@dataclass(frozen=True)
-class Boundary:
-    """One speculation cut: the carry into bit *pos* is predicted from
-    the ``lookahead`` bits directly below it (window
-    ``[pos - lookahead, pos - 1]``).
-
-    Anchored cuts (``lookahead >= pos``) see every lower bit plus the
-    external carry-in and are therefore exact; callers simply do not
-    list them.
-    """
-
-    pos: int
-    lookahead: int
-
-    def __post_init__(self) -> None:
-        if self.pos <= 0:
-            raise ValueError("boundary position must be positive")
-        if self.lookahead <= 0:
-            raise ValueError("boundary lookahead must be positive")
-        if self.lookahead >= self.pos:
-            raise ValueError(
-                f"boundary at {self.pos} with lookahead {self.lookahead} "
-                f"is anchored (exact) and must not be listed")
-
-
-@dataclass
-class BoundaryRates:
-    """Exact speculation-failure statistics over uniform operands.
-
-    All counts are integers over the denominator ``4^width``.
-
-    Attributes:
-        width: Operand bitwidth.
-        error_count: Operand pairs (times ``2^(2*width - ...)``) with at
-            least one wrong boundary prediction.
-        flag_count: Pairs on which the detector fires.
-        boundary_error_counts: Per-boundary marginal error counts, in
-            boundary order.
-    """
-
-    width: int
-    error_count: int
-    flag_count: int
-    boundary_error_counts: List[int]
-
-    @property
-    def denominator(self) -> int:
-        return 1 << (2 * self.width)
-
-    def error_rate(self, exact: bool = False):
-        frac = Fraction(self.error_count, self.denominator)
-        return frac if exact else float(frac)
-
-    def flag_rate(self, exact: bool = False):
-        frac = Fraction(self.flag_count, self.denominator)
-        return frac if exact else float(frac)
-
-
-def boundary_rates(width: int, boundaries: Sequence[Boundary],
-                   flag_event: str = "window") -> BoundaryRates:
-    """Exact error/detector rates for a set of speculation boundaries.
-
-    Args:
-        width: Operand bitwidth.
-        boundaries: Non-anchored cuts, any order (sorted internally).
-        flag_event: What makes the detector fire at a boundary —
-            ``"window"`` (the conservative ACA-style detector: the
-            lookahead window is all-propagate, regardless of the
-            incoming carry) or ``"error"`` (an exact detector that
-            fires iff the prediction is actually wrong, the CESA-R
-            rectifier).
-
-    Returns:
-        Exact counts over the ``4^width`` equally-likely operand pairs.
-    """
-    if flag_event not in ("window", "error"):
-        raise ValueError(f"unknown flag event {flag_event!r}")
-    cuts = sorted(boundaries, key=lambda bd: bd.pos)
-    for bd in cuts:
-        if bd.pos >= width:
-            raise ValueError(f"boundary {bd.pos} outside width {width}")
-    rcap = max((bd.lookahead for bd in cuts), default=1)
-    by_pos: Dict[int, Boundary] = {bd.pos: bd for bd in cuts}
-    if len(by_pos) != len(cuts):
-        raise ValueError("duplicate boundary positions")
-
-    # State: (run, carry, erred, flagged) -> integer weight.  ``run`` is
-    # the trailing propagate-run length capped at rcap; ``carry`` the
-    # carry entering that run (cin = 0 below bit 0).
-    states: Dict[Tuple[int, int, int, int], int] = {(0, 0, 0, 0): 1}
-    marginals: List[int] = []
-
-    for pos in range(width + 1):
-        bd = by_pos.get(pos)
-        if bd is not None:
-            nxt: Dict[Tuple[int, int, int, int], int] = {}
-            marg = 0
-            for (run, carry, erred, flagged), w in states.items():
-                hit = run >= bd.lookahead
-                err = hit and carry == 1
-                if err:
-                    marg += w
-                fired = err if flag_event == "error" else hit
-                key = (run, carry, erred | err, flagged | fired)
-                nxt[key] = nxt.get(key, 0) + w
-            states = nxt
-            marginals.append(marg)
-        if pos == width:
-            break
-        nxt = {}
-        for (run, carry, erred, flagged), w in states.items():
-            for drun, dcarry, dw in ((0, 0, _W_KILL), (0, 1, _W_GEN),
-                                     (min(run + 1, rcap), carry, _W_PROP)):
-                key = (drun, dcarry, erred, flagged)
-                nxt[key] = nxt.get(key, 0) + w * dw
-        states = nxt
-
-    scale = {pos: 4 ** (width - pos) for pos in by_pos}
-    err_count = sum(w for (r, c, e, f), w in states.items() if e)
-    flag_count = sum(w for (r, c, e, f), w in states.items() if f)
-    # Marginals were measured mid-sweep with only 4^pos mass expanded.
-    per_boundary = [m * scale[bd.pos]
-                    for m, bd in zip(marginals, cuts)]
-    return BoundaryRates(width=width, error_count=err_count,
-                         flag_count=flag_count,
-                         boundary_error_counts=per_boundary)
 
 
 @dataclass
@@ -238,7 +99,8 @@ def ed_distribution(width: int, boundaries: Sequence[Boundary],
 
     Args:
         width: Operand bitwidth.
-        boundaries: Non-anchored cuts, as for :func:`boundary_rates`.
+        boundaries: Non-anchored cuts inside the word
+            (:func:`~repro.families.blocks.block_boundaries`).
         max_states: Abort bound on the DP state count (the support is
             exponential in the number of blocks).
 
@@ -288,7 +150,8 @@ def ed_distribution(width: int, boundaries: Sequence[Boundary],
         if len(states) > max_states:
             raise ValueError(
                 f"error-distance support exceeds {max_states} DP states "
-                f"at bit {pos}; use boundary_rates for this geometry")
+                f"at bit {pos}; use the error model's rates for this "
+                f"geometry")
 
     counts: Dict[int, int] = {}
     for (run, carry, pending, dist), w in states.items():

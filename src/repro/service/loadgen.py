@@ -4,13 +4,14 @@ Workloads (operand-pair streams) cover the distributions the related
 work cares about:
 
 * ``uniform`` — i.i.d. uniform operands, the paper's own assumption;
-  the observed stall rate must match
-  :func:`~repro.analysis.error_model.detector_flag_probability`.
+  the observed stall rate must match the served family's exact flag
+  rate.
 * ``biased`` — per-bit one-probability ``alpha`` approximated by
   AND/OR-combining uniform words (supported alphas ``1/2^k`` and
-  ``1 - 1/2^k``; the closest is chosen).  The analytic stall rate comes
-  from the biased Markov model in :mod:`repro.analysis.biased` — Kedem-
-  style workload-dependent accuracy, now measurable end to end.
+  ``1 - 1/2^k``; the closest is chosen).  The analytic stall rate is the
+  served family's biased
+  :meth:`~repro.families.AdderFamily.flag_probability` — Kedem-style
+  workload-dependent accuracy, now measurable end to end.
 * ``adversarial`` — every pair carries a maximal propagate chain with a
   generate feeding it, so the detector fires on *every* addition (the
   worst case an attacker can force; mean latency pins at
@@ -38,12 +39,9 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.biased import (
-    pg_probabilities,
-    run_at_least_probability_biased,
-)
-from ..analysis.error_model import expected_latency_cycles
+from ..analysis.error_model import expected_latency_cycles, pg_probabilities
 from ..engine.context import RunContext, resolve_rng
+from ..families import get_family
 from .metrics import MetricsRegistry
 from .service import VlsaService
 
@@ -128,25 +126,35 @@ def make_workload(name: str, width: int, window: int, ops: int,
                   chunk: int = 1024, alpha: float = 0.75,
                   adversarial_fraction: float = 0.1,
                   rng: Optional[np.random.Generator] = None,
-                  ctx: Optional[RunContext] = None) -> Workload:
+                  ctx: Optional[RunContext] = None,
+                  family: str = "aca") -> Workload:
     """Build the operand stream for workload *name*.
 
     Args:
         name: One of :data:`WORKLOADS`.
         width: Operand bitwidth (``attack`` forces 32 — ARX block size).
-        window: Speculation window (for the analytic stall probability).
+        window: The served family's primary knob (for the analytic
+            stall probability).
         ops: Total additions to generate.
         chunk: Additions per submitted batch.
         alpha: Per-bit one-probability target (``biased`` only).
         adversarial_fraction: Stalling fraction (``mixed`` only).
         rng: Seeded generator (default: from *ctx* / process default).
         ctx: Optional run context for RNG resolution.
+        family: The served adder family (for the analytic stall
+            probability).
     """
     if name not in WORKLOADS:
         raise ValueError(f"unknown workload {name!r}; "
                          f"expected one of {WORKLOADS}")
     rng = resolve_rng(rng, ctx)
-    from ..analysis.error_model import detector_flag_probability
+    fam = get_family(family)
+    params = fam.resolve_params(width, window=window)
+
+    def stall(p_propagate: float,
+              p_generate: Optional[float] = None) -> float:
+        return fam.flag_probability(width, p_propagate, p_generate,
+                                    **params)
 
     if name == "uniform":
         def gen() -> Iterator[PairChunk]:
@@ -155,8 +163,7 @@ def make_workload(name: str, width: int, window: int, ops: int,
                 n = min(chunk, ops - done)
                 yield _chunk_uniform(rng, width, n)
                 done += n
-        return Workload(name, width, gen(),
-                        detector_flag_probability(width, window))
+        return Workload(name, width, gen(), stall(0.5))
 
     if name == "biased":
         def gen_biased() -> Iterator[PairChunk]:
@@ -173,9 +180,8 @@ def make_workload(name: str, width: int, window: int, ops: int,
             raise ValueError("biased workload supports widths up to 64")
         # Probe once so the achieved alpha is known up front.
         _, achieved = _bias_combine(np.random.default_rng(0), 1, alpha)
-        p_prop, _, _ = pg_probabilities(achieved, achieved)
-        analytic = run_at_least_probability_biased(width, window, p_prop)
-        return Workload(name, width, gen_biased(), analytic,
+        p_prop, p_gen, _ = pg_probabilities(achieved, achieved)
+        return Workload(name, width, gen_biased(), stall(p_prop, p_gen),
                         params={"alpha": achieved, "p_propagate": p_prop})
 
     if name == "adversarial":
@@ -198,8 +204,7 @@ def make_workload(name: str, width: int, window: int, ops: int,
         frac = adversarial_fraction
         if not (0.0 <= frac <= 1.0):
             raise ValueError("adversarial_fraction must be in [0, 1]")
-        p_uni = detector_flag_probability(width, window)
-        analytic = frac * 1.0 + (1 - frac) * p_uni
+        analytic = frac * 1.0 + (1 - frac) * stall(0.5)
 
         def gen_mixed() -> Iterator[PairChunk]:
             mask = (1 << width) - 1
@@ -228,9 +233,10 @@ def make_workload(name: str, width: int, window: int, ops: int,
         n2 = ops // 3
         n3 = ops - n1 - n2
         phase_uniform = make_workload("uniform", width, window, n1,
-                                      chunk=chunk, rng=rng)
+                                      chunk=chunk, rng=rng, family=family)
         phase_biased = make_workload("biased", width, window, n2,
-                                     chunk=chunk, alpha=alpha, rng=rng)
+                                     chunk=chunk, alpha=alpha, rng=rng,
+                                     family=family)
         q = DRIFT_ADVERSARIAL_P
 
         def gen_propheavy() -> Iterator[PairChunk]:
@@ -264,9 +270,7 @@ def make_workload(name: str, width: int, window: int, ops: int,
              "analytic_stall_rate": phase_biased.analytic_stall_probability},
             {"name": "adversarial", "ops": n3,
              "p_propagate": q,
-             "analytic_stall_rate":
-                 run_at_least_probability_biased(width, min(window, width), q)
-                 if window < width else q ** width},
+             "analytic_stall_rate": stall(q)},
         ]
         return Workload("drift", width, gen_drift(), None,
                         params={"phases": phases, "alpha": alpha})
@@ -555,7 +559,8 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
     is_cluster = hasattr(service, "supervisor")
     wl = make_workload(workload, service.width, service.window, ops,
                        chunk=chunk, alpha=alpha,
-                       adversarial_fraction=adversarial_fraction, ctx=ctx)
+                       adversarial_fraction=adversarial_fraction, ctx=ctx,
+                       family=service.family)
 
     async def main() -> float:
         if serve_tcp:
@@ -666,7 +671,8 @@ def _run_loadgen_external(workload: str, ops: int, width: int,
         width = 32
     wl = make_workload(workload, width, window or width, ops,
                        chunk=chunk, alpha=alpha,
-                       adversarial_fraction=adversarial_fraction, ctx=ctx)
+                       adversarial_fraction=adversarial_fraction, ctx=ctx,
+                       family=str(info.get("family", "aca")))
     stats: Dict[str, Any] = {"ops": 0, "stalls": 0, "latency_sum": 0,
                              "retries": 0, "rejected": 0, "timeouts": 0,
                              "walls": [], "last_accept_cycle": 0}

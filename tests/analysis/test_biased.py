@@ -1,7 +1,6 @@
 """Biased-operand error model vs brute force and the uniform model."""
 
-import itertools
-
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -10,8 +9,11 @@ from repro.analysis import (
     pg_probabilities,
     prob_max_run_at_least,
     run_at_least_probability_biased,
+    speculation_mass,
 )
-from repro.mc import aca_is_correct
+from repro.autotune import predict_stall_rate
+from repro.families import family_names, get_family
+from repro.families.base import object_lanes
 
 
 def test_pg_probabilities_basics():
@@ -33,27 +35,28 @@ def test_uniform_case_matches_unbiased_model():
                                        abs=1e-12)
 
 
-def _brute_biased(n, w, alpha, beta, cin=0):
-    """Weighted brute force over all operand pairs."""
-    total = 0.0
-    for a in range(1 << n):
-        pa = 1.0
-        for i in range(n):
-            pa *= alpha if (a >> i) & 1 else (1 - alpha)
-        for b in range(1 << n):
-            pb = 1.0
-            for i in range(n):
-                pb *= beta if (b >> i) & 1 else (1 - beta)
-            if not aca_is_correct(a, b, n, w, cin):
-                total += pa * pb
-    return total
+ALPHA_BETA = [(0.5, 0.5), (0.8, 0.3), (0.9, 0.9)]
 
 
-@pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.8, 0.3), (0.9, 0.9)])
+def _brute_biased(family, n, params, alpha, beta, cin=0):
+    """Weighted brute force over all operand pairs of one family
+    configuration: ``(P(wrong), P(flag))``."""
+    model = get_family(family).functional(n, **params)
+    a, b = np.divmod(np.arange(1 << (2 * n)), 1 << n)
+    ones = np.array([bin(x).count("1") for x in range(1 << n)])
+    weight = (alpha ** ones[a] * (1 - alpha) ** (n - ones[a])
+              * beta ** ones[b] * (1 - beta) ** (n - ones[b]))
+    wrong = ~np.asarray(model.is_correct(object_lanes(a), object_lanes(b),
+                                         cin), dtype=bool)
+    flags = model.run_arrays(a, b).flags
+    return float(weight[wrong].sum()), float(weight[flags].sum())
+
+
+@pytest.mark.parametrize("alpha,beta", ALPHA_BETA)
 def test_biased_dp_matches_weighted_brute_force(alpha, beta):
     n, w = 6, 2
     probs = pg_probabilities(alpha, beta)
-    expected = _brute_biased(n, w, alpha, beta)
+    expected, _ = _brute_biased("aca", n, {"window": w}, alpha, beta)
     assert aca_error_probability_biased(n, w, probs) == pytest.approx(
         expected, abs=1e-10)
 
@@ -61,9 +64,33 @@ def test_biased_dp_matches_weighted_brute_force(alpha, beta):
 def test_biased_dp_with_cin_matches_brute_force():
     n, w = 6, 2
     probs = pg_probabilities(0.7, 0.4)
-    expected = _brute_biased(n, w, 0.7, 0.4, cin=1)
+    expected, _ = _brute_biased("aca", n, {"window": w}, 0.7, 0.4, cin=1)
     got = aca_error_probability_biased(n, w, probs, cin_weight=1.0)
     assert got == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("alpha,beta", ALPHA_BETA)
+@pytest.mark.parametrize("family", family_names())
+def test_family_biased_rates_match_weighted_brute_force(family, alpha,
+                                                        beta):
+    """Every family's biased error and flag probability, from its cuts,
+    equals the weighted brute force for every knob at n <= 6."""
+    fam = get_family(family)
+    p, g, k = pg_probabilities(alpha, beta)
+    for n in range(1, 7):
+        for knob in range(1, n + 1):
+            params = fam.resolve_params(n, window=knob)
+            want_err, want_flag = _brute_biased(family, n, params,
+                                                alpha, beta)
+            cuts = fam.speculation_cuts(n, **params)
+            err = speculation_mass(n, cuts, "error", (k, g, p),
+                                   cin=(1.0, 0.0))
+            flag = fam.flag_probability(n, p, g, **params)
+            assert err == pytest.approx(want_err, rel=1e-9, abs=1e-15)
+            assert flag == pytest.approx(want_flag, rel=1e-9, abs=1e-15)
+            # The autotuner forecasts through the same method.
+            assert predict_stall_rate(family, n, params, p, g) == \
+                pytest.approx(want_flag, rel=1e-9, abs=1e-15)
 
 
 def test_per_bit_triples():

@@ -35,6 +35,19 @@ def test_block_families_uniform_prediction_close(family, window, rel):
     assert predicted == pytest.approx(exact, rel=rel)
 
 
+def test_uniform_forecast_is_exact_for_every_policy_candidate():
+    """At p = 0.5 every family's forecast IS its exact uniform flag
+    rate, for every candidate the width-64 policy engine weighs."""
+    from repro.autotune import SLA, PolicyEngine
+
+    for cand in PolicyEngine(64, SLA()).candidates:
+        exact = get_family(cand.family).error_model(
+            64, **cand.params).flag_rate
+        predicted = predict_stall_rate(cand.family, 64, cand.params, 0.5)
+        assert predicted == pytest.approx(exact, rel=1e-12, abs=0.0), \
+            cand.key()
+
+
 def test_aca_window_at_width_degenerates_to_all_propagate():
     params = _resolved("aca", 64, 64)
     for p in (0.25, 0.5, 0.875):

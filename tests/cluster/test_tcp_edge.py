@@ -188,6 +188,42 @@ def test_loadgen_external_connect_mode():
     asyncio.run(main())
 
 
+def test_loadgen_external_connect_forecasts_the_served_family():
+    """The analytic stall rate follows the family the server reports in
+    its ``info`` reply, not the ACA's."""
+    from repro.analysis import pg_probabilities
+    from repro.families import get_family
+
+    fam = get_family("blockspec")
+    params = fam.resolve_params(WIDTH, window=4)
+
+    async def main():
+        service = VlsaService(width=WIDTH, window=4, family="blockspec")
+        async with VlsaServer(service, port=0) as server:
+            host, port = server.address
+            uniform = await asyncio.to_thread(
+                run_loadgen, "uniform", ops=8192, target="tcp",
+                connect=(host, port), chunk=512, concurrency=2,
+                ctx=RunContext(seed=3))
+            biased = await asyncio.to_thread(
+                run_loadgen, "biased", ops=2048, target="tcp",
+                connect=(host, port), alpha=0.75, chunk=512,
+                concurrency=2, ctx=RunContext(seed=4))
+        return uniform, biased
+
+    uniform, biased = asyncio.run(main())
+    assert uniform.params["server_info"]["family"] == "blockspec"
+    exact = fam.error_model(WIDTH, **params).flag_rate
+    assert uniform.analytic_stall_rate == pytest.approx(exact, rel=1e-12)
+    assert uniform.stall_rate == pytest.approx(exact, abs=0.02)
+    p, g, _ = pg_probabilities(biased.params["alpha"],
+                               biased.params["alpha"])
+    assert biased.analytic_stall_rate == pytest.approx(
+        fam.flag_probability(WIDTH, p, g, **params), rel=1e-12)
+    assert biased.analytic_latency_cycles == pytest.approx(
+        1.0 + biased.analytic_stall_rate)
+
+
 def test_connect_requires_tcp_target():
     with pytest.raises(ValueError):
         run_loadgen("uniform", ops=10, target="cluster",
