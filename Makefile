@@ -2,23 +2,19 @@
 
 PY ?= python
 
-.PHONY: install lint test bench bench-quick examples experiments clean
+.PHONY: install lint test bench examples experiments clean
 
 install:
 	pip install -e .
 
 lint:
-	ruff check src tests benchmarks examples
+	ruff check src tests examples
 
 test:
 	$(PY) -m pytest tests/
 
 bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only
-
-bench-quick:
-	REPRO_FIG8_WIDTHS=64,128 REPRO_FIG4_WIDTHS=64 REPRO_ERR_WIDTHS=64 \
-	$(PY) -m pytest benchmarks/ --benchmark-only
+	$(PY) -m repro bench run
 
 examples:
 	for e in quickstart crypto_attack vlsa_pipeline design_space \
@@ -29,5 +25,5 @@ experiments:
 	$(PY) -m repro all
 
 clean:
-	rm -rf results rtl_out .pytest_cache .benchmarks
+	rm -rf results rtl_out .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

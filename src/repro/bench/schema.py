@@ -1,8 +1,7 @@
 """The single machine-readable result schema all suites share.
 
-Before this module existed, every ``benchmarks/bench_*.py`` wrote its
-own ad-hoc JSON shape, so nothing could compare run N to run N-1.  Now
-every suite emits the same envelope::
+Every suite emits the same envelope, so any run can be compared with
+any earlier one::
 
     {
       "schema_version": 1,

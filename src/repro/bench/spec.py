@@ -9,8 +9,8 @@ tolerance bands (e.g. mean VLSA latency vs the analytic prediction).
 
 Suites are named groups of benchmarks registered against a
 :class:`BenchmarkRegistry`.  The default registry is module-global so
-the CLI, the back-compat ``benchmarks/bench_*.py`` shims and the tests
-all see the same suites; tests may also build private registries.
+the CLI and the tests see the same suites; tests may also build
+private registries.
 
 Each suite is registered as a *factory* ``(preset) -> [Benchmark]`` so
 workload sizes can differ between the quick CI preset and the full

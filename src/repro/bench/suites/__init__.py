@@ -2,10 +2,9 @@
 
 Importing this package registers the ``engine``, ``families``,
 ``service``, ``verify``, ``cluster`` and ``autotune`` suites against
-the default :data:`repro.bench.spec.registry`.  Most modules are the migrated
-successors of the matching ad-hoc ``benchmarks/bench_*_throughput.py``
-script (the scripts themselves survive as thin shims over these
-suites); ``families`` is native to the suite registry.
+the default :data:`repro.bench.spec.registry`.  Each suite's
+acceptance bars are tolerance bands on its derived metrics, so
+``python -m repro bench gate`` enforces all of them.
 """
 
 from . import (autotune, cluster, engine, families,  # noqa: F401

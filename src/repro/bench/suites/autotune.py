@@ -19,7 +19,6 @@ Online runs are loadgen-length, so they skip inner-loop calibration.
 
 from __future__ import annotations
 
-import os
 from typing import List
 
 from ..spec import Benchmark, MetricBand, registry
@@ -127,8 +126,7 @@ def _drift_bench(ops: int, samples: int, seed: int) -> Benchmark:
 
 @registry.suite("autotune")
 def autotune_suite(preset: str) -> List[Benchmark]:
-    ops = int(os.environ.get("REPRO_BENCH_AUTOTUNE_OPS",
-                             _PRESET_OPS[preset]))
+    ops = _PRESET_OPS[preset]
     samples = _SAMPLES[preset]
     return [
         # At p = 0.5 the biased forecast IS the exact uniform rate; the

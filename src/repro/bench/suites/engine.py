@@ -8,14 +8,11 @@ benchmark that computes the wrong sums must never post a throughput
 number.
 
 Presets: ``small`` keeps CI under a few seconds per backend; ``full``
-is the nightly sweep.  ``REPRO_BENCH_ENGINE_VECTORS`` and
-``REPRO_BENCH_ENGINE_WIDTHS`` still override, as they did for the
-pre-registry script.
+is the nightly sweep.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List
 
 import numpy as np
@@ -24,7 +21,6 @@ from ...analysis import choose_window
 from ...circuit import random_stimulus, simulate_interpreted
 from ...core import build_aca
 from ...engine import RunContext, available_backends, execute
-from ...testing import env_widths
 from ..spec import Benchmark, registry
 
 __all__ = ["engine_suite"]
@@ -51,10 +47,8 @@ def _make_state(width: int, vectors: int):
 
 @registry.suite("engine")
 def engine_suite(preset: str) -> List[Benchmark]:
-    base = int(os.environ.get("REPRO_BENCH_ENGINE_VECTORS",
-                              _PRESET_VECTORS[preset]))
-    widths = env_widths("REPRO_BENCH_ENGINE_WIDTHS",
-                        _PRESET_WIDTHS[preset])
+    base = _PRESET_VECTORS[preset]
+    widths = _PRESET_WIDTHS[preset]
     benches: List[Benchmark] = []
     for width in widths:
         n = _vectors_for(width, base)

@@ -15,7 +15,6 @@ rates are deterministic and sit well inside the 15% relative band.
 
 from __future__ import annotations
 
-import os
 from typing import List
 
 from ..spec import Benchmark, MetricBand, registry
@@ -81,7 +80,6 @@ def family_bench(family: str, params: dict, vectors: int) -> Benchmark:
 
 @registry.suite("families")
 def families_suite(preset: str) -> List[Benchmark]:
-    vectors = int(os.environ.get("REPRO_BENCH_FAMILIES_VECTORS",
-                                 _PRESET_VECTORS[preset]))
+    vectors = _PRESET_VECTORS[preset]
     return [family_bench(family, dict(params), vectors)
             for family, params in _CASES]

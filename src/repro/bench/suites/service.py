@@ -12,6 +12,8 @@ tolerance bands:
   resolvable (P(stall) ~ 0.1), banded against the analytic rate.
 * the adversarial stream must pin mean latency at exactly
   ``1 + recovery`` cycles.
+* every run must serve every request: rejected and timed-out requests
+  are summed into ``failures_total``, banded against zero.
 
 A loadgen run is long on its own, so these benchmarks skip inner-loop
 calibration (``calibrate=False``) and take fewer samples.
@@ -19,7 +21,6 @@ calibration (``calibrate=False``) and take fewer samples.
 
 from __future__ import annotations
 
-import os
 from typing import List
 
 from ..spec import Benchmark, MetricBand, registry
@@ -32,6 +33,9 @@ _PRESET_OPS = {"small": 1 << 15, "full": 1 << 20}
 #: fewer samples would make a regression verdict mathematically
 #: impossible for this suite.
 _SAMPLES = {"small": 5, "full": 5}
+
+_HEALTH_BAND = MetricBand("failures_total", "expected_failures_total",
+                          rel_tol=0.0)
 
 
 def _derive(state, report):
@@ -47,6 +51,8 @@ def _derive(state, report):
         "p99_wall_ms": round(report.p99_wall_ms, 4),
         "rejected": report.rejected,
         "timeouts": report.timeouts,
+        "failures_total": report.rejected + report.timeouts,
+        "expected_failures_total": 0,
     }
 
 
@@ -64,15 +70,15 @@ def _loadgen_bench(name: str, workload: str, ops: int, samples: int,
     return Benchmark(
         name=name, suite="service", payload=run, ops_per_call=ops,
         tags=("serving", "paper-metric"), calibrate=False,
-        samples=samples, derive=_derive, bands=tuple(bands),
+        samples=samples, derive=_derive,
+        bands=tuple(bands) + (_HEALTH_BAND,),
         params={"workload": workload, "ops": ops, "width": width,
                 "window": window, "chunk": chunk, "backend": "numpy"})
 
 
 @registry.suite("service")
 def service_suite(preset: str) -> List[Benchmark]:
-    ops = int(os.environ.get("REPRO_BENCH_SERVICE_OPS",
-                             _PRESET_OPS[preset]))
+    ops = _PRESET_OPS[preset]
     side_ops = max(1 << 12, ops // 8)
     samples = _SAMPLES[preset]
 

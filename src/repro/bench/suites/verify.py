@@ -15,7 +15,6 @@ failure, not just a slow benchmark.
 
 from __future__ import annotations
 
-import os
 from typing import List
 
 from ..spec import Benchmark, MetricBand, registry
@@ -70,8 +69,7 @@ def verify_bench(impl: str, width: int, vectors: int) -> Benchmark:
 
 @registry.suite("verify")
 def verify_suite(preset: str) -> List[Benchmark]:
-    base = int(os.environ.get("REPRO_BENCH_VERIFY_VECTORS",
-                              _PRESET_VECTORS[preset]))
+    base = _PRESET_VECTORS[preset]
     width = 64
     benches: List[Benchmark] = []
 

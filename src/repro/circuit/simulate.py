@@ -15,7 +15,7 @@ tape with pre-resolved kernels and dispatches to the configured engine
 backend (``bigint``/``numpy``/``sharded``).  The original per-gate
 interpreter survives as :func:`simulate_interpreted` — it is the
 reference implementation the engine is differentially tested against,
-and the baseline of ``benchmarks/bench_engine_throughput.py``.
+and the ``legacy`` baseline of the ``engine`` bench suite.
 """
 
 from __future__ import annotations

@@ -70,6 +70,11 @@ def _cmd_fig7(args, ctx) -> str:
     return table.render() + "\n\nTiming diagram (first ops):\n" + diagram
 
 
+def _cmd_rtl(args, ctx) -> str:
+    widths = _parse_widths(args.widths, (32, 64, 128))
+    return ex.vlsa_rtl_table(widths, ctx=ctx).render()
+
+
 def _cmd_errors(args, ctx) -> str:
     widths = _parse_widths(args.widths, (64, 128, 256, 512, 1024))
     return ex.error_rate_table(widths, samples=args.samples,
@@ -85,6 +90,10 @@ def _cmd_window(args, ctx) -> str:
     return ex.window_sweep(width=args.width, ctx=ctx).render()
 
 
+def _cmd_delaymodel(args, ctx) -> str:
+    return ex.delay_model_ablation(ctx=ctx).render()
+
+
 def _cmd_attack(args, ctx) -> str:
     return ex.crypto_attack_experiment(
         corpus_bytes=args.corpus, key_bits=args.key_bits, ctx=ctx).render()
@@ -94,8 +103,16 @@ def _cmd_futurework(args, ctx) -> str:
     return ex.future_work_table(ctx=ctx).render()
 
 
+def _cmd_speculative(args, ctx) -> str:
+    return ex.speculative_family_table(width=args.width, ctx=ctx).render()
+
+
 def _cmd_faults(args, ctx) -> str:
     return ex.fault_table(width=min(args.width, 16), ctx=ctx).render()
+
+
+def _cmd_atpg(args, ctx) -> str:
+    return ex.atpg_table(ctx=ctx).render()
 
 
 def _cmd_cpu(args, ctx) -> str:
@@ -180,6 +197,10 @@ _COMMANDS: Dict[str, Tuple[Callable, str, Tuple[str, ...]]] = {
     "fig7": (_cmd_fig7,
              "Fig. 7: VLSA timing diagram and average latency",
              ("width", "ops")),
+    "rtl": (_cmd_rtl,
+            "Fig. 6 as a registered netlist: min clock period per "
+            "bitwidth",
+            ("widths",)),
     "errors": (_cmd_errors,
                "ACA error rates: exact model versus Monte Carlo",
                ("widths", "samples")),
@@ -191,6 +212,10 @@ _COMMANDS: Dict[str, Tuple[Callable, str, Tuple[str, ...]]] = {
                "Window sweep: error probability and delay versus "
                "speculation window",
                ("width",)),
+    "delaymodel": (_cmd_delaymodel,
+                   "Fig. 8 at 256 bits under four interconnect delay "
+                   "models",
+                   ()),
     "attack": (_cmd_attack,
                "Section 1: ciphertext-only attack with exact versus "
                "speculative adders",
@@ -198,9 +223,16 @@ _COMMANDS: Dict[str, Tuple[Callable, str, Tuple[str, ...]]] = {
     "futurework": (_cmd_futurework,
                    "Section 6: speculative multiplier and friends",
                    ()),
+    "speculative": (_cmd_speculative,
+                    "Adder, subtractor, incrementer and multipliers side "
+                    "by side at the design-point window",
+                    ("width",)),
     "faults": (_cmd_faults,
                "Stuck-at fault coverage of the ACA via ATPG",
                ("width",)),
+    "atpg": (_cmd_atpg,
+             "Complete stuck-at test set for the 8-bit ACA (window 3)",
+             ()),
     "cpu": (_cmd_cpu,
             "TinyCpu with a VLSA ALU: CPI versus a fixed-latency adder",
             ("width",)),

@@ -2,9 +2,10 @@
 
 Each function regenerates a table or figure of the paper and returns a
 :class:`~repro.reporting.Table` (plus chart text where applicable).  The
-benchmark harness under ``benchmarks/`` and the CLI (``python -m repro``)
-both call these, so the numbers reported in EXPERIMENTS.md can always be
-re-derived with one command.
+CLI (``python -m repro <verb>``, or ``all`` for every verb) calls these,
+so the numbers reported in EXPERIMENTS.md can always be re-derived with
+one command; ``tests/test_experiments.py`` asserts the paper's claims on
+the same functions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adders import build_best_traditional, build_ripple_adder
+from .adders import (
+    build_best_traditional,
+    build_ripple_adder,
+    evaluate_candidates,
+)
 from .analysis import (
     aca_error_probability,
     choose_window,
@@ -32,13 +37,26 @@ from .analysis import (
 )
 from .apps import ArxCipher, aca_adder, exact_adder, run_attack, sample_corpus
 from .arch import VlsaMachine
-from .circuit import TechLibrary, UMC180, analyze_area, analyze_timing
+from .circuit import (
+    TechLibrary,
+    UMC180,
+    analyze_area,
+    analyze_timing,
+    generate_tests,
+    sequential_timing,
+)
 from .core import (
     build_aca,
+    build_booth_multiplier,
     build_error_detector,
+    build_multiplier,
     build_recovery_adder,
+    build_speculative_incrementer,
+    build_speculative_subtractor,
     build_vlsa_datapath,
+    build_vlsa_rtl,
     characterize_vlsa,
+    incrementer_error_probability,
     naive_aca_window_products,
 )
 from .engine import RunContext, get_default_context
@@ -53,12 +71,17 @@ __all__ = [
     "fig8_rows",
     "fig8_tables",
     "fig7_trace",
+    "vlsa_rtl_table",
     "error_rate_table",
     "sharing_ablation",
     "window_sweep",
+    "DELAY_MODELS",
+    "delay_model_ablation",
     "crypto_attack_experiment",
     "future_work_table",
+    "speculative_family_table",
     "fault_table",
+    "atpg_table",
     "processor_table",
     "dsp_table",
     "crosscheck_table",
@@ -320,6 +343,28 @@ def fig7_trace(width: int = 64, operations: int = 100000,
 
 
 # ----------------------------------------------------------------------
+# F6-RTL: the registered VLSA netlist
+# ----------------------------------------------------------------------
+def vlsa_rtl_table(bitwidths: Sequence[int] = (32, 64, 128),
+                   ctx: Optional[RunContext] = None) -> Table:
+    """Min clock period of Fig. 6 built with flip-flops.
+
+    Register-aware STA over the operand registers, the ACA/detector
+    paths and the recovery controller, per bitwidth.
+    """
+    table = Table("Registered VLSA netlist (Fig. 6 with flip-flops)",
+                  ["bitwidth", "window", "min clock [ns]", "worst path",
+                   "gates", "flip-flops"])
+    for width in bitwidths:
+        circuit = build_vlsa_rtl(width)
+        timing = sequential_timing(circuit, UMC180)
+        table.add_row(width, circuit.attrs["window"],
+                      timing.min_clock_period, timing.worst_path_kind,
+                      circuit.gate_count(), len(circuit.dffs()))
+    return _finish(table, ctx)
+
+
+# ----------------------------------------------------------------------
 # ERR: exact vs sampled error rates
 # ----------------------------------------------------------------------
 def error_rate_table(bitwidths: Sequence[int] = (64, 128, 256, 512, 1024),
@@ -414,6 +459,48 @@ def window_sweep(width: int = 1024,
 
 
 # ----------------------------------------------------------------------
+# ABL-M: delay-model ablation
+# ----------------------------------------------------------------------
+#: Interconnect regimes of the delay-model ablation: the umc180 model's
+#: (fanout-load, wire-span) coefficients.
+DELAY_MODELS: Dict[str, Tuple[float, float]] = {
+    "gate-only (no load/wire)": (0.0, 0.0),
+    "light interconnect": (0.012, 0.0002),
+    "default (umc180)": (UMC180.fanout_delay, UMC180.wire_delay_per_bit),
+    "heavy interconnect": (0.05, 0.0012),
+}
+
+
+def delay_model_ablation(ctx: Optional[RunContext] = None) -> Table:
+    """Fig. 8's comparison at 256 bits under every :data:`DELAY_MODELS`.
+
+    Calibration robustness: the paper's shape claims (the ACA is
+    fastest, the detector is cheaper than the traditional adder,
+    recovery is the same order) must not hinge on one calibration point.
+    """
+    width = 256
+    window = choose_window(width)
+    table = Table(
+        f"Delay-model ablation at {width} bits "
+        "(fanout-load / wire-span coefficients)",
+        ["model", "best traditional", "trad [ns]", "ACA [ns]",
+         "detect [ns]", "recovery [ns]", "speedup", "det/trad"])
+    for name, (fanout, wire) in DELAY_MODELS.items():
+        lib = UMC180.with_wire_model(fanout, wire)
+        best = min(evaluate_candidates(width, lib), key=lambda r: r.delay)
+        trad = best.delay
+        aca = analyze_timing(build_aca(width, window), lib).critical_delay
+        det = analyze_timing(build_error_detector(width, window),
+                             lib).critical_delay
+        rec = analyze_timing(build_recovery_adder(width, window),
+                             lib).critical_delay
+        table.add_row(name, best.name, round(trad, 3), round(aca, 3),
+                      round(det, 3), round(rec, 3),
+                      round(trad / aca, 2), round(det / trad, 2))
+    return _finish(table, ctx)
+
+
+# ----------------------------------------------------------------------
 # APP: ciphertext-only attack
 # ----------------------------------------------------------------------
 def crypto_attack_experiment(corpus_bytes: int = 4096,
@@ -477,11 +564,7 @@ def future_work_table(mul_width: int = 32, multiop_width: int = 128,
     accumulation) while the final-adder stage itself speeds up like the
     plain ACA.
     """
-    from .core import (
-        build_multi_operand_adder,
-        build_multiplier,
-        multiplier_error_rate,
-    )
+    from .core import build_multi_operand_adder, multiplier_error_rate
 
     w_mul = choose_window(2 * mul_width)
     w_mop = choose_window(multiop_width + operands.bit_length())
@@ -525,6 +608,41 @@ def future_work_table(mul_width: int = 32, multiop_width: int = 128,
 
 
 # ----------------------------------------------------------------------
+# FAM: the speculative family side by side
+# ----------------------------------------------------------------------
+def speculative_family_table(width: int = 64,
+                             ctx: Optional[RunContext] = None) -> Table:
+    """Every speculative component at the 99.99 % window.
+
+    Adder, subtractor and incrementer at *width*, plus 32x32 array and
+    Booth multipliers (final adder at the 64-bit window): the "new
+    paradigm" of the paper's title and Section 6.
+    """
+    w = choose_window(width)
+    designs = [
+        ("ACA adder", build_aca(width, w),
+         aca_error_probability(width, w)),
+        ("subtractor", build_speculative_subtractor(width, w), None),
+        ("incrementer", build_speculative_incrementer(width, w),
+         incrementer_error_probability(width, w)),
+        ("array multiplier 32x32",
+         build_multiplier(32, choose_window(64)), None),
+        ("Booth multiplier 32x32",
+         build_booth_multiplier(32, choose_window(64)), None),
+    ]
+    table = Table(
+        f"The speculative family at the 99.99% window (width {width})",
+        ["design", "delay [ns]", "area", "gates", "P(error)"])
+    for name, circuit, p_err in designs:
+        delay = analyze_timing(circuit, UMC180).critical_delay
+        area = analyze_area(circuit, UMC180).total
+        table.add_row(name, round(delay, 3), round(area, 0),
+                      circuit.gate_count(),
+                      f"{p_err:.1e}" if p_err is not None else "-")
+    return _finish(table, ctx)
+
+
+# ----------------------------------------------------------------------
 # FLT: stuck-at fault study of the VLSA
 # ----------------------------------------------------------------------
 def fault_table(width: int = 12, window: int = 4,
@@ -557,6 +675,24 @@ def fault_table(width: int = 12, window: int = 4,
     table.note = ("The error flag is not a fault detector — defects need "
                   "ordinary test patterns (cf. Razor-style approaches "
                   "the paper contrasts with in Section 2).")
+    return _finish(table, ctx)
+
+
+def atpg_table(ctx: Optional[RunContext] = None) -> Table:
+    """A complete stuck-at test set for a small ACA (BDD-based ATPG).
+
+    The 8-bit ACA at window 3, seeded with 32 random vectors (seed 0).
+    """
+    width, window = 8, 3
+    result = generate_tests(build_aca(width, window), random_vectors=32,
+                            seed=0)
+    table = Table(f"ATPG on the {width}-bit ACA (window {window})",
+                  ["metric", "value"])
+    table.add_row("faults", result.total_faults)
+    table.add_row("detected", result.detected)
+    table.add_row("proven untestable", len(result.untestable))
+    table.add_row("test vectors", len(result.vectors))
+    table.add_row("coverage of testable", round(result.coverage, 4))
     return _finish(table, ctx)
 
 

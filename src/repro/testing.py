@@ -1,22 +1,18 @@
-"""Shared test/benchmark infrastructure.
+"""Shared test infrastructure.
 
-One home for the seeding and configuration helpers that were previously
-duplicated between ``tests/conftest.py`` and ``benchmarks/conftest.py``:
-the deterministic RNG seed, the hypothesis profile, environment-driven
-width overrides, and the nightly gate.  Both conftests (and any future
-harness) import from here so a seed or profile change happens in exactly
-one place.
+The seeding and configuration helpers behind ``tests/conftest.py``: the
+deterministic RNG seed, the hypothesis profile and the nightly gate.
+Kept in the package so any harness can import them and a seed or
+profile change happens in exactly one place.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from typing import Sequence, Tuple
 
 __all__ = [
     "TEST_SEED",
-    "env_widths",
     "make_rng",
     "nightly_enabled",
     "register_hypothesis_profile",
@@ -33,14 +29,6 @@ NIGHTLY_ENV = "REPRO_NIGHTLY"
 def make_rng(salt: int = 0) -> random.Random:
     """Deterministic ``random.Random`` rooted at :data:`TEST_SEED`."""
     return random.Random(TEST_SEED ^ salt)
-
-
-def env_widths(var: str, default: Sequence[int]) -> Tuple[int, ...]:
-    """Bitwidth list override via environment (e.g. quick CI runs)."""
-    spec = os.environ.get(var)
-    if not spec:
-        return tuple(default)
-    return tuple(int(tok) for tok in spec.split(",") if tok)
 
 
 def nightly_enabled() -> bool:

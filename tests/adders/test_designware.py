@@ -60,3 +60,22 @@ def test_best_beats_ripple():
     best = build_best_traditional(64, UMC180)
     ripple = analyze_timing(build_ripple_adder(64), UMC180).critical_delay
     assert best.delay < ripple / 3
+
+
+def test_baseline_classic_facts_at_256_bits():
+    """Section 2's state of the art: ripple is the smallest and, of the
+    non-skip architectures, the slowest (a skip adder's bypass is a
+    false path plain STA cannot credit); prefix adders are the fastest."""
+    from repro.adders import ADDER_BUILDERS, build_adder
+    from repro.circuit import analyze_area, analyze_timing
+
+    rows = {}
+    for name in ADDER_BUILDERS:
+        c = build_adder(name, 256)
+        rows[name] = (analyze_timing(c, UMC180).critical_delay,
+                      analyze_area(c, UMC180).total, c.logic_depth())
+    non_skip = [r for name, r in rows.items() if "skip" not in name]
+    assert rows["ripple"][0] == max(r[0] for r in non_skip)
+    assert rows["ripple"][1] == min(r[1] for r in rows.values())
+    assert rows["kogge_stone"][2] <= rows["brent_kung"][2]
+    assert min(r[0] for r in rows.values()) < rows["ripple"][0] / 10

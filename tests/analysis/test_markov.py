@@ -22,6 +22,10 @@ def test_closed_form_equals_linear_solve(k):
         expected_flips_closed_form(k), rel=1e-9)
 
 
+def test_linear_solve_is_exact_at_k24():
+    assert expected_flips_linear_solve(24) == expected_flips_closed_form(24)
+
+
 def test_known_values():
     assert expected_flips_closed_form(1) == 2
     assert expected_flips_closed_form(2) == 6

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import ArxCipher, aca_adder, exact_adder
+from repro.apps import ArxCipher, aca_adder, exact_adder, sample_corpus
 
 
 def test_block_round_trip(rng):
@@ -53,6 +53,17 @@ def test_aca_decryption_mostly_correct(rng):
         if cipher.decrypt_block(ct, add=approx) != block:
             wrong += 1
     assert wrong < blocks * 0.12
+
+
+def test_window12_decryption_keeps_most_corpus_blocks():
+    """Section 1's premise on English text: a window-12 ACA still
+    decrypts more than 80 % of the blocks correctly."""
+    plain = sample_corpus(2048, seed=5)
+    cipher = ArxCipher(0x2B)
+    out = cipher.decrypt_bytes(cipher.encrypt_bytes(plain), aca_adder(12))
+    same = sum(out[i:i + 8] == plain[i:i + 8]
+               for i in range(0, len(plain), 8))
+    assert same > (len(plain) // 8) * 0.8
 
 
 def test_aca_decryption_deterministic(rng):

@@ -1,7 +1,7 @@
 """Shared fixtures and hypothesis configuration for the test suite.
 
-The actual seeding/profile logic lives in :mod:`repro.testing` (shared
-with ``benchmarks/conftest.py``); this file only binds it to pytest.
+The actual seeding/profile logic lives in :mod:`repro.testing`; this
+file only binds it to pytest.
 """
 
 import pytest

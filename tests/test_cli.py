@@ -48,6 +48,26 @@ def test_attack_command(capsys):
     assert "attack" in capsys.readouterr().out.lower()
 
 
+def test_rtl_command(capsys):
+    assert main(["rtl", "--widths", "16", "--no-save"]) == 0
+    assert "flip-flops" in capsys.readouterr().out
+
+
+def test_delaymodel_command(capsys):
+    assert main(["delaymodel", "--no-save"]) == 0
+    assert "heavy interconnect" in capsys.readouterr().out
+
+
+def test_speculative_command(capsys):
+    assert main(["speculative", "--width", "16", "--no-save"]) == 0
+    assert "incrementer" in capsys.readouterr().out
+
+
+def test_atpg_command(capsys):
+    assert main(["atpg", "--no-save"]) == 0
+    assert "coverage of testable" in capsys.readouterr().out
+
+
 def test_no_save_writes_nothing(capsys, _results_tmpdir):
     assert main(["theorem1", "--max-k", "3", "--no-save"]) == 0
     assert list(_results_tmpdir.iterdir()) == []
