@@ -11,8 +11,9 @@ as ~1.0002 for the 99.99 % window.
 
 That handshake is a scan over the detector flags, so the machine
 evaluates it as one: per block of operands, one batch call of the
-functional model (:meth:`~repro.families.base.SpeculativeModel.
-run_arrays`) gives every speculative sum, flag and recovered sum, an op
+functional model on uint64 lanes at widths up to 64
+(:meth:`~repro.families.base.SpeculativeModel.run_arrays`) gives every
+speculative sum, flag and recovered sum, an op
 takes ``1 + recovery_cycles * stalled`` cycles, and its accept cycle is
 the running total of the latencies before it.
 
@@ -33,7 +34,8 @@ import numpy as np
 
 from ..engine.context import RunContext
 from ..engine.functional import functional_model
-from ..families.base import get_family, object_lanes
+from ..families.base import get_family
+from ..families.words import lanes
 from .clocking import ClockDomain
 from .vcd import VcdWriter
 
@@ -82,9 +84,10 @@ class VlsaTrace:
     """Full trace of a stream run through the VLSA machine.
 
     The trace is stored as columns, one array element per operation:
-    operands and output words as ``dtype=object`` arrays of Python ints,
-    ``stalled``/``speculative_correct`` as bool arrays and the cycle
-    columns as int64.  :attr:`results` builds the per-op
+    operands (masked to the width) and output words as the model's lanes
+    (``uint64`` at widths up to 64, ``dtype=object`` arrays of Python
+    ints above), ``stalled``/``speculative_correct`` as bool arrays and
+    the cycle columns as int64.  :attr:`results` builds the per-op
     :class:`VlsaOpResult` list from them on first read.
     """
 
@@ -267,12 +270,12 @@ class VlsaMachine:
         cols: List[Tuple[np.ndarray, ...]] = []
         offset = 0
         rc = self.recovery_cycles
-        for a, b in _blocks(pairs):
+        for a, b in _blocks(pairs, self.width):
             batch = self.model.run_arrays(a, b)
             stalled = batch.flags
             spec_ok = ~batch.spec_errors
-            assert np.all(stalled | spec_ok), \
-                "detector must never miss an error"
+            if not np.all(stalled | spec_ok):
+                raise AssertionError("detector must never miss an error")
             # STALL: the recovery result replaces the speculative one.
             sums = np.where(stalled, batch.exact_sums, batch.spec_sums)
             couts = np.where(stalled, batch.exact_couts, batch.spec_couts)
@@ -293,18 +296,17 @@ class VlsaMachine:
         return trace
 
 
-def _blocks(pairs: Pairs) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """``(a, b)`` object lanes of *pairs*, :data:`_BLOCK` pairs at a time."""
+def _blocks(pairs: Pairs, width: int
+            ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``(a, b)`` :func:`~repro.families.words.lanes` of *pairs* (uint64
+    at widths up to 64), :data:`_BLOCK` pairs at a time."""
     if isinstance(pairs, np.ndarray):
-        ops = pairs.reshape(-1, 2)
-        for lo in range(0, len(ops), _BLOCK):
-            block = ops[lo:lo + _BLOCK]
-            yield object_lanes(block[:, 0]), object_lanes(block[:, 1])
-        return
-    it = iter(pairs)
-    while True:
-        block = list(itertools.islice(it, _BLOCK))
-        if not block:
-            return
-        yield (object_lanes([a for a, _ in block]),
-               object_lanes([b for _, b in block]))
+        pairs = pairs.reshape(-1, 2)
+        blocks: Iterable = (pairs[lo:lo + _BLOCK]
+                            for lo in range(0, len(pairs), _BLOCK))
+    else:
+        it = iter(pairs)
+        blocks = iter(lambda: list(itertools.islice(it, _BLOCK)), [])
+    for block in blocks:
+        ops = lanes(block, width).reshape(-1, 2)
+        yield ops[:, 0], ops[:, 1]

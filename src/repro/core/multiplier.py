@@ -105,7 +105,8 @@ def multiplier_error_rate(width: int, window: int, samples: int = 2000,
         out = simulate_bus_ints(circuit, {"a": a, "b": b})
         if out["product"] != a * b:
             errors += 1
-            assert out["err"], "detector must never miss"
+            if not out["err"]:
+                raise AssertionError("detector must never miss")
         if out["err"]:
             flags += 1
     return errors / samples, flags / samples

@@ -10,7 +10,9 @@ interchangeable backends (:mod:`repro.engine.backends`):
 backend  use it for
 ======== ==============================================================
 bigint   default; any vector count, fault forcing, tiny overhead
-numpy    large Monte Carlo sweeps (cache-blocked uint64 batch kernels)
+numpy    cross-checking the other backends (cache-blocked uint64
+         kernels; 0.48-0.70x the legacy interpreter on a 2-vCPU host,
+         so not a fast path)
 sharded  very large sweeps across worker processes, order-independent
          merge with deterministic per-shard seeding
 ======== ==============================================================

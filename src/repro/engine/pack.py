@@ -13,8 +13,8 @@ Packing and unpacking are the same bit-matrix transpose, one numpy
 kernel for both directions:
 
 1. *Rows in.*  Inputs of at most 64 bits become one ``uint64`` array
-   (a ``uint64`` array passes straight through; Python ints outside
-   ``[0, 2^64)`` are masked one by one first).  Wider inputs — the
+   (:func:`as_uint64`: a ``uint64`` array passes straight through;
+   Python ints outside ``[0, 2^64)`` are masked first).  Wider inputs — the
    ~65 packed words of an unpack — are rendered to little-endian bytes,
    one ``to_bytes`` each.  Either way the result is a byte matrix of
    one row per input, padded with zero rows to a multiple of 8.
@@ -34,12 +34,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "as_uint64",
     "pack_vectors",
     "unpack_vectors",
     "word_to_u64",
     "u64_to_word",
     "random_word",
     "random_word_array",
+    "uniform_ints",
 ]
 
 
@@ -51,6 +53,21 @@ _BLOCK_SWAPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
     (14, 0x0000CCCC0000CCCC),
     (28, 0x00000000F0F0F0F0),
 ))
+
+
+def as_uint64(values, width: int) -> np.ndarray:
+    """*values* as a ``uint64`` array of the same shape.
+
+    A ``uint64`` array passes through without a copy.  When some value
+    does not fit ``uint64`` (negative, or ``>= 2^64``), every value is
+    masked to *width* bits first, ``int(v) & mask`` (two's complement
+    for negatives); values that fit are otherwise left unmasked.
+    """
+    try:
+        return np.asarray(values, dtype=np.uint64)
+    except OverflowError:
+        masked = np.array(values, dtype=object) & ((1 << width) - 1)
+        return masked.astype(np.uint64)
 
 
 def _transpose(ints: Sequence[int], nbits: int) -> List[int]:
@@ -67,12 +84,8 @@ def _transpose(ints: Sequence[int], nbits: int) -> List[int]:
     nbytes = (nbits + 7) // 8
     groups = (n + 7) // 8  # 8-row blocks; also the bytes per result
     if nbits <= 64:
-        try:
-            words = np.array(ints, dtype=np.uint64)
-        except OverflowError:  # outside uint64: mask each value first
-            words = np.array([int(v) & mask for v in ints], dtype=np.uint64)
         padded = np.zeros(groups * 8, dtype="<u8")
-        padded[:n] = words & np.uint64(mask)
+        padded[:n] = as_uint64(ints, nbits) & np.uint64(mask)
         rows = padded.view(np.uint8).reshape(groups * 8, 8)[:, :nbytes]
     else:
         raw = b"".join((int(v) & mask).to_bytes(nbytes, "little")
@@ -170,3 +183,29 @@ def random_word_array(rng: np.random.Generator,
         out[:] = arr
         return out
     return arr
+
+
+def uniform_ints(rng: np.random.Generator, width: int,
+                 n: int) -> np.ndarray:
+    """*n* uniform *width*-bit integers from one bulk byte draw.
+
+    Each integer is the next ``ceil(width / 8)`` bytes, little-endian,
+    masked to *width* bits.  Widths up to 64 come back as a ``uint64``
+    array read straight from the buffer (each group zero-padded to 8
+    bytes), wider ones as a ``dtype=object`` array of Python ints.
+    """
+    nbytes = (width + 7) // 8
+    mask = (1 << width) - 1
+    raw = rng.bytes(n * nbytes)
+    if width > 64:
+        return np.array(
+            [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
+             & mask for i in range(n)], dtype=object)
+    if nbytes == 8:
+        words = np.frombuffer(raw, dtype="<u8")
+    else:
+        padded = np.zeros((n, 8), dtype=np.uint8)
+        padded[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8
+                                           ).reshape(n, nbytes)
+        words = padded.view("<u8").reshape(n)
+    return words & np.uint64(mask)

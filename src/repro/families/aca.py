@@ -12,20 +12,21 @@ anchored at bit 0 (the window at bit 0 sees the real carry-in).  With
 * speculation is wrong iff a non-anchored start receives a carry,
   ``starts & carries & ~1 != 0``;
 * the speculative sum flips exactly the lost carries,
-  ``spec = total ^ (carries & ((starts & ~1) << window))``, and the
-  carry-out bit of the same word is the speculative carry-out.
+  ``spec = sum ^ (carries & ((starts & ~1) << window))``, and the
+  carry-out is lost iff a non-anchored window starts at the top.
 
-:class:`AcaModel` evaluates this on Python ints at any width, one pair
-at a time or elementwise on ``dtype=object`` lanes of them (the Monte
-Carlo experiments, the service's bigint backend and, through
-:meth:`~repro.families.base.SpeculativeModel.run_arrays`, the
-cycle-accurate VLSA machine and the verifier's functional row run on
-it); :func:`aca_numpy_kernel` evaluates it on uint64
-arrays (the serving, cluster and verify hot path).  The differential
-verifier's oracle (:mod:`repro.verify.oracle`) recomputes everything
-from the definition without either, and the test suite cross-checks
-both against the gate-level circuits and the carry-state engine of
-:mod:`repro.analysis.error_model`.
+:meth:`AcaModel.rule` writes this once over the lanes of
+:mod:`repro.families.words`: Python ints one pair at a time (the
+per-pair callers: apps, processor), ``uint64`` lanes at widths up to 64
+and ``dtype=object`` lanes above (through
+:meth:`~repro.families.base.SpeculativeModel.run_arrays`: the Monte
+Carlo sampler, the cycle-accurate VLSA machine, the service's bigint
+backend and the verifier's functional row).  :func:`aca_numpy_kernel`
+is the same rule on uint64 lanes (the serving, cluster and verify hot
+path).  The differential verifier's oracle (:mod:`repro.verify.oracle`)
+recomputes everything from the definition without it, and the test
+suite cross-checks the rule against the gate-level circuits and the
+carry-state engine of :mod:`repro.analysis.error_model`.
 
 Cut view (what the analytic rates are derived from): the ACA predicts
 the carry into every bit ``pos >= window``, and its carry out, from the
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -46,7 +47,8 @@ from ..core.aca import build_aca
 from ..core.vlsa import build_vlsa_datapath
 from ..engine.functional import register_functional
 from .base import (AdderFamily, KernelBatch, SpeculativeModel,
-                   register_family)
+                   register_family, uint64_kernel)
+from .words import Word, WordOps, window_all_ones
 
 __all__ = [
     "AcaFamily",
@@ -60,48 +62,14 @@ __all__ = [
 ]
 
 
-#: A Python int, or a uint64 array evaluated elementwise.
-Word = Union[int, np.ndarray]
-
-
-@lru_cache(maxsize=256)
-def _doubling_steps(window: int) -> Tuple[int, ...]:
-    """Shift amounts of a log-doubling that certifies *window* bits.
-
-    Each step at most doubles the certified run length, and the last
-    one stops exactly at *window*.
-    """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    steps = []
-    certified = 1  # each bit currently certifies a run of this length
-    while certified < window:
-        step = min(certified, window - certified)
-        steps.append(step)
-        certified += step
-    return tuple(steps)
-
-
-def window_all_ones(word: Word, window: int) -> Word:
-    """Bit ``i`` of the result is 1 iff bits ``i .. i+window-1`` are all 1.
-
-    Uses shift-doubling: ANDing with a copy shifted by ``s`` certifies
-    ``s`` extra ones, so ``O(log window)`` word operations suffice, on a
-    Python int or elementwise on a uint64 array.
-    """
-    out = word
-    for step in _doubling_steps(window):
-        out = out & (out >> step)  # not in place: *word* may be an array
-    return out
-
-
 @dataclass
 class AcaModel(SpeculativeModel):
     """Functional ACA configured once, reused across many additions.
 
-    Construction validates *window* and fixes the operand mask; every
-    call is ``O(log window)`` big-int operations.  ``exact`` and
-    ``run_ints`` come from :class:`SpeculativeModel`.
+    Construction validates *window*; every call is ``O(log window)``
+    word operations on any lane type.  ``add``, ``flags_error``,
+    ``exact``, ``is_correct``, ``run_arrays`` and ``run_ints`` are the
+    :class:`SpeculativeModel` wrappers over :meth:`rule`.
 
     Attributes:
         width: Operand bitwidth.
@@ -114,43 +82,31 @@ class AcaModel(SpeculativeModel):
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise ValueError("window must be positive")
-        self._word_mask = self._mask()
+        # The highest bit a window can start at (no start at all when
+        # the window is wider than the word).
+        self._top = max(self.width - self.window, 0)
 
-    def add(self, a: int, b: int, cin: int = 0) -> Tuple[int, int]:
-        """Speculative ``(sum, cout)``.
-
-        The exact sum with every lost carry flipped back: a carry into
+    def rule(self, ops: WordOps, a: Word, b: Word, cin: Word) -> KernelBatch:
+        """The exact sum with every lost carry flipped back: a carry into
         bit ``i`` is lost iff a non-anchored window starts at
         ``i - window``.
-        """
-        mask = self._word_mask
-        a = a & mask  # not in place: *a* may be an array
-        b = b & mask
-        p = a ^ b
-        total = a + b + (cin & 1)
-        lost = (window_all_ones(p, self.window) & ~1) << self.window
-        spec = total ^ ((total ^ p) & lost)
-        return spec & mask, spec >> self.width
 
-    def is_correct(self, a: int, b: int, cin: int = 0) -> bool:
-        """Whether speculation succeeds on this operand pair.
-
-        Wrong exactly when some all-propagate window of length *window*
-        has an incoming carry.  The window starting at bit 0 is excluded
-        — it is anchored and absorbs the real carry-in, so it can never
-        be wrong (which also makes the error probability independent of
-        ``cin``).
+        The window starting at bit 0 is anchored — it absorbs the real
+        carry-in, so it can never be wrong (which also makes the error
+        probability independent of ``cin``).
         """
-        mask = self._word_mask
-        a = a & mask
-        b = b & mask
         p = a ^ b
+        exact, cout = ops.add(a, b, cin, self.width)
+        carries = exact ^ p  # bit i: the true carry into bit i
         starts = window_all_ones(p, self.window)
-        return (starts & ((a + b + (cin & 1)) ^ p) & ~1) == 0
-
-    def flags_error(self, a: int, b: int) -> bool:
-        """Whether the detector requests a recovery cycle."""
-        return window_all_ones((a ^ b) & self._word_mask, self.window) != 0
+        unanchored = starts & ~ops.one
+        # ``carries`` stops below bit ``width``, so the carry-out is
+        # taken apart: it is lost iff a non-anchored window starts at
+        # the top.
+        return KernelBatch(exact ^ (carries & (unanchored << self.window)),
+                           cout & ~(unanchored >> self._top),
+                           exact, cout, starts != 0,
+                           (unanchored & carries) != 0)
 
 
 @lru_cache(maxsize=256)
@@ -201,44 +157,11 @@ def detector_flag(a: int, b: int, width: int, window: int) -> bool:
 
 def aca_numpy_kernel(width: int, window: int
                      ) -> Callable[[np.ndarray, np.ndarray], KernelBatch]:
-    """uint64 batch kernel bit-identical to :class:`AcaModel`.
+    """:class:`AcaModel`'s rule on uint64 lanes (widths up to 64).
 
     *window* is clamped to *width*, as :meth:`AcaFamily.functional` does.
     """
-    if width > 64:
-        raise ValueError("numpy kernels support widths up to 64 bits")
-    if window <= 0:
-        raise ValueError("window must be positive")
-    window = min(window, width)
-    mask = np.uint64((1 << width) - 1)
-    not_bit0 = ~np.uint64(1)
-    shift = np.uint64(window)
-    top = np.uint64(width - window)  # the highest possible start
-
-    def kernel(a: np.ndarray, b: np.ndarray) -> KernelBatch:
-        a = np.asarray(a, dtype=np.uint64) & mask
-        b = np.asarray(b, dtype=np.uint64) & mask
-        total = a + b  # uint64 wraparound == mod 2^64 at width 64
-        s = total & mask
-        if width < 64:
-            exact_couts = total >> np.uint64(width)
-        else:
-            exact_couts = (s < a).astype(np.uint64)
-        p = a ^ b
-        carries = s ^ p  # bit i: the true carry into bit i
-        starts = window_all_ones(p, window)
-        unanchored = starts & not_bit0
-        # ``carries`` stops below bit ``width``, so the carry-out is
-        # taken apart: it is lost iff a non-anchored window starts at
-        # the top.
-        spec = s ^ (carries & (unanchored << shift))
-        spec_couts = exact_couts & ~(unanchored >> top)
-        return KernelBatch(spec_sums=spec, spec_couts=spec_couts,
-                           exact_sums=s, exact_couts=exact_couts,
-                           flags=starts != 0,
-                           spec_errors=(unanchored & carries) != 0)
-
-    return kernel
+    return uint64_kernel(AcaModel(width, min(window, width)))
 
 
 class AcaFamily(AdderFamily):
@@ -260,12 +183,6 @@ class AcaFamily(AdderFamily):
 
     def functional(self, width: int, window: int) -> SpeculativeModel:
         return AcaModel(width=width, window=min(window, width))
-
-    def numpy_kernel(self, width: int, window: int
-                     ) -> Optional[Callable[..., KernelBatch]]:
-        if width > 64:
-            return None
-        return aca_numpy_kernel(width, window)
 
     def speculation_cuts(self, width: int, window: int) -> List[Boundary]:
         return aca_cuts(width, min(window, width))

@@ -8,11 +8,13 @@ across every layer of the repo.  Each family binds together:
 * ``build_circuit`` — the full variable-latency datapath: speculative
   core + error detector + rectification/recovery netlists (outputs
   ``sum``, ``cout``, ``err``, ``sum_exact``, ``cout_exact``);
-* ``functional`` — a closed-form big-int model of the *actual hardware
-  behaviour* (speculative result, detector flag, exact recovery),
-  exposing the uniform contract of :class:`SpeculativeModel`;
-* ``numpy_kernel`` — a vectorised batch kernel bit-identical to the
-  functional model (the serving hot path), where the width allows one;
+* ``functional`` — a model of the *actual hardware behaviour*
+  (speculative result, detector flag, exact recovery), exposing the
+  uniform contract of :class:`SpeculativeModel`: the family writes its
+  speculate/detect rule once (:meth:`SpeculativeModel.rule`) over the
+  lane types of :mod:`repro.families.words`;
+* ``numpy_kernel`` — the same rule on uint64 lanes (the serving hot
+  path) at widths up to 64;
 * ``speculation_cuts`` / ``flag_event`` — the cuts whose carries the
   family predicts and what makes its detector fire, declared once; the
   carry-state engine of :mod:`repro.analysis.error_model` derives the
@@ -35,14 +37,15 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 from ..analysis.error_model import Boundary, speculation_mass
 from ..circuit import Circuit
 from .stats import EdDistribution
+from .words import WordOps, lanes, object_lanes, word_ops
 
 __all__ = [
     "AdderFamily",
@@ -56,6 +59,7 @@ __all__ = [
     "family_names",
     "object_lanes",
     "resolve_params",
+    "uint64_kernel",
     "functional_factory",
 ]
 
@@ -67,15 +71,14 @@ class FamilyError(ValueError):
 # ----------------------------------------------------------------------
 # Batch kernel output
 # ----------------------------------------------------------------------
-@dataclass
-class KernelBatch:
-    """Vectorised output of a family numpy kernel (or of
-    :meth:`SpeculativeModel.run_arrays`).
+class KernelBatch(NamedTuple):
+    """Output of a family's rule (:meth:`SpeculativeModel.rule`), of
+    its numpy kernel and of :meth:`SpeculativeModel.run_arrays`.
 
-    Everything the speculative/detect/recover path produces for a
-    batch, as arrays: the raw speculative result, the detector word,
-    the recovered (always correct) result, and the subset of flags
-    that were actual errors.
+    Everything the speculative/detect/recover path produces, lane by
+    lane (plain values for one pair of Python ints): the raw speculative
+    result, the detector flag, the recovered (always correct) result,
+    and whether the speculative result was actually wrong.
     """
 
     spec_sums: Any
@@ -89,68 +92,72 @@ class KernelBatch:
 # ----------------------------------------------------------------------
 # Functional-model contract
 # ----------------------------------------------------------------------
-def object_lanes(values: Union[Sequence[int], np.ndarray]) -> np.ndarray:
-    """A 1-D ``dtype=object`` array of Python ints: one lane per value.
-
-    Integer arrays (``uint64`` included) are converted element by
-    element to Python ints, so the models' big-int arithmetic (``~1``,
-    carries past bit 63) never meets a fixed-width numpy scalar.
-    """
-    if isinstance(values, np.ndarray):
-        return values.astype(object).reshape(-1)
-    return np.array(list(values), dtype=object).reshape(-1)
-
-
 class SpeculativeModel:
-    """Uniform big-int contract every family functional model obeys.
+    """Uniform contract every family functional model obeys.
 
-    Subclasses implement :meth:`add` (the speculative hardware result)
-    and :meth:`flags_error` (the detector), on Python ints and
-    elementwise on ``dtype=object`` arrays of them alike.  ``exact``,
-    ``is_correct``, the batch :meth:`run_arrays` and the bus-level
-    ``run_ints`` interface are shared — so the machine, the service
-    executor and the verify reference can treat every family
-    identically.
+    A subclass implements :meth:`rule`, the family's speculate/detect
+    rule written once over :mod:`~repro.families.words` lanes.
+    :meth:`add` (the speculative hardware result), :meth:`flags_error`
+    (the detector), :meth:`exact` and :meth:`is_correct` are thin
+    wrappers over it, on Python ints, ``dtype=object`` lanes and
+    ``uint64`` lanes alike.  The batch :meth:`run_arrays` and the
+    bus-level ``run_ints`` interface are shared — so the machine, the
+    service executor, the numpy kernel and the verify rows treat every
+    family identically.
     """
 
     width: int
 
-    def _mask(self) -> int:
-        return (1 << self.width) - 1
+    def rule(self, ops: WordOps, a: Any, b: Any, cin: Any) -> KernelBatch:
+        """Every :class:`KernelBatch` field for operands *a*, *b* and
+        carry-in *cin*, already masked to the width and to one bit.
+
+        One body for every lane type: it combines lanes with word
+        operators and takes constants and exact adds from *ops*.
+        """
+        raise NotImplementedError
+
+    def evaluate(self, a: Any, b: Any, cin: Any = 0) -> KernelBatch:
+        """:meth:`rule` on one pair of Python ints or on lanes; operands
+        are masked to the width first."""
+        ops = word_ops(self.width, a)
+        return self.rule(ops, a & ops.mask, b & ops.mask, cin & ops.one)
 
     def add(self, a: int, b: int, cin: int = 0) -> Tuple[int, int]:
         """Speculative ``(sum, cout)`` exactly as the hardware computes it."""
-        raise NotImplementedError
+        out = self.evaluate(a, b, cin)
+        return out.spec_sums, out.spec_couts
 
     def flags_error(self, a: int, b: int) -> bool:
-        """Whether the detector requests a recovery cycle."""
-        raise NotImplementedError
+        """Whether the detector requests a recovery cycle (at ``cin = 0``)."""
+        return self.evaluate(a, b).flags
 
     def exact(self, a: int, b: int, cin: int = 0) -> Tuple[int, int]:
         """Reference ``(sum, cout)``."""
-        mask = self._mask()
-        total = (a & mask) + (b & mask) + (cin & 1)
-        return total & mask, total >> self.width
+        out = self.evaluate(a, b, cin)
+        return out.exact_sums, out.exact_couts
 
     def is_correct(self, a: int, b: int, cin: int = 0) -> bool:
         """Whether speculation succeeds on this operand pair."""
-        spec_sum, spec_cout = self.add(a, b, cin)
-        exact_sum, exact_cout = self.exact(a, b, cin)
-        return (spec_sum == exact_sum) & (spec_cout == exact_cout)
+        out = self.evaluate(a, b, cin)
+        return ((out.spec_sums == out.exact_sums)
+                & (out.spec_couts == out.exact_couts))
 
     def run_arrays(self, a: Union[Sequence[int], np.ndarray],
                    b: Union[Sequence[int], np.ndarray]) -> KernelBatch:
         """The whole speculate/detect/recover path for a batch of pairs.
 
-        Calls :meth:`add`, :meth:`flags_error` and :meth:`exact` once
-        each on :func:`object_lanes` of *a* and *b*, so it runs at any
-        width.  Sums and carries come back as ``dtype=object`` arrays of
-        Python ints, ``flags``/``spec_errors`` as bool arrays; a
-        detector that answers with one scalar is broadcast over the
-        batch.
+        The one place that picks the lane type of a batch: *a* and *b*
+        become :func:`~repro.families.words.lanes` (``uint64`` at widths
+        up to 64, ``dtype=object`` above).  :meth:`add`,
+        :meth:`flags_error` and :meth:`exact` then run once each on them,
+        so a fault in any of the three shows in the batch.  Sums and
+        carries come back in the lane type, ``flags``/``spec_errors`` as
+        bool arrays; a detector that answers with one scalar is
+        broadcast over the batch.
         """
-        a = object_lanes(a)
-        b = object_lanes(b)
+        a = lanes(a, self.width).reshape(-1)
+        b = lanes(b, self.width).reshape(-1)
         spec_sums, spec_couts = self.add(a, b)
         exact_sums, exact_couts = self.exact(a, b)
         flags = np.array(np.broadcast_to(
@@ -177,6 +184,24 @@ class SpeculativeModel:
         if isinstance(vectors["a"], int):
             return {"sum": sums[0], "cout": couts[0]}
         return {"sum": sums.tolist(), "cout": couts.tolist()}
+
+
+def uint64_kernel(model: SpeculativeModel
+                  ) -> Callable[[np.ndarray, np.ndarray], KernelBatch]:
+    """*model*'s rule as a batch kernel ``kernel(a, b) -> KernelBatch``
+    on uint64 lanes (widths up to 64).
+
+    It calls :meth:`SpeculativeModel.evaluate`, not the wrappers, so the
+    serving path runs the rule in one pass.
+    """
+    if model.width > 64:
+        raise ValueError("numpy kernels support widths up to 64 bits")
+
+    def kernel(a: np.ndarray, b: np.ndarray) -> KernelBatch:
+        return model.evaluate(np.asarray(a, dtype=np.uint64),
+                              np.asarray(b, dtype=np.uint64))
+
+    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -318,10 +343,12 @@ class AdderFamily(abc.ABC):
 
     def numpy_kernel(self, width: int, **params: int
                      ) -> Optional[Callable[..., KernelBatch]]:
-        """Vectorised uint64 batch kernel ``kernel(a, b) -> KernelBatch``
-        bit-identical to :meth:`functional`, or ``None`` when the
-        width/family has no vectorised path."""
-        return None
+        """Vectorised uint64 batch kernel ``kernel(a, b) -> KernelBatch``:
+        the :meth:`functional` model's rule on uint64 lanes
+        (:func:`uint64_kernel`), or ``None`` above 64 bits."""
+        if width > 64:
+            return None
+        return uint64_kernel(self.functional(width, **params))
 
     # -- analytics -----------------------------------------------------
     #: What makes the detector fire at a cut: ``"window"`` (the

@@ -10,8 +10,9 @@ window.  This module holds everything the two new families share:
   on top of :class:`repro.core.aca.AcaBuilder`'s prefix strips, so the
   detector and recovery reuse the speculative core's range products the
   same way the paper's ACA does;
-* the big-int functional model (:class:`BlockSpecModel`);
-* the vectorised uint64 batch kernel for widths up to 64;
+* the functional model (:class:`BlockSpecModel`), whose one
+  speculate/detect rule runs on Python ints, object lanes and, as the
+  batch kernel for widths up to 64, on uint64 lanes;
 * the mapping onto the error model's speculation cuts
   (:class:`~repro.analysis.error_model.Boundary`).
 
@@ -35,7 +36,8 @@ from ..adders.cla import lookahead_carries
 from ..analysis.error_model import Boundary
 from ..circuit import Circuit, CircuitError, or_tree
 from ..core.aca import AcaBuilder
-from .base import KernelBatch, SpeculativeModel
+from .base import KernelBatch, SpeculativeModel, uint64_kernel
+from .words import Word, WordOps, window_all_ones
 
 __all__ = [
     "DETECTORS",
@@ -86,11 +88,10 @@ def block_boundaries(width: int, block: int,
 # Functional model
 # ----------------------------------------------------------------------
 class BlockSpecModel(SpeculativeModel):
-    """Big-int functional model of a block-boundary speculative adder.
+    """Functional model of a block-boundary speculative adder.
 
-    Evaluates one pair of Python ints, or elementwise ``dtype=object``
-    lanes of them (:meth:`~repro.families.base.SpeculativeModel.
-    run_arrays`).
+    :meth:`rule` is the one body of the blockspec and CESA-R families,
+    on every lane type of :mod:`repro.families.words`.
 
     Args:
         width: Operand bitwidth.
@@ -111,58 +112,42 @@ class BlockSpecModel(SpeculativeModel):
         self.lookahead = min(max(1, lookahead), width)
         self.detector = detector
         self.bounds = block_bounds(width, self.block)
+        # Bit ``lo - lookahead`` of every non-anchored cut ``lo``: the
+        # window detector fires when an all-propagate window starts there.
+        self._watched = sum(1 << (cut.pos - cut.lookahead) for cut in
+                            block_boundaries(width, self.block,
+                                             self.lookahead))
 
-    def _estimate(self, a: int, b: int, cin: int, lo: int) -> int:
-        """Carry estimate into the block starting at *lo* (hardware
-        semantics: anchored cuts are exact, others see ``lookahead``
-        bits with an assumed zero carry below)."""
-        if lo == 0:
-            return cin & 1
+    def rule(self, ops: WordOps, a: Word, b: Word, cin: Word) -> KernelBatch:
+        """Each block adds its operand slice to its carry estimate; the
+        carry out comes from the top block.  The estimate at a cut is
+        ``cin`` at bit 0, the true carry where the window reaches bit 0
+        (an anchored cut), and otherwise the carry out of the
+        ``lookahead`` bits under the cut with zero carry in."""
         t = self.lookahead
-        if t >= lo:
-            low_mask = (1 << lo) - 1
-            return ((a & low_mask) + (b & low_mask) + (cin & 1)) >> lo
-        w_mask = (1 << t) - 1
-        wa = (a >> (lo - t)) & w_mask
-        wb = (b >> (lo - t)) & w_mask
-        return (wa + wb) >> t
-
-    def add(self, a: int, b: int, cin: int = 0) -> Tuple[int, int]:
-        """Speculative ``(sum, cout)`` exactly as the hardware computes
-        it: each block adds its operand slice to its carry estimate; the
-        carry out comes from the top block."""
-        mask = self._mask()
-        a = a & mask  # not in place: *a* may be an array
-        b = b & mask
-        result = 0
-        carry_out = 0
+        p = a ^ b
+        exact, cout = ops.add(a, b, cin, self.width)
+        carries = exact ^ p  # bit i: the true carry into bit i
+        window = ops.ones(t)
+        spec = ops.zero
         for lo, hi in self.bounds:
-            blk_len = hi - lo + 1
-            blk_mask = (1 << blk_len) - 1
-            est = self._estimate(a, b, cin, lo)
-            total = ((a >> lo) & blk_mask) + ((b >> lo) & blk_mask) + est
-            result |= (total & blk_mask) << lo
-            carry_out = total >> blk_len
-        return result, carry_out
-
-    def flags_error(self, a: int, b: int) -> bool:
-        """The detector decision (computed at ``cin = 0``, like the
-        ACA's; the gate-level datapath agrees whenever it is built
-        without a carry-in port, which is how every serving/verify layer
-        instantiates it)."""
+            if lo == 0:
+                est = cin
+            elif t >= lo:
+                est = (carries >> lo) & ops.one
+            else:
+                _, est = ops.add((a >> (lo - t)) & window,
+                                 (b >> (lo - t)) & window, ops.zero, t)
+            blk = ops.ones(hi - lo + 1)
+            total, spec_cout = ops.add((a >> lo) & blk, (b >> lo) & blk,
+                                       est, hi - lo + 1)
+            spec = spec | (total << lo)
+        spec_errors = (spec != exact) | (spec_cout != cout)
         if self.detector == "exact":
-            spec_sum, spec_cout = self.add(a, b)
-            exact_sum, exact_cout = self.exact(a, b)
-            return (spec_sum != exact_sum) | (spec_cout != exact_cout)
-        p = (a ^ b) & self._mask()
-        t = self.lookahead
-        w_mask = (1 << t) - 1
-        flag = False
-        for lo, _ in self.bounds:
-            if lo == 0 or t >= lo:
-                continue
-            flag = flag | ((p >> (lo - t)) & w_mask == w_mask)
-        return flag
+            flags = spec_errors
+        else:
+            flags = (window_all_ones(p, t) & ops.word(self._watched)) != 0
+        return KernelBatch(spec, spec_cout, exact, cout, flags, spec_errors)
 
 
 # ----------------------------------------------------------------------
@@ -324,69 +309,5 @@ def build_block_datapath(name: str, width: int, block: int, lookahead: int,
 def block_numpy_kernel(width: int, block: int, lookahead: int,
                        detector: str = "window"
                        ) -> Callable[[np.ndarray, np.ndarray], KernelBatch]:
-    """uint64 batch kernel bit-identical to :class:`BlockSpecModel`.
-
-    Supports widths up to 64 (the per-block slice arithmetic needs one
-    spare bit, which the block decomposition always leaves unless the
-    whole operand is a single — then exact — block).
-    """
-    if width > 64:
-        raise ValueError("numpy kernels support widths up to 64 bits")
-    if detector not in DETECTORS:
-        raise ValueError(f"unknown detector {detector!r}")
-    block = min(max(1, block), width)
-    lookahead = min(max(1, lookahead), width)
-    bounds = block_bounds(width, block)
-    int_mask = (1 << width) - 1
-    mask = np.uint64(int_mask if width < 64 else 0xFFFFFFFFFFFFFFFF)
-
-    def kernel(a: np.ndarray, b: np.ndarray) -> KernelBatch:
-        a = np.asarray(a, dtype=np.uint64) & mask
-        b = np.asarray(b, dtype=np.uint64) & mask
-        s = (a + b) & mask  # uint64 wraparound == mod 2^64 at width 64
-        if width < 64:
-            exact_couts = ((a + b) >> np.uint64(width)).astype(np.uint64)
-        else:
-            exact_couts = (s < a).astype(np.uint64)
-        p = a ^ b
-
-        if len(bounds) == 1:
-            # Single (anchored) block: the adder is exact by geometry.
-            zero_flags = np.zeros(a.shape, dtype=bool)
-            return KernelBatch(spec_sums=s.copy(), spec_couts=exact_couts,
-                               exact_sums=s, exact_couts=exact_couts,
-                               flags=zero_flags,
-                               spec_errors=zero_flags.copy())
-
-        spec = np.zeros_like(a)
-        spec_cout = np.zeros_like(a)
-        flags = np.zeros(a.shape, dtype=bool)
-        for lo, hi in bounds:
-            blk_len = hi - lo + 1
-            blk_mask = np.uint64((1 << blk_len) - 1)
-            blk_a = (a >> np.uint64(lo)) & blk_mask
-            blk_b = (b >> np.uint64(lo)) & blk_mask
-            if lo == 0:
-                est = np.zeros_like(a)
-            elif lookahead >= lo:
-                low_mask = np.uint64((1 << lo) - 1)
-                est = ((a & low_mask) + (b & low_mask)) >> np.uint64(lo)
-            else:
-                w_mask = np.uint64((1 << lookahead) - 1)
-                wa = (a >> np.uint64(lo - lookahead)) & w_mask
-                wb = (b >> np.uint64(lo - lookahead)) & w_mask
-                est = (wa + wb) >> np.uint64(lookahead)
-                if detector == "window":
-                    flags |= ((p >> np.uint64(lo - lookahead)) & w_mask
-                              ) == w_mask
-            total = blk_a + blk_b + est  # blk_len <= 63 here: no overflow
-            spec |= (total & blk_mask) << np.uint64(lo)
-            spec_cout = total >> np.uint64(blk_len)
-        spec_errors = (spec != s) | (spec_cout != exact_couts)
-        if detector == "exact":
-            flags = spec_errors.copy()
-        return KernelBatch(spec_sums=spec, spec_couts=spec_cout,
-                           exact_sums=s, exact_couts=exact_couts,
-                           flags=flags, spec_errors=spec_errors)
-
-    return kernel
+    """:class:`BlockSpecModel`'s rule on uint64 lanes (widths up to 64)."""
+    return uint64_kernel(BlockSpecModel(width, block, lookahead, detector))

@@ -22,14 +22,14 @@ contribution.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..analysis.error_model import Boundary, choose_window
 from ..circuit import Circuit
 from ..engine.functional import register_functional
-from .base import (AdderFamily, KernelBatch, SpeculativeModel,
-                   functional_factory, register_family)
-from .blocks import (BlockSpecModel, block_boundaries, block_numpy_kernel,
+from .base import (AdderFamily, SpeculativeModel, functional_factory,
+                   register_family)
+from .blocks import (BlockSpecModel, block_boundaries,
                      build_block_datapath, build_block_speculative)
 from .stats import EdDistribution, ed_distribution
 
@@ -66,13 +66,6 @@ class BlockSpecFamily(AdderFamily):
     def functional(self, width: int, block: int,
                    lookahead: int) -> SpeculativeModel:
         return BlockSpecModel(width, block, lookahead, detector="window")
-
-    def numpy_kernel(self, width: int, block: int, lookahead: int
-                     ) -> Optional[Callable[..., KernelBatch]]:
-        if width > 64:
-            return None
-        return block_numpy_kernel(width, block, lookahead,
-                                  detector="window")
 
     def speculation_cuts(self, width: int, block: int,
                          lookahead: int) -> List[Boundary]:

@@ -14,14 +14,14 @@ detector that is as deep as the recovery carry chain).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..analysis.error_model import Boundary
 from ..circuit import Circuit
 from ..engine.functional import register_functional
-from .base import (AdderFamily, KernelBatch, SpeculativeModel,
-                   functional_factory, register_family)
-from .blocks import (BlockSpecModel, block_boundaries, block_numpy_kernel,
+from .base import (AdderFamily, SpeculativeModel, functional_factory,
+                   register_family)
+from .blocks import (BlockSpecModel, block_boundaries,
                      build_block_datapath, build_block_speculative)
 from .stats import EdDistribution, ed_distribution
 
@@ -64,13 +64,6 @@ class CesaFamily(AdderFamily):
 
     def functional(self, width: int, block: int) -> SpeculativeModel:
         return CesaModel(width, block)
-
-    def numpy_kernel(self, width: int, block: int
-                     ) -> Optional[Callable[..., KernelBatch]]:
-        if width > 64:
-            return None
-        return block_numpy_kernel(width, block, _LOOKAHEAD,
-                                  detector="exact")
 
     def speculation_cuts(self, width: int, block: int) -> List[Boundary]:
         return block_boundaries(width, block, _LOOKAHEAD)

@@ -9,7 +9,8 @@ any bitwidth:
   the per-bit signals and the longest propagate chain.
 
 ``sample_error_rate`` and ``sample_detector_rate`` estimate the ACA's
-error and detector rates on uniform operands.  The ACA's word-level
+error and detector rates on uniform operands, with one call of the
+model on lanes of all the samples.  The ACA's word-level
 algorithm itself (:class:`AcaModel`, ``window_all_ones``, ``aca_add``,
 ``detector_flag``, ``aca_is_correct``) lives in
 :mod:`repro.families.aca`; this module re-exports those names so
@@ -24,8 +25,10 @@ import numpy as np
 
 from ..analysis.runs import longest_run_of_ones
 from ..engine.context import RunContext, resolve_rng
+from ..engine.pack import uniform_ints
 from ..families.aca import (AcaModel, aca_add, aca_is_correct,
                             detector_flag, window_all_ones)
+from ..families.base import KernelBatch
 
 __all__ = [
     "carry_word",
@@ -72,26 +75,19 @@ def longest_propagate_run(a: int, b: int, width: int) -> int:
     return longest_run_of_ones(propagate_word(a, b, width))
 
 
-def _random_operands(width: int, samples: int,
-                     rng: np.random.Generator) -> "list[tuple[int, int]]":
-    """Uniform operand pairs, drawn in one bulk byte request.
+def _sample(width: int, window: int, samples: int, seed: Optional[int],
+            ctx: Optional[RunContext]) -> KernelBatch:
+    """The ACA on *samples* uniform operand pairs, as one lane call.
 
-    One ``rng.bytes`` call plus byte-slicing replaces the historical
-    per-sample 62-bit chunk loop (an order of magnitude faster at
-    Monte-Carlo sample counts).
+    One bulk byte draw holds ``a`` then ``b`` of every sample
+    (:func:`~repro.engine.pack.uniform_ints`).
     """
-    nbytes = (width + 7) // 8
-    mask = _mask(width)
-    raw = rng.bytes(2 * samples * nbytes)
-    pairs = []
-    pos = 0
-    for _ in range(samples):
-        a = int.from_bytes(raw[pos:pos + nbytes], "little") & mask
-        b = int.from_bytes(raw[pos + nbytes:pos + 2 * nbytes],
-                           "little") & mask
-        pairs.append((a, b))
-        pos += 2 * nbytes
-    return pairs
+    rng = (np.random.default_rng(seed) if seed is not None
+           else resolve_rng(None, ctx))
+    if ctx is not None:
+        ctx.add("mc_samples", samples)
+    ops = uniform_ints(rng, width, 2 * samples).reshape(samples, 2)
+    return AcaModel(width, window).evaluate(ops[:, 0], ops[:, 1])
 
 
 def sample_error_rate(width: int, window: int, samples: int = 100000,
@@ -106,15 +102,8 @@ def sample_error_rate(width: int, window: int, samples: int = 100000,
             generator (never an unseeded source).
         ctx: Optional run context accumulating the ``mc_samples`` counter.
     """
-    rng = (np.random.default_rng(seed) if seed is not None
-           else resolve_rng(None, ctx))
-    if ctx is not None:
-        ctx.add("mc_samples", samples)
-    errors = 0
-    for a, b in _random_operands(width, samples, rng):
-        if not aca_is_correct(a, b, width, window):
-            errors += 1
-    return errors / samples
+    batch = _sample(width, window, samples, seed, ctx)
+    return int(np.count_nonzero(batch.spec_errors)) / samples
 
 
 def sample_detector_rate(width: int, window: int, samples: int = 100000,
@@ -124,13 +113,5 @@ def sample_detector_rate(width: int, window: int, samples: int = 100000,
 
     Args: as :func:`sample_error_rate`.
     """
-    rng = (np.random.default_rng(seed) if seed is not None
-           else resolve_rng(None, ctx))
-    if ctx is not None:
-        ctx.add("mc_samples", samples)
-    flags = 0
-    for a, b in _random_operands(width, samples, rng):
-        if detector_flag(a, b, width, window):
-            flags += 1
-    return flags / samples
-
+    batch = _sample(width, window, samples, seed, ctx)
+    return int(np.count_nonzero(batch.flags)) / samples

@@ -7,10 +7,13 @@ mirroring the engine's backend split:
   bits (the throughput path: exact sums, detector flags and
   speculative-error flags for a whole batch in a handful of array ops;
   the same kernel the cluster workers and the verifier run);
-* ``bigint`` — per-pair loop over the family's functional model (for
-  the ACA, :class:`~repro.families.aca.AcaModel`), the fallback for
-  arbitrary widths and the reference the numpy kernel is cross-checked
-  against in the tests.
+* ``bigint`` — one :meth:`~repro.families.base.SpeculativeModel.
+  run_arrays` call of the family's functional model (for the ACA,
+  :class:`~repro.families.aca.AcaModel`) on the batch: uint64 lanes at
+  widths up to 64, Python-int object lanes above.  The fallback for
+  arbitrary widths, and a second path to the same rule through the
+  model's ``add``/``flags_error``/``exact`` that the tests and the
+  verifier cross-check the numpy kernel against.
 
 Latency semantics are exactly those of
 :class:`~repro.arch.vlsa_machine.VlsaMachine`: the VLSA always returns
@@ -33,6 +36,7 @@ import numpy as np
 from ..engine.context import RunContext
 from ..engine.functional import functional_model
 from ..families.base import get_family
+from ..families.words import lanes
 
 __all__ = ["BatchOutcome", "BatchArrays", "Pairs", "ResultColumn",
            "ResultColumns", "VlsaBatchExecutor", "EXECUTOR_BACKENDS",
@@ -51,26 +55,22 @@ _SHAPE_ERROR = "expected (n, 2) operand pairs"
 
 
 def pairs_array(pairs: Pairs, width: int) -> np.ndarray:
-    """*pairs* as an ``(n, 2)`` uint64 array (the numpy path's form).
+    """*pairs* as an ``(n, 2)`` array: uint64 at widths up to 64 (the
+    numpy path's form), Python ints above.
 
-    A uint64 array passes through as is.  Anything else is converted;
-    operands that do not fit uint64 (negative, or ``>= 2**64``) are
-    masked to *width* bits first, so one malformed pair never raises
-    out of a batch.
+    A uint64 array passes through as is.  Anything else becomes
+    :func:`~repro.families.words.lanes`, masked to *width* bits, so one
+    malformed pair (negative, or ``>= 2**64``) never raises out of a
+    batch.
 
     Raises:
         ValueError: *pairs* is not ``(n, 2)``-shaped.
     """
     if not (isinstance(pairs, np.ndarray) and pairs.dtype == np.uint64):
         try:
-            pairs = np.asarray(pairs, dtype=np.uint64)
-        except (OverflowError, ValueError, TypeError):
-            mask = (1 << width) - 1
-            try:
-                pairs = np.array([[a & mask, b & mask] for a, b in pairs],
-                                 dtype=np.uint64)
-            except (TypeError, ValueError):
-                raise ValueError(_SHAPE_ERROR) from None
+            pairs = lanes(pairs, width)
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError(_SHAPE_ERROR) from None
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(_SHAPE_ERROR)
     return pairs
@@ -102,7 +102,7 @@ class ResultColumn:
     """A per-addition result column, stored as given and read as a list.
 
     The owning object keeps the column under ``_<name>``: a numpy array
-    on the numpy path, a list on the bigint path.  Reading ``<name>``
+    (an executor's outcome, a slice of one) or a list.  Reading ``<name>``
     returns a list; an array is converted once, on first read, and the
     list then shadows this descriptor in the instance dict.  So the
     array path builds Python objects only for callers that read the
@@ -161,8 +161,8 @@ class ResultColumns:
 class BatchOutcome(ResultColumns):
     """Result of one coalesced batch through the speculative datapath.
 
-    Columns (numpy arrays on the numpy path, lists on the bigint path;
-    attribute reads give lists, see :class:`ResultColumn`):
+    Columns (numpy arrays as the executor returns them, lists for an
+    empty batch; attribute reads give lists, see :class:`ResultColumn`):
 
     * ``sums``: final (always correct) sums, one per pair;
     * ``couts``: final carry-outs, one per pair;
@@ -208,7 +208,7 @@ class BatchArrays:
     worker process can ship them over a pipe as buffer copies instead
     of a million pickled Python ints.  ``to_outcome`` wraps the same
     arrays (no copy, no lists); its columns read bit-identical to the
-    bigint path's lists.
+    bigint backend's.
     """
 
     sums: np.ndarray       # uint64
@@ -341,25 +341,10 @@ class VlsaBatchExecutor:
 
     # -- bigint fallback ------------------------------------------------
     def _execute_bigint(self, pairs: Pairs) -> BatchOutcome:
-        if isinstance(pairs, np.ndarray):
-            pairs = pairs.tolist()
-        model = self.model
-        sums: List[int] = []
-        couts: List[int] = []
-        stalled: List[bool] = []
-        spec_errors: List[bool] = []
-        latencies: List[int] = []
-        cycles = 0
-        for a, b in pairs:
-            flagged = model.flags_error(a, b)
-            exact_sum, exact_cout = model.exact(a, b)
-            spec_wrong = flagged and not model.is_correct(a, b)
-            latency = 1 + (self.recovery_cycles if flagged else 0)
-            sums.append(exact_sum)
-            couts.append(exact_cout)
-            stalled.append(flagged)
-            spec_errors.append(spec_wrong)
-            latencies.append(latency)
-            cycles += latency
-        return BatchOutcome(sums, couts, stalled, spec_errors,
-                            latencies, cycles)
+        ops = pairs_array(pairs, self.width)
+        batch = self.model.run_arrays(ops[:, 0], ops[:, 1])
+        stalled = batch.flags
+        latencies = np.where(stalled, 1 + self.recovery_cycles, 1)
+        return BatchOutcome(batch.exact_sums, batch.exact_couts, stalled,
+                            stalled & batch.spec_errors, latencies,
+                            int(latencies.sum()))

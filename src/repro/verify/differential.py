@@ -57,6 +57,7 @@ from ..engine.context import RunContext, get_default_context
 from ..engine.functional import functional_model
 from ..engine.pack import pack_vectors, unpack_vectors
 from ..families.base import get_family
+from ..families.words import lanes
 from ..service.metrics import MetricsRegistry
 from .oracle import OracleBatch, evaluate as evaluate_oracle
 from .report import Coverage, Discrepancy, ExhaustiveCell, VerifyReport
@@ -108,10 +109,11 @@ class Chunk(tuple):
     """One chunk of operand pairs that every row of a run shares.
 
     A ``tuple`` of the ``(a, b)`` pairs, so ``len``, indexing, iteration
-    and ``list(chunk)`` behave as on the plain pairs.  The operand
-    columns :attr:`a`/:attr:`b` and the bit-sliced stimulus
-    :meth:`packed` are computed the first time they are read, so the
-    gate-level rows pack each chunk once between them.
+    and ``list(chunk)`` behave as on the plain pairs.  The conversions
+    the rows need are computed the first time they are read, so the
+    rows share them: the operand columns :attr:`a`/:attr:`b`, the masked
+    :meth:`operands` array (``uint64`` at widths up to 64) and the
+    bit-sliced stimulus :meth:`packed` made from it.
     """
 
     @cached_property
@@ -124,14 +126,24 @@ class Chunk(tuple):
         """Second operand of every pair."""
         return tuple([b for _, b in self])
 
+    def operands(self, width: int) -> np.ndarray:
+        """The pairs as one ``(n, 2)`` array of :func:`~repro.families.
+        words.lanes` masked to *width* bits: ``uint64`` at widths up to
+        64, Python ints above."""
+        cache = self.__dict__.setdefault("_operands", {})
+        if width not in cache:
+            cache[width] = lanes(self, width).reshape(-1, 2)
+        return cache[width]
+
     def packed(self, width: int) -> Dict[str, Tuple[int, ...]]:
         """``{"a": words, "b": words}``: both operands bit-sliced at
         *width* bits (:func:`~repro.engine.pack.pack_vectors`), the
         stimulus :func:`~repro.engine.execute` takes."""
         cache = self.__dict__.setdefault("_packed", {})
         if width not in cache:
-            cache[width] = {"a": tuple(pack_vectors(self.a, width)),
-                            "b": tuple(pack_vectors(self.b, width))}
+            ops = self.operands(width)
+            cache[width] = {"a": tuple(pack_vectors(ops[:, 0], width)),
+                            "b": tuple(pack_vectors(ops[:, 1], width))}
         return cache[width]
 
 
@@ -186,11 +198,12 @@ class FunctionalImpl(Implementation):
     def __init__(self, width: int, window: int, recovery_cycles: int = 1,
                  family: str = "aca"):
         self.name = "functional"
+        self.width = width
         self.model = functional_model(family, width=width, window=window)
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
-        chunk = _chunk(pairs)
-        batch = self.model.run_arrays(chunk.a, chunk.b)
+        ops = _chunk(pairs).operands(self.width)
+        batch = self.model.run_arrays(ops[:, 0], ops[:, 1])
         return ImplResult(sums=batch.spec_sums.tolist(),
                           couts=batch.spec_couts.tolist(),
                           flags=batch.flags.tolist())
@@ -256,15 +269,15 @@ class KernelImpl(Implementation):
                  family: str = "aca"):
         fam, params, _ = _resolved(family, width, window)
         self.name = "kernel"
+        self.width = width
         self.kernel = fam.numpy_kernel(width, **params)
         if self.kernel is None:
             raise ValueError(
                 f"family {family!r} has no numpy kernel at width {width}")
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
-        chunk = _chunk(pairs)
-        batch = self.kernel(np.array(chunk.a, dtype=np.uint64),
-                            np.array(chunk.b, dtype=np.uint64))
+        ops = _chunk(pairs).operands(self.width)
+        batch = self.kernel(ops[:, 0], ops[:, 1])
         return ImplResult(
             sums=batch.spec_sums.tolist(),
             couts=batch.spec_couts.tolist(),
@@ -308,12 +321,13 @@ class MachineImpl(Implementation):
         from ..arch import VlsaMachine
 
         self.name = "machine"
+        self.width = width
         self.machine = VlsaMachine(width, window=window,
                                    recovery_cycles=recovery_cycles,
                                    family=family)
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
-        trace = self.machine.run(pairs)
+        trace = self.machine.run(_chunk(pairs).operands(self.width))
         return ImplResult(
             sums=trace.sums.tolist(),
             couts=trace.couts.tolist(),
@@ -333,12 +347,13 @@ class ExecutorImpl(Implementation):
         from ..service.executor import VlsaBatchExecutor
 
         self.name = f"service:{backend}"
+        self.width = width
         self.executor = VlsaBatchExecutor(width, window=window,
                                           recovery_cycles=recovery_cycles,
                                           backend=backend, family=family)
 
     def run(self, pairs: Sequence[Pair]) -> ImplResult:
-        out = self.executor.execute(pairs)
+        out = self.executor.execute(_chunk(pairs).operands(self.width))
         return ImplResult(sums=out.sums, couts=out.couts,
                           flags=out.stalled, latencies=out.latencies,
                           spec_errors=out.spec_errors)

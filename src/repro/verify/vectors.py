@@ -31,6 +31,8 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from ..engine.pack import uniform_ints
+
 __all__ = ["STREAMS", "pair_stream", "boundary_patterns"]
 
 #: Stream names, in the order the verifier runs them by default.
@@ -41,32 +43,6 @@ PairChunk = List[Tuple[int, int]]
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
-
-
-def _uniform_words(rng: np.random.Generator, width: int,
-                   n: int) -> np.ndarray:
-    """*n* uniform *width*-bit integers from one bulk byte draw.
-
-    Each integer is the next ``ceil(width / 8)`` bytes, little-endian,
-    masked to *width* bits.  Widths up to 64 come back as a ``uint64``
-    array read straight from the buffer (each group zero-padded to 8
-    bytes), wider ones as a ``dtype=object`` array of Python ints.
-    """
-    nbytes = (width + 7) // 8
-    mask = _mask(width)
-    raw = rng.bytes(n * nbytes)
-    if width > 64:
-        return np.array(
-            [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
-             & mask for i in range(n)], dtype=object)
-    if nbytes == 8:
-        words = np.frombuffer(raw, dtype="<u8")
-    else:
-        padded = np.zeros((n, 8), dtype=np.uint8)
-        padded[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8
-                                           ).reshape(n, nbytes)
-        words = padded.view("<u8").reshape(n)
-    return words & np.uint64(mask)
 
 
 def _biased_ints(rng: np.random.Generator, width: int, n: int,
@@ -82,9 +58,9 @@ def _biased_ints(rng: np.random.Generator, width: int, n: int,
     candidates += [(abs(alpha - (1 - 0.5 ** k)), "or", k)
                    for k in range(2, 7)]
     _, mode, k = min(candidates)
-    out = _uniform_words(rng, width, n)
+    out = uniform_ints(rng, width, n)
     for _ in range(k - 1):
-        extra = _uniform_words(rng, width, n)
+        extra = uniform_ints(rng, width, n)
         out = out & extra if mode == "and" else out | extra
     return out.tolist()
 
@@ -101,8 +77,8 @@ def _adversarial_pairs(rng: np.random.Generator, width: int, window: int,
     """
     run = min(max(window, 1), width)
     word = np.uint64 if width <= 64 else int
-    a = _uniform_words(rng, width, n)
-    p = _uniform_words(rng, width, n)
+    a = uniform_ints(rng, width, n)
+    p = uniform_ints(rng, width, n)
     if width > run:
         starts = rng.integers(0, width - run + 1, size=n)
     else:
@@ -162,8 +138,8 @@ def _random_blocks(name: str, width: int, window: int, count: int,
     while done < count:
         n = min(_BLOCK, count - done)
         if name == "uniform":
-            a = _uniform_words(rng, width, n)
-            b = _uniform_words(rng, width, n)
+            a = uniform_ints(rng, width, n)
+            b = uniform_ints(rng, width, n)
             yield list(zip(a.tolist(), b.tolist()))
         elif name == "biased":
             yield list(zip(_biased_ints(rng, width, n, alpha),

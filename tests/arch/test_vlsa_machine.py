@@ -147,3 +147,48 @@ def test_golden_vcd_and_timing_diagram():
         "6031b2d9318b6c112b2258cbfdd4a67e7bf6c047f3e9b7bfa041e453511392a7")
     assert hashlib.sha256(trace.timing_diagram().encode()).hexdigest() == (
         "5849044859ef6fb4a6de39a5337a76567c663c5a3b870629a668a08e0447854c")
+
+
+_SILENT_DETECTOR = """
+import sys
+from repro.arch import VlsaMachine
+from repro.core import multiplier
+from repro.families.aca import AcaModel
+
+print("optimize", sys.flags.optimize)
+AcaModel.flags_error = lambda self, a, b: False
+try:
+    VlsaMachine(16, window=4).run([(0x7FFF, 1)])
+except AssertionError as exc:
+    print("machine:", exc)
+multiplier.simulate_bus_ints = lambda circuit, vectors: {"product": -1,
+                                                         "err": 0}
+try:
+    multiplier.multiplier_error_rate(4, 2, samples=1)
+except AssertionError as exc:
+    print("multiplier:", exc)
+"""
+
+
+def test_never_miss_checks_survive_python_O():
+    """A silent detector raises under ``python -O`` too, instead of the
+    machine returning a wrong "corrected" sum (asserts are stripped)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", _SILENT_DETECTOR],
+                         env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "optimize 1",
+        "machine: detector must never miss an error",
+        "multiplier: detector must never miss",
+    ]

@@ -204,3 +204,21 @@ def test_sampled_rates_match_exact_models():
 def test_sampling_supports_wide_operands():
     rate = sample_error_rate(200, 4, samples=2000, seed=0)
     assert 0.0 < rate < 1.0
+
+
+@pytest.mark.parametrize("width, window, samples, seed, errors, flags", [
+    (64, 8, 20000, 0, 1120, 2258),
+    (64, 18, 20000, 0, 3, 3),
+    (64, 8, 20000, 7, 1047, 2169),
+    (32, 4, 5000, 1, 1832, 3308),
+    (100, 12, 3000, 2, 24, 38),
+    (7, 3, 4000, 5, 511, 1467),
+])
+def test_sampled_counts_are_pinned(width, window, samples, seed, errors,
+                                   flags):
+    """Exact counts at fixed seeds, as the per-pair sampler drew them
+    from the same ``rng.bytes`` stream: the lane call changes no draw."""
+    assert round(sample_error_rate(width, window, samples, seed)
+                 * samples) == errors
+    assert round(sample_detector_rate(width, window, samples, seed)
+                 * samples) == flags

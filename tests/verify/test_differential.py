@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.engine import RunContext
+from repro.families import BlockSpecModel, CesaModel
 from repro.mc.fastsim import AcaModel, detector_flag
 from repro.service.metrics import MetricsRegistry
 from repro.verify import (
@@ -284,6 +285,27 @@ def test_model_faults_caught_at_benchmarked_width(monkeypatch, attr, fault,
     lanes beside the uint64 kernels."""
     assert expected <= _rows_with_mismatches(monkeypatch, attr, fault,
                                              width=64)
+
+
+def _exact_add(self, a, b, cin=0):
+    """An adder that never mis-speculates."""
+    return self.exact(a, b, cin)
+
+
+@pytest.mark.parametrize("family, model, attr, fault", [
+    ("blockspec", BlockSpecModel, "flags_error", lambda self, a, b: False),
+    ("cesa", CesaModel, "add", _exact_add),
+], ids=["blockspec-silent-detector", "cesa-exact-add"])
+def test_block_model_faults_caught_at_benchmarked_width(
+        monkeypatch, family, model, attr, fault):
+    """Faults in the block families' model wrappers reach every row
+    that runs the model on uint64 lanes at width 64."""
+    monkeypatch.setattr(model, attr, fault)
+    report = DifferentialVerifier(64, family=family, ctx=RunContext(seed=3),
+                                  shrink=False).run(vectors=2000, seed=3)
+    assert not report.ok
+    rows = {c.impl for c in report.coverage if c.mismatches}
+    assert {"functional", "machine", "service:bigint"} <= rows
 
 
 class DropLastMutant(_ExactBase):
