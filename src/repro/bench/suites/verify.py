@@ -74,13 +74,14 @@ def verify_suite(preset: str) -> List[Benchmark]:
     benches: List[Benchmark] = []
 
     def setup_ref(width=width, base=base):
+        import numpy as np
+
         from ...analysis import choose_window
         from ...verify.vectors import pair_stream
 
         window = choose_window(width)
-        pairs = [p for chunk in pair_stream("uniform", width, window,
-                                            base, seed=width)
-                 for p in chunk]
+        pairs = np.concatenate(list(pair_stream("uniform", width, window,
+                                                base, seed=width)))
         return pairs, width, window
 
     def run_ref(state):

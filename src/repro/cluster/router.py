@@ -50,7 +50,8 @@ import numpy as np
 from ..analysis.error_model import expected_latency_cycles
 from ..families import get_family
 from ..engine.context import RunContext
-from ..service.executor import pairs_array, pairs_list
+from ..families.words import lanes, word_ops
+from ..service.executor import pairs_array
 from ..service.metrics import MetricsRegistry
 from ..service.service import (
     AddResponse,
@@ -79,7 +80,7 @@ class ClusterUnhealthyError(ServiceError):
 class _Pending:
     """One admitted request (scalar add or client batch)."""
 
-    payload: Any            # (n, 2) uint64 ndarray, or list of pairs
+    payload: Any            # (n, 2) operand array (object above 64 bits)
     future: "asyncio.Future"
     scalar: bool
     ops: int
@@ -432,13 +433,9 @@ class ClusterRouter:
     # -- submission -----------------------------------------------------
     def _coerce_payload(self, pairs: Sequence[Pair]) -> Tuple[Any, int]:
         if len(pairs) == 0:
-            return (np.empty((0, 2), dtype=np.uint64)
-                    if self.cfg.backend == "numpy" else []), 0
-        if self.cfg.backend == "numpy":
-            arr = pairs_array(pairs, self.width)
-            return arr, int(arr.shape[0])
-        masked = pairs_list(pairs, self.width)
-        return masked, len(masked)
+            return np.empty((0, 2), dtype=np.uint64), 0
+        arr = pairs_array(pairs, self.width)
+        return arr, int(arr.shape[0])
 
     def _first_pair(self, payload: Any) -> Pair:
         if isinstance(payload, np.ndarray):
@@ -559,10 +556,8 @@ class ClusterRouter:
                 continue
             if len(group) == 1:
                 payload = group[0].payload
-            elif self.cfg.backend == "numpy":
-                payload = np.concatenate([p.payload for p in group])
             else:
-                payload = [pair for p in group for pair in p.payload]
+                payload = np.concatenate([p.payload for p in group])
             msg_id = next(self._msg_ids)
             handle.wire[msg_id] = _WireBatch(pendings=group,
                                              offsets=offsets, ops=ops)
@@ -684,18 +679,9 @@ class ClusterRouter:
             pending.future.set_exception(ClusterUnhealthyError(
                 "no live worker and degraded mode is disabled"))
             return
-        width, mask = self.width, self._operand_mask
-        payload, n = pending.payload, pending.ops
-        if isinstance(payload, np.ndarray):
-            sums, couts = _exact_add_arrays(payload, width)
-            stalled, latencies = np.zeros(n, bool), np.ones(n, np.int64)
-        else:
-            sums, couts = [], []
-            for a, b in payload:
-                total = (a & mask) + (b & mask)
-                sums.append(total & mask)
-                couts.append(total >> width)
-            stalled, latencies = [False] * n, [1] * n
+        n = pending.ops
+        sums, couts = _exact_add_arrays(pending.payload, self.width)
+        stalled, latencies = np.zeros(n, bool), np.ones(n, np.int64)
         self.m_degraded.inc()
         self.m_degraded_ops.inc(n)
         self.m_ops.inc(n)
@@ -781,13 +767,9 @@ class ClusterRouter:
 
 
 def _exact_add_arrays(arr: np.ndarray, width: int):
-    int_mask = (1 << width) - 1
-    mask = np.uint64(int_mask if width < 64 else 0xFFFFFFFFFFFFFFFF)
-    a = arr[:, 0] & mask
-    b = arr[:, 1] & mask
-    s = (a + b) & mask
-    if width < 64:
-        couts = ((a + b) >> np.uint64(width)).astype(np.uint64)
-    else:
-        couts = (s < a).astype(np.uint64)
-    return s, couts
+    """Exact sums and carry outs of the ``(n, 2)`` operand array *arr*
+    masked to *width* bits, in its lane type (``uint64`` or object)."""
+    ops = lanes(arr, width)
+    a, b = ops[:, 0], ops[:, 1]
+    words = word_ops(width, a)
+    return words.add(a, b, words.zero, width)

@@ -23,8 +23,13 @@ kernel for both directions:
    bit ``8k + c`` of row ``r``.  Three delta swaps (shifts 7, 14, 28)
    transpose every block at once.
 3. *Rows out.*  The inverse byte transpose lays the blocks out as one
-   byte row per output bit; rows of at most 8 bytes are read as
-   ``uint64``, longer ones with one ``int.from_bytes`` each.
+   byte row per output bit; rows of at most 8 bytes are read as one
+   ``uint64`` array, longer ones as a ``dtype=object`` array with one
+   ``int.from_bytes`` each.
+
+:func:`unpack_lanes` returns that array as it is (the lanes the
+verifier compares); :func:`pack_vectors` and :func:`unpack_vectors`
+return it as a list of Python ints.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "as_uint64",
     "pack_vectors",
     "unpack_vectors",
+    "unpack_lanes",
     "word_to_u64",
     "u64_to_word",
     "random_word",
@@ -70,16 +76,18 @@ def as_uint64(values, width: int) -> np.ndarray:
         return masked.astype(np.uint64)
 
 
-def _transpose(ints: Sequence[int], nbits: int) -> List[int]:
+def _transpose(ints: Sequence[int], nbits: int) -> np.ndarray:
     """Bit-matrix transpose: ``nbits`` integers of ``len(ints)`` bits.
 
     Bit ``j`` of result ``i`` is bit ``i`` of ``ints[j]``; bits at or
     above *nbits* are ignored.  *ints* may be a ``uint64`` (or other
-    integer) array when ``nbits <= 64``.
+    integer) array when ``nbits <= 64``.  The result is a ``uint64``
+    array when ``len(ints) <= 64``, a ``dtype=object`` array of Python
+    ints above.
     """
     n = len(ints)
     if n == 0 or nbits <= 0:
-        return [0] * max(nbits, 0)
+        return np.zeros(max(nbits, 0), dtype=np.uint64)
     mask = (1 << nbits) - 1
     nbytes = (nbits + 7) // 8
     groups = (n + 7) // 8  # 8-row blocks; also the bytes per result
@@ -105,10 +113,10 @@ def _transpose(ints: Sequence[int], nbits: int) -> List[int]:
     if groups <= 8:
         out8 = np.zeros((nbits, 8), dtype=np.uint8)
         out8[:, :groups] = out
-        return out8.view("<u8").ravel().tolist()
+        return out8.view("<u8").ravel().astype(np.uint64, copy=False)
     buf = out.tobytes()
-    return [int.from_bytes(buf[i:i + groups], "little")
-            for i in range(0, nbits * groups, groups)]
+    return np.array([int.from_bytes(buf[i:i + groups], "little")
+                     for i in range(0, nbits * groups, groups)], dtype=object)
 
 
 def pack_vectors(values: Sequence[int], width: int) -> List[int]:
@@ -124,21 +132,27 @@ def pack_vectors(values: Sequence[int], width: int) -> List[int]:
         ``width`` packed words, LSB column first; bit ``j`` of word ``i``
         is bit ``i`` of ``values[j]``.
     """
-    return _transpose(values, width)
+    return _transpose(values, width).tolist()
 
 
-def unpack_vectors(words: Sequence[int], count: int) -> List[int]:
-    """Inverse of :func:`pack_vectors`: per-bit words to per-vector ints.
+def unpack_lanes(words: Sequence[int], count: int) -> np.ndarray:
+    """Inverse of :func:`pack_vectors`: per-bit words to per-vector lanes.
 
     Args:
         words: Packed words, LSB column first.
         count: Number of test vectors packed in each word.
 
     Returns:
-        ``count`` integers; bit ``i`` of integer ``j`` is bit ``j`` of
-        ``words[i]``.
+        ``count`` lanes, bit ``i`` of lane ``j`` being bit ``j`` of
+        ``words[i]``: a ``uint64`` array for at most 64 words, a
+        ``dtype=object`` array of Python ints for more.
     """
     return _transpose(words, count)
+
+
+def unpack_vectors(words: Sequence[int], count: int) -> List[int]:
+    """:func:`unpack_lanes` as a list of Python ints."""
+    return unpack_lanes(words, count).tolist()
 
 
 def word_to_u64(word: int, num_vectors: int) -> np.ndarray:

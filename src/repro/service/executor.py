@@ -29,7 +29,7 @@ against a real ``VlsaMachine`` run, operand for operand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..families.words import lanes
 
 __all__ = ["BatchOutcome", "BatchArrays", "Pairs", "ResultColumn",
            "ResultColumns", "VlsaBatchExecutor", "EXECUTOR_BACKENDS",
-           "count_true", "pairs_array", "pairs_list"]
+           "count_true", "pairs_array"]
 
 #: Executor backend names (mirrors the engine backend vocabulary).
 EXECUTOR_BACKENDS = ("numpy", "bigint")
@@ -74,21 +74,6 @@ def pairs_array(pairs: Pairs, width: int) -> np.ndarray:
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(_SHAPE_ERROR)
     return pairs
-
-
-def pairs_list(pairs: Pairs, width: int) -> List[Tuple[int, int]]:
-    """*pairs* as ``(a, b)`` ints masked to *width* bits (the bigint form).
-
-    Raises:
-        ValueError: *pairs* is not a sequence of integer pairs.
-    """
-    if isinstance(pairs, np.ndarray):
-        pairs = pairs.tolist()
-    mask = (1 << width) - 1
-    try:
-        return [(a & mask, b & mask) for a, b in pairs]
-    except (TypeError, ValueError):
-        raise ValueError(_SHAPE_ERROR) from None
 
 
 def count_true(column) -> int:

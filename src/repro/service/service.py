@@ -53,7 +53,6 @@ from .executor import (
     VlsaBatchExecutor,
     count_true,
     pairs_array,
-    pairs_list,
 )
 from .metrics import MetricsRegistry
 from .tracing import Tracer
@@ -418,9 +417,12 @@ class VlsaService:
         Args / raises: as :meth:`submit`.  The whole batch is admitted,
         evaluated and resolved as a unit (it may still be coalesced with
         other pending requests into a larger executor batch).  *pairs*
-        is an iterable of ``(a, b)`` pairs or an ``(n, 2)`` array; on
-        the numpy backend an ``(n, 2)`` uint64 array is admitted as is
-        and the response's columns are arrays.
+        is an iterable of ``(a, b)`` pairs or an ``(n, 2)`` array.  It
+        is admitted as one operand array on either backend
+        (:func:`~repro.service.executor.pairs_array`: an ``(n, 2)``
+        uint64 array as is, anything else masked to the width, Python
+        ints above 64 bits).  On the numpy backend the response's
+        columns are arrays.
 
         Raises:
             ValueError: *pairs* is not ``(n, 2)``-shaped (rejected here,
@@ -430,9 +432,7 @@ class VlsaService:
             pairs = list(pairs)
         if len(pairs) == 0:
             return BatchResponse([], [], [], [], accept_cycle=self._cycle)
-        pairs = (self.executor.coerce_pairs_array(pairs)
-                 if self.executor.backend == "numpy"
-                 else pairs_list(pairs, self.width))
+        pairs = self.executor.coerce_pairs_array(pairs)
         for attempt in range(retries + 1):
             try:
                 pending = self._admit(pairs, scalar=False)
@@ -489,8 +489,7 @@ class VlsaService:
         if not live:
             return
         # Batches admitted as arrays are joined as arrays (scalars among
-        # them converted); scalars alone stay int pairs, as do batches
-        # on the bigint backend.
+        # them converted); scalars alone stay int pairs.
         if len(live) == 1:
             pairs = live[0].pairs
         elif any(isinstance(p.pairs, np.ndarray) for p in live):
@@ -521,9 +520,11 @@ class VlsaService:
                          ops=outcome.size, stalls=outcome.stall_count,
                          cycles=outcome.cycles, start_cycle=start_cycle)
 
-        # Array batches take slices of the result arrays; int-pair
-        # batches read the columns as lists, built once.
-        arrays = isinstance(pairs, np.ndarray)
+        # Array batches on the numpy backend take slices of the result
+        # arrays; int-pair batches, and all on the bigint backend, read
+        # the columns as lists, built once.
+        arrays = (isinstance(pairs, np.ndarray)
+                  and self.executor.backend == "numpy")
         sums, couts, stalled, latencies = (
             outcome.column(name) if arrays else getattr(outcome, name)
             for name in ("sums", "couts", "stalled", "latencies"))

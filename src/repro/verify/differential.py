@@ -47,15 +47,15 @@ import inspect
 import traceback
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 from ..engine.api import execute
 from ..engine.context import RunContext, get_default_context
 from ..engine.functional import functional_model
-from ..engine.pack import pack_vectors, unpack_vectors
+from ..engine.pack import pack_vectors, unpack_lanes
 from ..families.base import get_family
 from ..families.words import lanes
 from ..service.metrics import MetricsRegistry
@@ -80,6 +80,10 @@ __all__ = [
 ]
 
 Pair = Tuple[int, int]
+#: Operand pairs: an ``(n, 2)`` array (a stream chunk) or ``(a, b)`` pairs.
+Pairs = Union[np.ndarray, Sequence[Pair]]
+#: One per-vector result column: an array or a list.
+Column = Union[np.ndarray, Sequence[Any]]
 
 #: Streams a plain fuzz run drives by default ("attack" is opt-in — it
 #: replays a captured cipher trace and costs a real attack run).
@@ -105,50 +109,86 @@ def _resolved(family: str, width: int, window: Optional[int]
     return fam, params, fam.primary_value(width, params)
 
 
-class Chunk(tuple):
+class Chunk:
     """One chunk of operand pairs that every row of a run shares.
 
-    A ``tuple`` of the ``(a, b)`` pairs, so ``len``, indexing, iteration
-    and ``list(chunk)`` behave as on the plain pairs.  The conversions
-    the rows need are computed the first time they are read, so the
-    rows share them: the operand columns :attr:`a`/:attr:`b`, the masked
+    Its :attr:`source` is the ``(n, 2)`` operand array a stream yields,
+    or the list of ``(a, b)`` pairs a caller passes (whose values,
+    unmasked, are then what ``chunk[i]`` returns for discrepancy
+    records); the oracle reads it as it is.  ``len``, indexing and
+    iteration behave as on the pairs and give Python ints, as do the
+    operand columns :attr:`a`/:attr:`b`.  The rows read the masked
     :meth:`operands` array (``uint64`` at widths up to 64) and the
-    bit-sliced stimulus :meth:`packed` made from it.
+    bit-sliced stimulus :meth:`packed` made from it; both are computed
+    the first time they are read, so the rows share them.
     """
+
+    def __init__(self, pairs: Pairs):
+        self.source: Pairs
+        if isinstance(pairs, np.ndarray):
+            self.source = pairs.reshape(-1, 2)
+        else:
+            self.source = self.pairs = list(pairs)
+        self._operands: Dict[int, np.ndarray] = {}
+        self._packed: Dict[int, Dict[str, Tuple[int, ...]]] = {}
+
+    @cached_property
+    def pairs(self) -> List[Pair]:
+        """The pairs as ``(a, b)`` tuples of Python ints."""
+        return list(zip(self.a, self.b))
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def __iter__(self) -> Iterator[Pair]:
+        return iter(self.pairs)
+
+    def __getitem__(self, i: int) -> Pair:
+        if isinstance(self.source, list):
+            return self.source[i]
+        a, b = self.source[i].tolist()
+        return a, b
+
+    def _column(self, k: int) -> Tuple[int, ...]:
+        if isinstance(self.source, list):
+            return tuple([pair[k] for pair in self.source])
+        return tuple(self.source[:, k].tolist())
 
     @cached_property
     def a(self) -> Tuple[int, ...]:
         """First operand of every pair."""
-        return tuple([a for a, _ in self])
+        return self._column(0)
 
     @cached_property
     def b(self) -> Tuple[int, ...]:
         """Second operand of every pair."""
-        return tuple([b for _, b in self])
+        return self._column(1)
 
     def operands(self, width: int) -> np.ndarray:
         """The pairs as one ``(n, 2)`` array of :func:`~repro.families.
         words.lanes` masked to *width* bits: ``uint64`` at widths up to
         64, Python ints above."""
-        cache = self.__dict__.setdefault("_operands", {})
-        if width not in cache:
-            cache[width] = lanes(self, width).reshape(-1, 2)
-        return cache[width]
+        ops = self._operands.get(width)
+        if ops is None:
+            ops = self._operands[width] = lanes(self.source,
+                                                width).reshape(-1, 2)
+        return ops
 
     def packed(self, width: int) -> Dict[str, Tuple[int, ...]]:
         """``{"a": words, "b": words}``: both operands bit-sliced at
         *width* bits (:func:`~repro.engine.pack.pack_vectors`), the
         stimulus :func:`~repro.engine.execute` takes."""
-        cache = self.__dict__.setdefault("_packed", {})
-        if width not in cache:
+        packed = self._packed.get(width)
+        if packed is None:
             ops = self.operands(width)
-            cache[width] = {"a": tuple(pack_vectors(ops[:, 0], width)),
-                            "b": tuple(pack_vectors(ops[:, 1], width))}
-        return cache[width]
+            packed = self._packed[width] = {
+                "a": tuple(pack_vectors(ops[:, 0], width)),
+                "b": tuple(pack_vectors(ops[:, 1], width))}
+        return packed
 
 
-def _chunk(pairs: Sequence[Pair]) -> Chunk:
-    """*pairs* as a :class:`Chunk` (a plain sequence is wrapped)."""
+def _chunk(pairs: Pairs) -> Chunk:
+    """*pairs* as a :class:`Chunk` (an array or a sequence is wrapped)."""
     return pairs if isinstance(pairs, Chunk) else Chunk(pairs)
 
 
@@ -164,18 +204,20 @@ class ImplResult:
     ``latencies`` / ``spec_errors`` are optional; when ``flags`` is
     absent but the implementation can still report how many vectors took
     the recovery path, ``stall_count`` feeds the statistical check.
+    Each column is an array (as the built-in rows return them) or a
+    list; the verifier compares either as an array.
     """
 
-    sums: List[int]
-    couts: Optional[List[int]] = None
-    flags: Optional[List[bool]] = None
-    latencies: Optional[List[int]] = None
-    spec_errors: Optional[List[bool]] = None
+    sums: Column
+    couts: Optional[Column] = None
+    flags: Optional[Column] = None
+    latencies: Optional[Column] = None
+    spec_errors: Optional[Column] = None
     stall_count: Optional[int] = None
 
     def stalls(self) -> Optional[int]:
         if self.flags is not None:
-            return sum(1 for f in self.flags if f)
+            return int(np.count_nonzero(self.flags))
         return self.stall_count
 
 
@@ -185,7 +227,7 @@ class Implementation:
     name = "?"
     family = "speculative"  # or "exact"
 
-    def run(self, pairs: Sequence[Pair]) -> ImplResult:
+    def run(self, pairs: Pairs) -> ImplResult:
         raise NotImplementedError
 
 
@@ -201,25 +243,25 @@ class FunctionalImpl(Implementation):
         self.width = width
         self.model = functional_model(family, width=width, window=window)
 
-    def run(self, pairs: Sequence[Pair]) -> ImplResult:
+    def run(self, pairs: Pairs) -> ImplResult:
         ops = _chunk(pairs).operands(self.width)
         batch = self.model.run_arrays(ops[:, 0], ops[:, 1])
-        return ImplResult(sums=batch.spec_sums.tolist(),
-                          couts=batch.spec_couts.tolist(),
-                          flags=batch.flags.tolist())
+        return ImplResult(sums=batch.spec_sums, couts=batch.spec_couts,
+                          flags=batch.flags)
 
 
 def _run_netlist(simulate: Callable[..., Dict[str, List[int]]],
-                 circuit: Any, pairs: Sequence[Pair],
-                 outputs: Sequence[str], **kwargs: Any) -> List[List[int]]:
-    """Per-vector values of *outputs* of *circuit*: *simulate* (the
+                 circuit: Any, pairs: Pairs,
+                 outputs: Sequence[str], **kwargs: Any) -> List[np.ndarray]:
+    """Per-vector lanes of *outputs* of *circuit*: *simulate* (the
     engine's ``execute`` or the interpreter) on the chunk's packed
-    operands, each output unpacked."""
+    operands, each output unpacked (:func:`~repro.engine.pack.
+    unpack_lanes`)."""
     chunk = _chunk(pairs)
     n = len(chunk)
     words = simulate(circuit, chunk.packed(len(circuit.inputs["a"])),
                      num_vectors=n, **kwargs)
-    return [unpack_vectors(words[name], n) for name in outputs]
+    return [unpack_lanes(words[name], n) for name in outputs]
 
 
 class EngineImpl(Implementation):
@@ -235,7 +277,7 @@ class EngineImpl(Implementation):
         self.width = width
         self.circuit = fam.build_speculative(width, **params)
 
-    def run(self, pairs: Sequence[Pair]) -> ImplResult:
+    def run(self, pairs: Pairs) -> ImplResult:
         sums, couts = _run_netlist(execute, self.circuit, pairs,
                                    ("sum", "cout"), backend=self.backend)
         return ImplResult(sums=sums, couts=couts)
@@ -252,7 +294,7 @@ class InterpreterImpl(Implementation):
         self.name = "interpreter"
         self.circuit = fam.build_speculative(width, **params)
 
-    def run(self, pairs: Sequence[Pair]) -> ImplResult:
+    def run(self, pairs: Pairs) -> ImplResult:
         from ..circuit import simulate_interpreted
 
         sums, couts = _run_netlist(simulate_interpreted, self.circuit, pairs,
@@ -275,14 +317,11 @@ class KernelImpl(Implementation):
             raise ValueError(
                 f"family {family!r} has no numpy kernel at width {width}")
 
-    def run(self, pairs: Sequence[Pair]) -> ImplResult:
+    def run(self, pairs: Pairs) -> ImplResult:
         ops = _chunk(pairs).operands(self.width)
         batch = self.kernel(ops[:, 0], ops[:, 1])
-        return ImplResult(
-            sums=batch.spec_sums.tolist(),
-            couts=batch.spec_couts.tolist(),
-            flags=batch.flags.tolist(),
-            spec_errors=batch.spec_errors.tolist())
+        return ImplResult(sums=batch.spec_sums, couts=batch.spec_couts,
+                          flags=batch.flags, spec_errors=batch.spec_errors)
 
 
 class RecoveryImpl(Implementation):
@@ -304,11 +343,10 @@ class RecoveryImpl(Implementation):
         self.name = "recovery"
         self.circuit = fam.build_circuit(width, **params)
 
-    def run(self, pairs: Sequence[Pair]) -> ImplResult:
+    def run(self, pairs: Pairs) -> ImplResult:
         sums, couts, err = _run_netlist(
             execute, self.circuit, pairs, ("sum_exact", "cout_exact", "err"))
-        return ImplResult(sums=sums, couts=couts,
-                          flags=[bool(v) for v in err])
+        return ImplResult(sums=sums, couts=couts, flags=err.astype(bool))
 
 
 class MachineImpl(Implementation):
@@ -326,15 +364,12 @@ class MachineImpl(Implementation):
                                    recovery_cycles=recovery_cycles,
                                    family=family)
 
-    def run(self, pairs: Sequence[Pair]) -> ImplResult:
+    def run(self, pairs: Pairs) -> ImplResult:
         trace = self.machine.run(_chunk(pairs).operands(self.width))
         return ImplResult(
-            sums=trace.sums.tolist(),
-            couts=trace.couts.tolist(),
-            flags=trace.stalled.tolist(),
-            latencies=trace.latency_cycles.tolist(),
-            spec_errors=(trace.stalled
-                         & ~trace.speculative_correct).tolist())
+            sums=trace.sums, couts=trace.couts, flags=trace.stalled,
+            latencies=trace.latency_cycles,
+            spec_errors=trace.stalled & ~trace.speculative_correct)
 
 
 class ExecutorImpl(Implementation):
@@ -352,11 +387,13 @@ class ExecutorImpl(Implementation):
                                           recovery_cycles=recovery_cycles,
                                           backend=backend, family=family)
 
-    def run(self, pairs: Sequence[Pair]) -> ImplResult:
+    def run(self, pairs: Pairs) -> ImplResult:
         out = self.executor.execute(_chunk(pairs).operands(self.width))
-        return ImplResult(sums=out.sums, couts=out.couts,
-                          flags=out.stalled, latencies=out.latencies,
-                          spec_errors=out.spec_errors)
+        return ImplResult(sums=out.column("sums"),
+                          couts=out.column("couts"),
+                          flags=out.column("stalled"),
+                          latencies=out.column("latencies"),
+                          spec_errors=out.column("spec_errors"))
 
 
 class ClusterImpl(Implementation):
@@ -399,10 +436,11 @@ class ClusterImpl(Implementation):
             workers=workers, heartbeat_interval=0.1, family=family,
             transport=transport))
 
-    def run(self, pairs: Sequence[Pair]) -> ImplResult:
+    def run(self, pairs: Pairs) -> ImplResult:
         out = self.cluster.add_batch(list(pairs))
-        return ImplResult(sums=out.sums, couts=out.couts,
-                          flags=out.stalled, latencies=out.latencies)
+        return ImplResult(sums=out.column("sums"), couts=out.column("couts"),
+                          flags=out.column("stalled"),
+                          latencies=out.column("latencies"))
 
 
 class AutotunedImpl(Implementation):
@@ -434,7 +472,7 @@ class AutotunedImpl(Implementation):
             recovery_cycles=recovery_cycles,
             decide_every_ops=512, profile_pairs=2048)
 
-    def run(self, pairs: Sequence[Pair]) -> ImplResult:
+    def run(self, pairs: Pairs) -> ImplResult:
         out = self.executor.execute(list(pairs))
         return ImplResult(sums=out.sums, couts=out.couts)
 
@@ -555,33 +593,62 @@ def make_implementation(name: str, width: int, window: int,
 # Reference values (the vectorised oracle, computed once per chunk)
 # ----------------------------------------------------------------------
 class _Reference:
-    """One chunk's oracle values: arrays for counting, lists (and the
-    derived expected ``spec_error`` column) for elementwise comparison."""
+    """One chunk's oracle columns (the :class:`~repro.verify.oracle.
+    OracleBatch` arrays) and the expected ``spec_error`` and latency
+    columns derived from them, each computed once per chunk."""
 
-    def __init__(self, arrays: OracleBatch):
-        self.arrays = arrays
-        self.spec_sums: List[int] = arrays.spec_sums.tolist()
-        self.spec_couts: List[int] = arrays.spec_couts.tolist()
-        self.exact_sums: List[int] = arrays.exact_sums.tolist()
-        self.exact_couts: List[int] = arrays.exact_couts.tolist()
-        self.flags: List[bool] = arrays.flags.tolist()
-        self.correct: List[bool] = arrays.correct.tolist()
-        self.spec_errors: List[bool] = (
-            arrays.flags & ~arrays.correct).tolist()
+    def __init__(self, batch: OracleBatch, recovery_cycles: int = 1):
+        self.spec_sums = batch.spec_sums
+        self.spec_couts = batch.spec_couts
+        self.exact_sums = batch.exact_sums
+        self.exact_couts = batch.exact_couts
+        self.flags = batch.flags
+        self.correct = batch.correct
+        self.spec_errors = batch.flags & ~batch.correct
+        self.latencies = np.where(batch.flags, 1 + recovery_cycles, 1)
 
 
-def _reference(pairs: Sequence[Pair], width: int, window: int,
-               family: str = "aca", model: Any = None) -> _Reference:
+def _reference(pairs: Pairs, width: int, window: int,
+               family: str = "aca", model: Any = None,
+               recovery_cycles: int = 1) -> _Reference:
     if model is None:
         model = functional_model(family, width=width, window=window)
-    return _Reference(evaluate_oracle(pairs, model))
+    return _Reference(evaluate_oracle(_chunk(pairs).source, model),
+                      recovery_cycles)
 
 
 def _tally(totals: Dict[str, int], ref: _Reference) -> None:
     """Add one chunk's pair, error and flag counts to *totals*."""
     totals["n"] += len(ref.flags)
-    totals["errors"] += int(np.count_nonzero(~ref.arrays.correct))
-    totals["flags"] += int(np.count_nonzero(ref.arrays.flags))
+    totals["errors"] += int(np.count_nonzero(~ref.correct))
+    totals["flags"] += int(np.count_nonzero(ref.flags))
+
+
+def _plain(value: Any) -> Any:
+    """A numpy scalar as the Python ``int``/``bool`` it holds."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _as_column(values: Column) -> np.ndarray:
+    """A result column as an array that compares exactly.
+
+    Arrays pass as they are.  A list goes through ``np.asarray``; when
+    that would not keep every value exactly (ints past ``int64``, say,
+    become ``float64``), it is an array of the Python objects instead.
+    """
+    if isinstance(values, np.ndarray):
+        return values
+    col = np.asarray(values)
+    return col if col.dtype.kind in "biu" else np.array(values, dtype=object)
+
+
+def _first_mismatch(expected: np.ndarray, got: np.ndarray
+                    ) -> Optional[int]:
+    """Index of the first vector where *got* differs from *expected*
+    (over the vectors both columns have), or ``None``."""
+    n = min(len(expected), len(got))
+    bad = np.flatnonzero(expected[:n] != got[:n])
+    return int(bad[0]) if bad.size else None
 
 
 # ----------------------------------------------------------------------
@@ -648,9 +715,10 @@ class DifferentialVerifier:
         self.m_stat_fail = self.registry.counter(
             "verify_stat_failures_total", "failed binomial rate checks")
 
-    def _reference(self, pairs: Sequence[Pair]) -> _Reference:
+    def _reference(self, pairs: Pairs) -> _Reference:
         return _reference(pairs, self.width, self.window,
-                          family=self.family, model=self._model)
+                          family=self.family, model=self._model,
+                          recovery_cycles=self.recovery_cycles)
 
     # ------------------------------------------------------------------
     def run(self, vectors: int = 10000,
@@ -693,7 +761,7 @@ class DifferentialVerifier:
         self.ctx.add("verify_mismatches", report.mismatch_count)
         return report
 
-    def run_pairs(self, pairs_iter: Iterable[Sequence[Pair]],
+    def run_pairs(self, pairs_iter: Iterable[Pairs],
                   stream: str = "explicit",
                   seed: Optional[int] = None) -> VerifyReport:
         """Drive explicit pair chunks (exhaustive mode's entry point)."""
@@ -724,7 +792,7 @@ class DifferentialVerifier:
         return report
 
     # ------------------------------------------------------------------
-    def _check_reference(self, ref: _Reference, pairs: Sequence[Pair],
+    def _check_reference(self, ref: _Reference, pairs: Pairs,
                          stream: str, base: int, seed: int,
                          report: VerifyReport) -> None:
         """Internal invariants of the reference model itself.
@@ -733,20 +801,20 @@ class DifferentialVerifier:
         speculative result must equal the exact one iff the oracle's
         definition of correctness calls the pair correct.
         """
-        arr = ref.arrays
-        spec_ok = ((arr.spec_sums == arr.exact_sums)
-                   & (arr.spec_couts == arr.exact_couts))
-        bad = (spec_ok != arr.correct) | ~(arr.flags | arr.correct)
+        spec_ok = ((ref.spec_sums == ref.exact_sums)
+                   & (ref.spec_couts == ref.exact_couts))
+        bad = (spec_ok != ref.correct) | ~(ref.flags | ref.correct)
         for i in np.flatnonzero(bad).tolist():
+            a, b = pairs[i]
             self._record(report, Discrepancy(
                 kind="reference", impl="oracle", stream=stream,
                 width=self.width, window=self.window, index=base + i,
-                a=pairs[i][0], b=pairs[i][1],
-                expected={"correct": ref.correct[i], "flag": ref.flags[i]},
+                a=a, b=b, expected={"correct": bool(ref.correct[i]),
+                                    "flag": bool(ref.flags[i])},
                 got={"spec_matches_exact": bool(spec_ok[i])}, seed=seed,
                 family=self.family))
 
-    def _drive(self, impl: Implementation, pairs: Sequence[Pair],
+    def _drive(self, impl: Implementation, pairs: Pairs,
                ref: _Reference, stream: str, base: int, seed: int,
                report: VerifyReport, cov: Coverage
                ) -> Optional[ImplResult]:
@@ -779,48 +847,43 @@ class DifferentialVerifier:
         return res
 
     def _compare(self, impl: Implementation, res: ImplResult,
-                 ref: _Reference, pairs: Sequence[Pair], stream: str,
+                 ref: _Reference, pairs: Pairs, stream: str,
                  base: int, seed: int, report: VerifyReport,
                  cov: Coverage) -> None:
-        checks = [(kind, expected, got) for kind, expected, got
-                  in self._checked_columns(impl, res, ref)
-                  if got != expected]
-        for kind, expected, got in checks:
-            for i, (e, g) in enumerate(zip(expected, got)):
-                if e != g:
-                    self._mismatch(report, cov, self._discrepancy(
-                        impl, kind, pairs[i], stream, base + i, seed,
-                        e, g))
-                    break  # first failing vector per kind per chunk
         n = len(pairs)
-        lengths = {kind: len(got) for kind, _, got in checks
-                   if len(got) != n}
+        lengths: Dict[str, int] = {}
+        for kind, expected, got in self._checked_columns(impl, res, ref):
+            # First failing vector per kind per chunk.
+            i = _first_mismatch(expected, got)
+            if i is not None:
+                self._mismatch(report, cov, self._discrepancy(
+                    impl, kind, pairs[i], stream, base + i, seed,
+                    _plain(expected[i]), _plain(got[i])))
+            if len(got) != n:
+                lengths[kind] = len(got)
         if lengths and n:
-            # One result per vector or the zip above misses the rest.
+            # One result per vector, or the comparison above misses the
+            # rest.
             i = min(min(lengths.values()), n - 1)
             self._mismatch(report, cov, self._discrepancy(
                 impl, "length", pairs[i], stream, base + i, seed,
                 {kind: n for kind in lengths}, lengths))
 
-    def _checked_columns(self, impl: Implementation, res: ImplResult,
+    @staticmethod
+    def _checked_columns(impl: Implementation, res: ImplResult,
                          ref: _Reference
-                         ) -> List[Tuple[str, Sequence, Sequence]]:
-        """``(kind, expected, got)`` for every column *res* reports."""
+                         ) -> List[Tuple[str, np.ndarray, np.ndarray]]:
+        """``(kind, expected, got)`` arrays for every column *res*
+        reports (a list column is converted by :func:`_as_column`)."""
         spec = impl.family == "speculative"
-        cols: List[Tuple[str, Sequence, Sequence]] = [
-            ("sum", ref.spec_sums if spec else ref.exact_sums, res.sums)]
-        if res.couts is not None:
-            cols.append(("cout", ref.spec_couts if spec else ref.exact_couts,
-                         res.couts))
-        if res.flags is not None:
-            cols.append(("flag", ref.flags, res.flags))
-        if res.latencies is not None:
-            cols.append(("latency",
-                         [1 + (self.recovery_cycles if f else 0)
-                          for f in ref.flags], res.latencies))
-        if res.spec_errors is not None:
-            cols.append(("spec_error", ref.spec_errors, res.spec_errors))
-        return cols
+        cols = [("sum", ref.spec_sums if spec else ref.exact_sums, res.sums),
+                ("cout", ref.spec_couts if spec else ref.exact_couts,
+                 res.couts),
+                ("flag", ref.flags, res.flags),
+                ("latency", ref.latencies, res.latencies),
+                ("spec_error", ref.spec_errors, res.spec_errors)]
+        return [(kind, expected, _as_column(got))
+                for kind, expected, got in cols if got is not None]
 
     def _mismatch(self, report: VerifyReport, cov: Coverage,
                   disc: Discrepancy) -> None:
@@ -856,8 +919,8 @@ class DifferentialVerifier:
             cols = self._checked_columns(impl, res, ref)
             if kind == "length":
                 return any(len(got) != 1 for _, _, got in cols)
-            return any(got != expected for k, expected, got in cols
-                       if k == kind)
+            return any(len(got) != 1 or _first_mismatch(expected, got)
+                       is not None for k, expected, got in cols if k == kind)
 
         return fails
 

@@ -29,12 +29,17 @@ never called.
 
 Operands live in ``uint64`` arrays for widths up to 64 and in
 ``dtype=object`` arrays of Python ints above; both run the same code.
+The chunk arrives as one ``(n, 2)`` operand array (a verifier chunk's
+:attr:`~repro.verify.differential.Chunk.source`, as its stream yields
+it), which is masked to the width here; a sequence of pairs is turned
+into such an array first.  The conversion is the oracle's own too, so
+a fault in the rows' shared one (``Chunk.operands``) is a mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence, Tuple
+from typing import Any, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,26 +71,33 @@ def _carry_out(x: Any, y: Any, c: Any, n: int, one: Any) -> Any:
             + (((x & one) + (y & one) + c) >> one)) >> (n - 1)
 
 
-def _operands(pairs: Sequence[Tuple[int, int]], width: int
-              ) -> Tuple[np.ndarray, np.ndarray, type]:
-    """``(a, b, word)`` masked operand arrays and their scalar type."""
+def _operands(pairs: Union[np.ndarray, Sequence[Tuple[int, int]]],
+              width: int) -> Tuple[np.ndarray, np.ndarray, type]:
+    """``(a, b, word)`` masked operand columns and their scalar type.
+
+    An ``(n, 2)`` array already in the width's lane type (``uint64`` up
+    to 64 bits, ``object`` above) is read as it is.
+    """
     word: type = np.uint64 if width <= 64 else int
     dtype = np.uint64 if width <= 64 else object
     mask = (1 << width) - 1
-    try:
-        ops = np.array(pairs, dtype=dtype)
-    except OverflowError:  # operands outside uint64: mask them first
-        ops = np.array([(a & mask, b & mask) for a, b in pairs],
-                       dtype=dtype)
-    ops = ops.reshape(-1, 2)
+    if not (isinstance(pairs, np.ndarray) and pairs.dtype == dtype):
+        try:
+            pairs = np.array(pairs, dtype=dtype)
+        except OverflowError:  # operands outside uint64: mask them first
+            pairs = np.array([(a & mask, b & mask) for a, b in pairs],
+                             dtype=dtype)
+    ops = pairs.reshape(-1, 2)
     return ops[:, 0] & word(mask), ops[:, 1] & word(mask), word
 
 
-def evaluate(pairs: Sequence[Tuple[int, int]], model: Any) -> OracleBatch:
+def evaluate(pairs: Union[np.ndarray, Sequence[Tuple[int, int]]],
+             model: Any) -> OracleBatch:
     """Reference values of *pairs* for the adder *model* describes.
 
     Args:
-        pairs: Operand pairs.
+        pairs: Operand pairs: an ``(n, 2)`` array or a sequence of
+            ``(a, b)`` pairs, masked to the model's width.
         model: The family's functional model (an
             :class:`~repro.families.aca.AcaModel` or a
             :class:`~repro.families.blocks.BlockSpecModel`); only its

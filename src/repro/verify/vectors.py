@@ -4,7 +4,9 @@ Every stream is a pure function of ``(name, width, window, count, seed)``
 plus its keyword parameters: re-invoking it replays the identical pair
 sequence, so a discrepancy report that records those five values is a
 complete reproducer.  Streams are yielded in chunks so a million-vector
-fuzz run never materialises the whole corpus.
+fuzz run never materialises the whole corpus.  A chunk is one ``(n, 2)``
+operand array, row ``i`` holding pair ``i``: ``uint64`` at widths up to
+64, ``dtype=object`` (Python ints) above.
 
 Streams:
 
@@ -26,27 +28,33 @@ Streams:
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 import numpy as np
 
 from ..engine.pack import uniform_ints
+from ..families.words import lanes
 
 __all__ = ["STREAMS", "pair_stream", "boundary_patterns"]
 
 #: Stream names, in the order the verifier runs them by default.
 STREAMS = ("uniform", "biased", "adversarial", "boundary", "attack")
 
-PairChunk = List[Tuple[int, int]]
+#: One chunk of operand pairs: an ``(n, 2)`` array, one row per pair.
+PairChunk = np.ndarray
 
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
+def _pairs(a: np.ndarray, b: np.ndarray) -> PairChunk:
+    """Operand columns *a* and *b* side by side: an ``(n, 2)`` chunk."""
+    return np.stack([a, b], axis=1)
+
+
 def _biased_ints(rng: np.random.Generator, width: int, n: int,
-                 alpha: float) -> List[int]:
+                 alpha: float) -> np.ndarray:
     """Integers whose bits are one with probability ~ *alpha*.
 
     AND-ing k uniform words hits ``2^-k``; OR-ing hits ``1 - 2^-k``;
@@ -62,7 +70,7 @@ def _biased_ints(rng: np.random.Generator, width: int, n: int,
     for _ in range(k - 1):
         extra = uniform_ints(rng, width, n)
         out = out & extra if mode == "and" else out | extra
-    return out.tolist()
+    return out
 
 
 def _adversarial_pairs(rng: np.random.Generator, width: int, window: int,
@@ -90,7 +98,7 @@ def _adversarial_pairs(rng: np.random.Generator, width: int, window: int,
     # Generate right below the run: carry enters it for sure.
     g = np.where(starts > 0, one << (np.maximum(starts, one) - one),
                  word(0))
-    return list(zip((a | g).tolist(), (b | g).tolist()))
+    return _pairs(a | g, b | g)
 
 
 def boundary_patterns(width: int, window: int) -> List[int]:
@@ -114,13 +122,13 @@ def boundary_patterns(width: int, window: int) -> List[int]:
 
 def _boundary_pairs(width: int, window: int, count: int,
                     chunk: int) -> Iterator[PairChunk]:
-    pats = boundary_patterns(width, window)
-    product = itertools.cycle(itertools.product(pats, pats))
-    done = 0
-    while done < count:
-        n = min(chunk, count - done)
-        yield [next(product) for _ in range(n)]
-        done += n
+    """The pattern cross product ``(pats[i], pats[j])`` in row-major
+    order, cycled: pair ``k`` is row ``k mod len(pats)^2``."""
+    pats = lanes(boundary_patterns(width, window), width)
+    size = len(pats)
+    for lo in range(0, count, chunk):
+        k = np.arange(lo, min(lo + chunk, count)) % (size * size)
+        yield _pairs(pats[k // size], pats[k % size])
 
 
 #: Internal draw granularity for the random streams.  RNG consumption is
@@ -139,11 +147,10 @@ def _random_blocks(name: str, width: int, window: int, count: int,
         n = min(_BLOCK, count - done)
         if name == "uniform":
             a = uniform_ints(rng, width, n)
-            b = uniform_ints(rng, width, n)
-            yield list(zip(a.tolist(), b.tolist()))
+            yield _pairs(a, uniform_ints(rng, width, n))
         elif name == "biased":
-            yield list(zip(_biased_ints(rng, width, n, alpha),
-                           _biased_ints(rng, width, n, alpha)))
+            a = _biased_ints(rng, width, n, alpha)
+            yield _pairs(a, _biased_ints(rng, width, n, alpha))
         else:  # adversarial
             yield _adversarial_pairs(rng, width, window, n)
         done += n
@@ -151,20 +158,28 @@ def _random_blocks(name: str, width: int, window: int, count: int,
 
 def _rechunk(blocks: Iterator[PairChunk],
              chunk: int) -> Iterator[PairChunk]:
-    buf: PairChunk = []
+    buf: List[PairChunk] = []
+    held = 0
     for block in blocks:
-        buf.extend(block)
-        while len(buf) >= chunk:
-            yield buf[:chunk]
-            buf = buf[chunk:]
-    if buf:
-        yield buf
+        buf.append(block)
+        held += len(block)
+        if held < chunk:
+            continue
+        rows = np.concatenate(buf) if len(buf) > 1 else buf[0]
+        cut = held - held % chunk
+        for lo in range(0, cut, chunk):
+            yield rows[lo:lo + chunk]
+        buf = [rows[cut:]] if cut < held else []
+        held -= cut
+    if held:
+        yield np.concatenate(buf) if len(buf) > 1 else buf[0]
 
 
 def pair_stream(name: str, width: int, window: int, count: int,
                 seed: int = 0, chunk: int = 4096,
                 alpha: float = 0.75) -> Iterator[PairChunk]:
-    """Yield the operand-pair chunks of stream *name*.
+    """Yield the operand-pair chunks of stream *name*: ``(n, 2)``
+    arrays, ``uint64`` at widths up to 64 and ``dtype=object`` above.
 
     The pair sequence depends only on ``(name, width, window, count,
     seed)`` (plus ``alpha`` for ``biased``); ``chunk`` changes the yield
@@ -176,7 +191,7 @@ def pair_stream(name: str, width: int, window: int, count: int,
         window: Speculation window (shapes adversarial/boundary vectors).
         count: Total pairs to emit.
         seed: Stream seed; identical arguments replay identically.
-        chunk: Maximum pairs per yielded list.
+        chunk: Maximum pairs per yielded array.
         alpha: Per-bit one-probability target (``biased`` only).
     """
     if name not in STREAMS:
@@ -197,11 +212,10 @@ def pair_stream(name: str, width: int, window: int, count: int,
         rng = np.random.default_rng(seed)
         from ..service.loadgen import capture_attack_pairs
 
-        mask = _mask(width)
-        pairs = [(a & mask, b & mask)
-                 for a, b in capture_attack_pairs(count, rng)]
-        for lo in range(0, len(pairs), chunk):
-            yield pairs[lo:lo + chunk]
+        pairs = capture_attack_pairs(count, rng)
+        rows = lanes(pairs, width).reshape(-1, 2)
+        for lo in range(0, len(rows), chunk):
+            yield rows[lo:lo + chunk]
         return
 
     yield from _rechunk(

@@ -30,9 +30,12 @@ FIELDS = ("spec_sums", "spec_couts", "exact_sums", "exact_couts", "flags",
 
 
 def _reference_per_pair(pairs, model):
-    """The six oracle fields from per-pair functional-model calls."""
+    """The six oracle fields from per-pair functional-model calls on
+    Python ints (a stream's operand array is read as a list)."""
     mask = (1 << model.width) - 1
     out = {name: [] for name in FIELDS}
+    if isinstance(pairs, np.ndarray):
+        pairs = pairs.tolist()
     for a, b in pairs:
         a &= mask
         b &= mask
@@ -121,10 +124,25 @@ def test_oracle_rejects_unknown_models():
         evaluate([(1, 2)], Unknown())
 
 
-def test_verifier_reference_lists_are_plain_python():
-    ref = _reference([(2**64 - 1, 1)], 64, 8)
-    assert ref.exact_sums == [0] and ref.exact_couts == [1]
-    assert type(ref.spec_sums[0]) is int and type(ref.flags[0]) is bool
+def test_oracle_reads_a_stream_chunk_as_a_list_of_its_pairs():
+    """An ``(n, 2)`` operand array and its pairs as a list give the same
+    oracle columns, on both lane types."""
+    for width in (64, 65, 128):
+        model = _model("aca", width, 8)
+        rows = next(pair_stream("adversarial", width, 8, 300, seed=1))
+        from_rows = evaluate(rows, model)
+        from_list = evaluate([tuple(p) for p in rows.tolist()], model)
+        for name in FIELDS:
+            got, want = getattr(from_rows, name), getattr(from_list, name)
+            assert got.dtype == want.dtype, name
+            assert got.tolist() == want.tolist(), name
+
+
+def test_verifier_reference_columns_are_arrays():
+    ref = _reference([(2**64 - 1, 1)], 64, 8, recovery_cycles=3)
+    assert ref.exact_sums.tolist() == [0] and ref.exact_couts.tolist() == [1]
+    assert ref.exact_sums.dtype == np.uint64 and ref.flags.dtype == bool
+    assert ref.latencies.tolist() == [1 + 3 * bool(ref.flags[0])]
 
 
 @nightly

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,8 +13,9 @@ from repro.verify import STREAMS, boundary_patterns, pair_stream, shrink_pair
 
 
 def collect(name, width, window, count, seed, **kw):
-    return [p for chunk in pair_stream(name, width, window, count,
-                                       seed=seed, **kw) for p in chunk]
+    return [tuple(p) for chunk in pair_stream(name, width, window, count,
+                                              seed=seed, **kw)
+            for p in chunk.tolist()]
 
 
 seeded_streams = st.sampled_from([s for s in STREAMS if s != "attack"])
@@ -123,6 +126,24 @@ def test_random_streams_match_golden_digest():
         for width in (1, 7, 13, 16, 33, 63, 64, 65, 128):
             for chunk in pair_stream(name, width, min(18, width), 5000,
                                      seed=9, chunk=4096):
-                digest.update(repr(chunk).encode())
+                digest.update(
+                    repr([tuple(p) for p in chunk.tolist()]).encode())
     assert digest.hexdigest() == (
         "860b11050990c44f17478d80ee0d06d6ec79ff2f47aebb356d98c4c115f63e66")
+
+
+@pytest.mark.parametrize("name", STREAMS)
+@pytest.mark.parametrize("width", (1, 63, 64, 65, 128))
+def test_chunks_are_operand_arrays_of_the_lane_type(name, width):
+    """Every stream yields ``(n, 2)`` arrays: ``uint64`` up to 64 bits,
+    Python ints in ``dtype=object`` above."""
+    chunks = list(pair_stream(name, width, min(8, width), 70, seed=2,
+                              chunk=32))
+    assert [len(c) for c in chunks] == [32, 32, 6]
+    for chunk in chunks:
+        assert chunk.ndim == 2 and chunk.shape[1] == 2
+        if width <= 64:
+            assert chunk.dtype == np.uint64
+        else:
+            assert chunk.dtype == object
+            assert all(type(v) is int for v in chunk.ravel())
