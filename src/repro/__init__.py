@@ -26,21 +26,18 @@ Quickstart::
     simulate_bus_ints(aca, {"a": 123456789, "b": 987654321})["sum"]
 """
 
-from .analysis import (
-    aca_error_probability,
-    choose_window,
-    expected_latency_cycles,
-    quantile_longest_run,
-)
-from .core import (
-    build_aca,
-    build_error_detector,
-    build_recovery_adder,
-    build_vlsa_datapath,
-    characterize_vlsa,
-)
-from .arch import VlsaMachine
-from .mc import AcaModel
+from ._lazy import lazy_exports
+
+# The netlist stack loads on first use of one of these names, so
+# ``import repro.cluster.worker`` stays light.
+_LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis": ("aca_error_probability", "choose_window",
+                  "expected_latency_cycles", "quantile_longest_run"),
+    ".core": ("build_aca", "build_error_detector", "build_recovery_adder",
+              "build_vlsa_datapath", "characterize_vlsa"),
+    ".arch": ("VlsaMachine",),
+    ".mc": ("AcaModel",),
+})
 
 __version__ = "1.0.0"
 

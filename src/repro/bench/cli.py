@@ -1,6 +1,7 @@
 """The ``bench`` CLI verbs: run / compare / gate / list / promote.
 
-Wired into the main ``vlsa-repro`` parser by :mod:`repro.cli`::
+:mod:`repro.cli` declares their flags (without importing this harness)
+and hands the parsed arguments to :func:`run_bench_command`::
 
     vlsa-repro bench run --suite service --preset small
     vlsa-repro bench compare --suite engine
@@ -18,7 +19,6 @@ accumulates.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -32,107 +32,10 @@ from .schema import (build_payload, load_suite_result, result_path,
                      write_suite_result)
 from .spec import BenchmarkRegistry, load_builtin_suites
 from .spec import registry as default_registry
-from .stats import DEFAULT_ALPHA, DEFAULT_THRESHOLD
 
-__all__ = ["add_bench_parser", "run_bench_command"]
+__all__ = ["run_bench_command"]
 
 SUMMARY_NAME = "bench_summary.md"
-
-
-def add_bench_parser(sub: argparse._SubParsersAction) -> None:
-    """Attach the ``bench`` subcommand to the main CLI parser."""
-    bench = sub.add_parser(
-        "bench",
-        help="unified benchmark harness: run suites, compare against "
-             "baselines, gate on statistical regressions",
-        description="Declarative benchmark registry with calibrated "
-                    "timing and statistical regression detection "
-                    "(bootstrap CIs + Mann-Whitney U).")
-    verbs = bench.add_subparsers(dest="bench_verb", required=True)
-
-    def common(p, with_compare=False):
-        p.add_argument("--suite", default=None, metavar="S,S,...",
-                       help="suites to touch (default: all registered)")
-        p.add_argument("--preset", choices=("small", "full"),
-                       default="small",
-                       help="workload size preset (default: %(default)s)")
-        if with_compare:
-            p.add_argument("--threshold", type=float,
-                           default=DEFAULT_THRESHOLD,
-                           help="relative median shift that counts as a "
-                                "change (default: %(default)s)")
-            p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                           help="Mann-Whitney significance level "
-                                "(default: %(default)s)")
-            p.add_argument("--baseline-dir", dest="baseline_dir",
-                           default=None,
-                           help="baseline store (default: "
-                                "results/baselines)")
-
-    run_p = verbs.add_parser(
-        "run", help="run suites and write results/BENCH_<suite>.json",
-        description="Run benchmark suites through the calibrated "
-                    "runner; every suite writes one shared-schema "
-                    "result file.")
-    common(run_p)
-    run_p.add_argument("--samples", type=int, default=None,
-                       help="measurement samples per benchmark "
-                            "(default: runner default)")
-    run_p.add_argument("--target-time", dest="target_time", type=float,
-                       default=None,
-                       help="target seconds per measurement batch")
-    run_p.add_argument("--trend", default=None, metavar="PATH",
-                       help="append one compact JSON line per suite to "
-                            "this trajectory file")
-
-    cmp_p = verbs.add_parser(
-        "compare",
-        help="compare existing results against the baseline store",
-        description="Classify each benchmark in results/BENCH_<suite>"
-                    ".json against results/baselines/ as improved / "
-                    "unchanged / regressed.  Informational: always "
-                    "exits 0; use 'gate' to fail on regressions.")
-    common(cmp_p, with_compare=True)
-
-    gate_p = verbs.add_parser(
-        "gate",
-        help="run + compare + exit 1 on any regression or band "
-             "violation",
-        description="The CI verb: run the suites, compare against the "
-                    "baseline store, write a markdown summary, exit 1 "
-                    "when anything regressed or a paper-metric "
-                    "tolerance band was violated.")
-    common(gate_p, with_compare=True)
-    gate_p.add_argument("--samples", type=int, default=None,
-                        help="measurement samples per benchmark")
-    gate_p.add_argument("--target-time", dest="target_time", type=float,
-                        default=None,
-                        help="target seconds per measurement batch")
-    gate_p.add_argument("--no-run", dest="no_run", action="store_true",
-                        help="gate existing result files without "
-                             "re-running the suites")
-    gate_p.add_argument("--allow-missing-baseline",
-                        dest="allow_missing_baseline",
-                        action="store_true",
-                        help="treat a suite without a committed "
-                             "baseline as new instead of failing")
-
-    list_p = verbs.add_parser(
-        "list", help="list registered suites and their benchmarks",
-        description="Instantiate every registered suite at the chosen "
-                    "preset and print its benchmarks.")
-    common(list_p)
-    list_p.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-
-    promote_p = verbs.add_parser(
-        "promote",
-        help="promote current results to the committed baseline store",
-        description="Copy results/BENCH_<suite>.json into "
-                    "results/baselines/ (after validating the schema). "
-                    "Run this on the reference host after an accepted "
-                    "performance change.")
-    common(promote_p)
 
 
 def _suite_names(args, registry: BenchmarkRegistry) -> List[str]:

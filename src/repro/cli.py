@@ -30,12 +30,30 @@ import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
-from . import experiments as ex
-from .engine import RunContext, available_backends, set_default_context
-from .engine.context import DEFAULT_SEED
+from .engine.context import DEFAULT_SEED, RunContext, set_default_context
 from .reporting import save_artifact, save_json
 
 __all__ = ["main"]
+
+# Choice lists and defaults the parser shows, spelled out here so that
+# building it imports neither the experiments, the load generator, the
+# RTL generator, the engine backends nor the bench harness (each pulls
+# in the netlist stack).  tests/test_public_api.py pins every one to
+# the list or value it mirrors.
+_ENGINE_BACKENDS = ("bigint", "numpy", "sharded")
+_LOADGEN_WORKLOADS = ("uniform", "biased", "adversarial", "attack", "mixed",
+                      "drift")
+#: ``generator.DESIGN_KINDS`` before the families add theirs: the fixed
+#: designs and every baseline adder.
+_FIXED_DESIGN_KINDS = (
+    "aca", "booth", "brent_kung", "carry_select", "carry_skip", "cla",
+    "conditional_sum", "detector", "han_carlson", "han_carlson4",
+    "incrementer", "knowles2", "knowles4", "kogge_stone", "ladner_fischer",
+    "multiplier", "recovery", "ripple", "sklansky", "subtractor",
+    "variable_skip", "vlsa", "vlsa_rtl")
+#: ``repro.bench.stats.DEFAULT_THRESHOLD`` and ``DEFAULT_ALPHA``.
+_BENCH_THRESHOLD = 0.10
+_BENCH_ALPHA = 0.05
 
 
 def _parse_widths(spec: Optional[str], default) -> List[int]:
@@ -44,92 +62,92 @@ def _parse_widths(spec: Optional[str], default) -> List[int]:
     return [int(tok) for tok in spec.split(",") if tok]
 
 
-def _cmd_table1(args, ctx) -> str:
+def _cmd_table1(ex, args, ctx) -> str:
     return ex.table1(_parse_widths(args.widths,
                                    (16, 32, 64, 128, 256, 512, 1024,
                                     2048, 4096)), ctx=ctx).render()
 
 
-def _cmd_theorem1(args, ctx) -> str:
+def _cmd_theorem1(ex, args, ctx) -> str:
     return ex.theorem1(max_k=args.max_k, seed=args.seed, ctx=ctx).render()
 
 
-def _cmd_schilling(args, ctx) -> str:
+def _cmd_schilling(ex, args, ctx) -> str:
     return ex.schilling_table(ctx=ctx).render()
 
 
-def _cmd_fig8(args, ctx) -> str:
+def _cmd_fig8(ex, args, ctx) -> str:
     widths = _parse_widths(args.widths, ex.DEFAULT_BITWIDTHS)
     delay, area, chart_d, chart_a = ex.fig8_tables(bitwidths=widths, ctx=ctx)
     return "\n\n".join([delay.render(), area.render(), chart_d, chart_a])
 
 
-def _cmd_fig7(args, ctx) -> str:
+def _cmd_fig7(ex, args, ctx) -> str:
     table, diagram = ex.fig7_trace(width=args.width, operations=args.ops,
                                    seed=args.seed, ctx=ctx)
     return table.render() + "\n\nTiming diagram (first ops):\n" + diagram
 
 
-def _cmd_rtl(args, ctx) -> str:
+def _cmd_rtl(ex, args, ctx) -> str:
     widths = _parse_widths(args.widths, (32, 64, 128))
     return ex.vlsa_rtl_table(widths, ctx=ctx).render()
 
 
-def _cmd_errors(args, ctx) -> str:
+def _cmd_errors(ex, args, ctx) -> str:
     widths = _parse_widths(args.widths, (64, 128, 256, 512, 1024))
     return ex.error_rate_table(widths, samples=args.samples,
                                seed=args.seed, ctx=ctx).render()
 
 
-def _cmd_sharing(args, ctx) -> str:
+def _cmd_sharing(ex, args, ctx) -> str:
     widths = _parse_widths(args.widths, (64, 128, 256, 512))
     return ex.sharing_ablation(widths, ctx=ctx).render()
 
 
-def _cmd_window(args, ctx) -> str:
+def _cmd_window(ex, args, ctx) -> str:
     return ex.window_sweep(width=args.width, ctx=ctx).render()
 
 
-def _cmd_delaymodel(args, ctx) -> str:
+def _cmd_delaymodel(ex, args, ctx) -> str:
     return ex.delay_model_ablation(ctx=ctx).render()
 
 
-def _cmd_attack(args, ctx) -> str:
+def _cmd_attack(ex, args, ctx) -> str:
     return ex.crypto_attack_experiment(
         corpus_bytes=args.corpus, key_bits=args.key_bits, ctx=ctx).render()
 
 
-def _cmd_futurework(args, ctx) -> str:
+def _cmd_futurework(ex, args, ctx) -> str:
     return ex.future_work_table(ctx=ctx).render()
 
 
-def _cmd_speculative(args, ctx) -> str:
+def _cmd_speculative(ex, args, ctx) -> str:
     return ex.speculative_family_table(width=args.width, ctx=ctx).render()
 
 
-def _cmd_faults(args, ctx) -> str:
+def _cmd_faults(ex, args, ctx) -> str:
     return ex.fault_table(width=min(args.width, 16), ctx=ctx).render()
 
 
-def _cmd_atpg(args, ctx) -> str:
+def _cmd_atpg(ex, args, ctx) -> str:
     return ex.atpg_table(ctx=ctx).render()
 
 
-def _cmd_cpu(args, ctx) -> str:
+def _cmd_cpu(ex, args, ctx) -> str:
     return ex.processor_table(width=args.width, ctx=ctx).render()
 
 
-def _cmd_dsp(args, ctx) -> str:
+def _cmd_dsp(ex, args, ctx) -> str:
     return ex.dsp_table(ctx=ctx).render()
 
 
-def _cmd_crosscheck(args, ctx) -> str:
+def _cmd_crosscheck(ex, args, ctx) -> str:
     widths = _parse_widths(args.widths, (16, 32, 64))
     return ex.crosscheck_table(widths, vectors=args.samples,
                                ctx=ctx).render()
 
 
-def _cmd_loadgen(args, ctx) -> str:
+def _cmd_loadgen(_ex, args, ctx) -> str:
     from .service import run_loadgen
 
     connect = None
@@ -179,7 +197,8 @@ def _strict_problems(report, args) -> List[str]:
     return problems
 
 
-# name -> (handler, help text, extra per-command flags)
+# name -> (handler(experiments, args, ctx), help text, extra per-command
+# flags)
 _COMMANDS: Dict[str, Tuple[Callable, str, Tuple[str, ...]]] = {
     "table1": (_cmd_table1,
                "Table 1: longest-run-of-ones bounds per bitwidth",
@@ -308,9 +327,10 @@ def _add_key_bits(p):
 
 @_flag("loadgen")
 def _add_loadgen(p):
-    from .service import EXECUTOR_BACKENDS, WORKLOADS
+    from .service.executor import EXECUTOR_BACKENDS
 
-    p.add_argument("--workload", choices=WORKLOADS, default="uniform",
+    p.add_argument("--workload", choices=_LOADGEN_WORKLOADS,
+                   default="uniform",
                    help="operand distribution (default: %(default)s)")
     p.add_argument("--window", type=int, default=None,
                    help="speculation window (default: 99.99%% window)")
@@ -361,7 +381,7 @@ def _add_loadgen(p):
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=available_backends(),
+    p.add_argument("--backend", choices=_ENGINE_BACKENDS,
                    default="bigint",
                    help="engine backend for gate-level simulation")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -376,15 +396,113 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _run_command(name: str, args) -> str:
     """Run one experiment command inside a fresh instrumented context."""
+    from . import experiments
+
     ctx = RunContext(seed=args.seed, backend=args.backend, label=name)
     set_default_context(ctx)
     handler = _COMMANDS[name][0]
     with ctx.phase(name):
-        text = handler(args, ctx)
+        text = handler(experiments, args, ctx)
     if args.manifest or not args.no_save:
         path = save_json(f"{name}_manifest.json", ctx.as_manifest())
         print(f"[manifest: {path}]", file=sys.stderr)
     return text
+
+
+def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
+    """Attach the ``bench`` subcommand (run by :mod:`repro.bench.cli`)."""
+    bench = sub.add_parser(
+        "bench",
+        help="unified benchmark harness: run suites, compare against "
+             "baselines, gate on statistical regressions",
+        description="Declarative benchmark registry with calibrated "
+                    "timing and statistical regression detection "
+                    "(bootstrap CIs + Mann-Whitney U).")
+    verbs = bench.add_subparsers(dest="bench_verb", required=True)
+
+    def common(p, with_compare=False):
+        p.add_argument("--suite", default=None, metavar="S,S,...",
+                       help="suites to touch (default: all registered)")
+        p.add_argument("--preset", choices=("small", "full"),
+                       default="small",
+                       help="workload size preset (default: %(default)s)")
+        if with_compare:
+            p.add_argument("--threshold", type=float,
+                           default=_BENCH_THRESHOLD,
+                           help="relative median shift that counts as a "
+                                "change (default: %(default)s)")
+            p.add_argument("--alpha", type=float, default=_BENCH_ALPHA,
+                           help="Mann-Whitney significance level "
+                                "(default: %(default)s)")
+            p.add_argument("--baseline-dir", dest="baseline_dir",
+                           default=None,
+                           help="baseline store (default: "
+                                "results/baselines)")
+
+    run_p = verbs.add_parser(
+        "run", help="run suites and write results/BENCH_<suite>.json",
+        description="Run benchmark suites through the calibrated "
+                    "runner; every suite writes one shared-schema "
+                    "result file.")
+    common(run_p)
+    run_p.add_argument("--samples", type=int, default=None,
+                       help="measurement samples per benchmark "
+                            "(default: runner default)")
+    run_p.add_argument("--target-time", dest="target_time", type=float,
+                       default=None,
+                       help="target seconds per measurement batch")
+    run_p.add_argument("--trend", default=None, metavar="PATH",
+                       help="append one compact JSON line per suite to "
+                            "this trajectory file")
+
+    cmp_p = verbs.add_parser(
+        "compare",
+        help="compare existing results against the baseline store",
+        description="Classify each benchmark in results/BENCH_<suite>"
+                    ".json against results/baselines/ as improved / "
+                    "unchanged / regressed.  Informational: always "
+                    "exits 0; use 'gate' to fail on regressions.")
+    common(cmp_p, with_compare=True)
+
+    gate_p = verbs.add_parser(
+        "gate",
+        help="run + compare + exit 1 on any regression or band "
+             "violation",
+        description="The CI verb: run the suites, compare against the "
+                    "baseline store, write a markdown summary, exit 1 "
+                    "when anything regressed or a paper-metric "
+                    "tolerance band was violated.")
+    common(gate_p, with_compare=True)
+    gate_p.add_argument("--samples", type=int, default=None,
+                        help="measurement samples per benchmark")
+    gate_p.add_argument("--target-time", dest="target_time", type=float,
+                        default=None,
+                        help="target seconds per measurement batch")
+    gate_p.add_argument("--no-run", dest="no_run", action="store_true",
+                        help="gate existing result files without "
+                             "re-running the suites")
+    gate_p.add_argument("--allow-missing-baseline",
+                        dest="allow_missing_baseline",
+                        action="store_true",
+                        help="treat a suite without a committed "
+                             "baseline as new instead of failing")
+
+    list_p = verbs.add_parser(
+        "list", help="list registered suites and their benchmarks",
+        description="Instantiate every registered suite at the chosen "
+                    "preset and print its benchmarks.")
+    common(list_p)
+    list_p.add_argument("--json", action="store_true",
+                        help="machine-readable output")
+
+    promote_p = verbs.add_parser(
+        "promote",
+        help="promote current results to the committed baseline store",
+        description="Copy results/BENCH_<suite>.json into "
+                    "results/baselines/ (after validating the schema). "
+                    "Run this on the reference host after an accepted "
+                    "performance change.")
+    common(promote_p)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -408,14 +526,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "each artifact and manifest under results/.")
     _add_common_flags(all_p)
 
-    from .families.base import family_names
-    from .generator import DESIGN_KINDS
+    from .families.base import family_names, get_family
 
+    design_kinds = set(_FIXED_DESIGN_KINDS).union(
+        *(get_family(f).design_kinds() for f in family_names()))
     exp = sub.add_parser(
         "export", help="generate RTL for a design (the paper's tool)",
         description="Emit synthesizable VHDL/Verilog for a design.  "
                     "Available design kinds (sorted): "
-                    + ", ".join(sorted(DESIGN_KINDS)) + ".")
+                    + ", ".join(sorted(design_kinds)) + ".")
     exp.add_argument("kind", help="design kind (see the sorted list "
                                   "above; families contribute "
                                   "<family> and <family>_r entries)")
@@ -640,8 +759,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aut.add_argument("--no-save", action="store_true",
                      help="print only, skip writing results/")
 
-    from .bench.cli import add_bench_parser
-    add_bench_parser(sub)
+    _add_bench_parser(sub)
     return parser
 
 

@@ -10,22 +10,19 @@ See :mod:`repro.cluster.router` for the data path,
 zero-copy shared-memory rings).
 """
 
-from .config import SHARD_POLICY_NAMES, TRANSPORT_NAMES, ClusterConfig
-from .router import (
-    SHARD_POLICIES,
-    ClusterRouter,
-    ClusterUnhealthyError,
-    register_shard_policy,
-)
-from .supervisor import WorkerHandle, WorkerSupervisor
-from .sync import SyncCluster, close_shared_cluster, shared_cluster
-from .transport import (
-    PipeTransport,
-    Ring,
-    ShmRingTransport,
-    Transport,
-    make_transport,
-)
+from .._lazy import lazy_exports
+
+# Each name loads its submodule on first use, so a spawned worker, which
+# imports only ``supervisor`` and ``worker``, never loads the router.
+_LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("SHARD_POLICY_NAMES", "TRANSPORT_NAMES", "ClusterConfig"),
+    ".router": ("SHARD_POLICIES", "ClusterRouter", "ClusterUnhealthyError",
+                "register_shard_policy"),
+    ".supervisor": ("WorkerHandle", "WorkerSupervisor"),
+    ".sync": ("SyncCluster", "close_shared_cluster", "shared_cluster"),
+    ".transport": ("PipeTransport", "Ring", "ShmRingTransport", "Transport",
+                   "make_transport"),
+})
 
 __all__ = [
     "ClusterConfig",

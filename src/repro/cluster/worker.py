@@ -11,7 +11,9 @@ lists (bigint fallback).
 
 The worker is deliberately synchronous and single-threaded: the paper's
 datapath is a serial accelerator, and a worker models exactly one of
-them.  Parallelism is the *pool's* job.  Heartbeats ride the gaps —
+them.  Parallelism is the *pool's* job.  The first heartbeat goes out
+as soon as the executor is built (it is the readiness signal the
+router's ``wait_ready`` waits for); later ones ride the gaps —
 ``channel.recv(interval)`` doubles as the idle timer — and every
 heartbeat ships the full metrics state so the router's cluster-wide
 aggregation is never staler than one interval.  Heartbeats are the one
@@ -103,7 +105,7 @@ def worker_main(worker_id: int, channel: WorkerChannel,
 
     interval = cfg["heartbeat_interval"]
     cycle = 0
-    last_beat = 0.0  # force an immediate readiness heartbeat
+    last_beat = 0.0
 
     def beat() -> None:
         nonlocal last_beat
@@ -112,6 +114,15 @@ def worker_main(worker_id: int, channel: WorkerChannel,
                             shed_if_full=True):
             m_sheds.inc()
         last_beat = time.monotonic()
+
+    # Readiness: the router sends nothing until every worker has
+    # heartbeated, so announce now rather than after an idle interval.
+    try:
+        beat()
+    except ChannelClosed:
+        _death_trace("ready_send", worker_id, registry, channel)
+        channel.close()
+        return
 
     while True:
         try:

@@ -38,31 +38,22 @@ Quick tour::
     model.run_ints({"a": 3, "b": 4})  # same interface, no gates
 """
 
-from .api import compiled_plan, execute, execute_ints
-from .backends import (
-    Backend,
-    BigintBackend,
-    NumpyBackend,
-    ShardedBackend,
-    available_backends,
-    get_backend,
-    merge_shard_words,
-    register_backend,
-)
-from .context import (
-    RunContext,
-    get_default_context,
-    resolve_rng,
-    set_default_context,
-    spawn_seeds,
-)
-from .functional import (
-    available_functionals,
-    functional_model,
-    register_functional,
-)
-from .plan import BatchGroup, CompiledPlan, compile_circuit
+from .._lazy import lazy_exports
 from . import pack
+
+# Each name loads its submodule on first use: the run context and the
+# functional registry need no netlist, the compiler and backends do.
+_LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": ("compiled_plan", "execute", "execute_ints"),
+    ".backends": ("Backend", "BigintBackend", "NumpyBackend",
+                  "ShardedBackend", "available_backends", "get_backend",
+                  "merge_shard_words", "register_backend"),
+    ".context": ("RunContext", "get_default_context", "resolve_rng",
+                 "set_default_context", "spawn_seeds"),
+    ".functional": ("available_functionals", "functional_model",
+                    "register_functional"),
+    ".plan": ("BatchGroup", "CompiledPlan", "compile_circuit"),
+})
 
 __all__ = [
     "compiled_plan", "execute", "execute_ints",

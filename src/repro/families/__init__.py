@@ -5,6 +5,7 @@ block-based speculative) with both the family registry and the engine's
 functional-model registry.
 """
 
+from .._lazy import lazy_exports
 from .base import (AdderFamily, FamilyError, FamilyErrorModel, KernelBatch,
                    SpeculativeModel, family_names, functional_factory,
                    get_family, register_family, resolve_params,
@@ -18,8 +19,13 @@ from . import aca, blockspec, cesa  # noqa: F401  (register builtins)
 from .aca import AcaFamily, aca_numpy_kernel
 from .blockspec import BlockSpecFamily
 from .cesa import CesaFamily, CesaModel
-from .pareto import (ParetoPoint, ParetoReport, run_pareto_study,
-                     write_pareto_report)
+
+#: The Pareto study characterises netlists, so its names load on first
+#: use and serving code never imports the netlist stack.
+_LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".pareto": ("ParetoPoint", "ParetoReport", "run_pareto_study",
+                "write_pareto_report"),
+})
 
 __all__ = [
     "AdderFamily",

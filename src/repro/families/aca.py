@@ -37,18 +37,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 import numpy as np
 
 from ..analysis.error_model import Boundary, aca_cuts, choose_window
-from ..circuit import Circuit
-from ..core.aca import build_aca
-from ..core.vlsa import build_vlsa_datapath
 from ..engine.functional import register_functional
 from .base import (AdderFamily, KernelBatch, SpeculativeModel,
                    register_family, uint64_kernel)
 from .words import Word, WordOps, window_all_ones
+
+if TYPE_CHECKING:
+    from ..circuit import Circuit
 
 __all__ = [
     "AcaFamily",
@@ -176,9 +176,13 @@ class AcaFamily(AdderFamily):
         return {"window": choose_window(width)}
 
     def build_speculative(self, width: int, window: int) -> Circuit:
+        from ..core.aca import build_aca
+
         return build_aca(width, window)
 
     def build_circuit(self, width: int, window: int) -> Circuit:
+        from ..core.vlsa import build_vlsa_datapath
+
         return build_vlsa_datapath(width, window)
 
     def functional(self, width: int, window: int) -> SpeculativeModel:

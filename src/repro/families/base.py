@@ -37,15 +37,17 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
 from ..analysis.error_model import Boundary, speculation_mass
-from ..circuit import Circuit
 from .stats import EdDistribution
 from .words import WordOps, lanes, object_lanes, word_ops
+
+if TYPE_CHECKING:  # netlists are built on demand, not imported here
+    from ..circuit import Circuit
 
 __all__ = [
     "AdderFamily",

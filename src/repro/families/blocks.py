@@ -27,17 +27,17 @@ Two detector disciplines exist:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..adders.base import adder_ports
-from ..adders.cla import lookahead_carries
 from ..analysis.error_model import Boundary
-from ..circuit import Circuit, CircuitError, or_tree
-from ..core.aca import AcaBuilder
 from .base import KernelBatch, SpeculativeModel, uint64_kernel
 from .words import Word, WordOps, window_all_ones
+
+if TYPE_CHECKING:  # the gate-level builders import these when called
+    from ..circuit import Circuit
+    from ..core.aca import AcaBuilder
 
 __all__ = [
     "DETECTORS",
@@ -156,6 +156,8 @@ class BlockSpecModel(SpeculativeModel):
 def _prefix_builder(circuit: Circuit, a: List[int], b: List[int],
                     block: int, lookahead: int,
                     cin: Optional[int]) -> AcaBuilder:
+    from ..core.aca import AcaBuilder
+
     reach = min(max(block, lookahead), len(a))
     return AcaBuilder(circuit, a, b, reach, cin).build_prefix()
 
@@ -221,6 +223,9 @@ def build_block_speculative(name: str, width: int, block: int,
                             primary: Optional[int] = None) -> Circuit:
     """The speculative core: buses ``a``/``b`` (and ``cin``), outputs
     ``sum`` and (speculative) ``cout``."""
+    from ..adders.base import adder_ports
+    from ..circuit import CircuitError
+
     if block < 1 or lookahead < 1:
         raise CircuitError("block and lookahead must be >= 1")
     block = min(block, width)
@@ -249,6 +254,10 @@ def build_block_datapath(name: str, width: int, block: int, lookahead: int,
     compares each estimate against the true block carry, so ``err``
     fires iff the speculative result is actually wrong.
     """
+    from ..adders.base import adder_ports
+    from ..adders.cla import lookahead_carries
+    from ..circuit import CircuitError, or_tree
+
     if detector not in DETECTORS:
         raise CircuitError(f"unknown detector {detector!r}; "
                            f"expected one of {DETECTORS}")

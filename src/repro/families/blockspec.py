@@ -22,16 +22,18 @@ contribution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..analysis.error_model import Boundary, choose_window
-from ..circuit import Circuit
 from ..engine.functional import register_functional
 from .base import (AdderFamily, SpeculativeModel, functional_factory,
                    register_family)
 from .blocks import (BlockSpecModel, block_boundaries,
                      build_block_datapath, build_block_speculative)
 from .stats import EdDistribution, ed_distribution
+
+if TYPE_CHECKING:
+    from ..circuit import Circuit
 
 __all__ = ["BlockSpecFamily", "FAMILY"]
 

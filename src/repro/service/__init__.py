@@ -37,20 +37,21 @@ Quick tour::
     asyncio.run(demo())   # -> (579, 1)
 """
 
-from .executor import EXECUTOR_BACKENDS, BatchOutcome, VlsaBatchExecutor
-from .loadgen import WORKLOADS, LoadgenReport, make_workload, run_loadgen
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .server import VlsaServer, serve_tcp
-from .service import (
-    AddResponse,
-    BatchResponse,
-    RequestTimeoutError,
-    ServiceClosedError,
-    ServiceError,
-    ServiceOverloadedError,
-    VlsaService,
-)
-from .tracing import TraceEvent, Tracer
+from .._lazy import lazy_exports
+
+# Each name loads its submodule on first use: a cluster worker needs the
+# executor and metrics, not the TCP edge or the load generator.
+_LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".executor": ("EXECUTOR_BACKENDS", "BatchOutcome", "VlsaBatchExecutor"),
+    ".loadgen": ("WORKLOADS", "LoadgenReport", "make_workload",
+                 "run_loadgen"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".server": ("VlsaServer", "serve_tcp"),
+    ".service": ("AddResponse", "BatchResponse", "RequestTimeoutError",
+                 "ServiceClosedError", "ServiceError",
+                 "ServiceOverloadedError", "VlsaService"),
+    ".tracing": ("TraceEvent", "Tracer"),
+})
 
 __all__ = [
     "AddResponse",

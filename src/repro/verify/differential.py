@@ -52,12 +52,19 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
+# The netlist rows build their circuits through the family registry,
+# which imports the gate-level builders on first use: importing them
+# here keeps that import out of a verifier's construction.
+from .. import adders, core  # noqa: F401
+from ..arch import VlsaMachine
+from ..circuit import simulate_interpreted
 from ..engine.api import execute
 from ..engine.context import RunContext, get_default_context
 from ..engine.functional import functional_model
 from ..engine.pack import pack_vectors, unpack_lanes
 from ..families.base import get_family
 from ..families.words import lanes
+from ..service.executor import VlsaBatchExecutor
 from ..service.metrics import MetricsRegistry
 from .oracle import OracleBatch, evaluate as evaluate_oracle
 from .report import Coverage, Discrepancy, ExhaustiveCell, VerifyReport
@@ -295,8 +302,6 @@ class InterpreterImpl(Implementation):
         self.circuit = fam.build_speculative(width, **params)
 
     def run(self, pairs: Pairs) -> ImplResult:
-        from ..circuit import simulate_interpreted
-
         sums, couts = _run_netlist(simulate_interpreted, self.circuit, pairs,
                                    ("sum", "cout"))
         return ImplResult(sums=sums, couts=couts)
@@ -356,8 +361,6 @@ class MachineImpl(Implementation):
 
     def __init__(self, width: int, window: int, recovery_cycles: int = 1,
                  family: str = "aca"):
-        from ..arch import VlsaMachine
-
         self.name = "machine"
         self.width = width
         self.machine = VlsaMachine(width, window=window,
@@ -379,8 +382,6 @@ class ExecutorImpl(Implementation):
 
     def __init__(self, width: int, window: int, backend: str,
                  recovery_cycles: int = 1, family: str = "aca"):
-        from ..service.executor import VlsaBatchExecutor
-
         self.name = f"service:{backend}"
         self.width = width
         self.executor = VlsaBatchExecutor(width, window=window,

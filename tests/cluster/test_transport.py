@@ -1,23 +1,26 @@
 """Transport torture tests: the ring codec, back-pressure, slot
-lifecycle, segment hygiene, and the worker death trace.
+lifecycle, segment hygiene, the worker death trace and the worker's
+readiness heartbeat.
 
-Everything here runs in-process against plain buffers or real
-``/dev/shm`` segments — no worker processes — so the SPSC ring
-invariants (publish-after-write, in-order retirement, occupancy
-reconciliation) are checked at full speed and the failure messages
-point at the exact primitive that broke.
+Everything here but the last readiness test runs in-process against
+plain buffers or real ``/dev/shm`` segments — no worker processes — so
+the SPSC ring invariants (publish-after-write, in-order retirement,
+occupancy reconciliation) are checked at full speed and the failure
+messages point at the exact primitive that broke.
 """
 
+import asyncio
 import io
 import json
 import pickle
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import protocol
+from repro.cluster import ClusterConfig, ClusterRouter, protocol
 from repro.cluster.transport import (
     RESULT_TRAILER,
     RING_HEADER,
@@ -283,16 +286,22 @@ def test_worker_channel_spec_rejects_unknown_kind():
 # Worker death trace (the silent-exit fix)
 # ----------------------------------------------------------------------
 class _DyingChannel:
-    """Delivers one batch, then the router 'vanishes' on send."""
+    """Delivers one batch, then the router 'vanishes' on send.
+
+    The first *heartbeats* sends (the worker's readiness heartbeat)
+    go through; every later send raises.
+    """
 
     transport_name = "stub"
 
-    def __init__(self):
+    def __init__(self, heartbeats=1):
         from repro.cluster.transport import ChannelClosed
 
         self._closed_exc = ChannelClosed
         self._batch = (protocol.BATCH, 1,
                        np.asarray([(1, 2), (3, 4)], dtype=np.uint64))
+        self._heartbeats = heartbeats
+        self.sent = []
         self.closed = False
 
     def recv(self, timeout):
@@ -302,6 +311,10 @@ class _DyingChannel:
         raise self._closed_exc("router gone")
 
     def send(self, msg, shed_if_full=False):
+        if msg[0] == protocol.HEARTBEAT and self._heartbeats > 0:
+            self._heartbeats -= 1
+            self.sent.append(msg)
+            return True
         raise self._closed_exc("router gone")
 
     def close(self):
@@ -326,3 +339,52 @@ def test_worker_emits_structured_death_trace(capsys):
     assert record["transport"] == "stub"
     assert record["ops_total"] == 2  # the batch that was executed
     assert record["batches_total"] == 1
+
+
+def _death_record(err):
+    lines = [ln for ln in err.splitlines()
+             if ln.startswith(DEATH_TRACE_MARKER)]
+    assert len(lines) == 1, err
+    return json.loads(lines[0][len(DEATH_TRACE_MARKER):])
+
+
+def test_worker_heartbeats_before_its_first_recv(capsys):
+    # Readiness must not wait for an idle heartbeat interval (10 s here):
+    # the heartbeat is sent before the worker first reads its channel.
+    cfg = {"width": 32, "window": 8, "recovery_cycles": 1,
+           "backend": "numpy", "family": "aca",
+           "heartbeat_interval": 10.0}
+    channel = _DyingChannel()
+    worker_main(2, channel, cfg)
+    assert [msg[0] for msg in channel.sent] == [protocol.HEARTBEAT]
+    assert _death_record(capsys.readouterr().err)["reason"] == "result_send"
+
+
+def test_worker_death_trace_when_readiness_send_fails(capsys):
+    cfg = {"width": 32, "window": 8, "recovery_cycles": 1,
+           "backend": "numpy", "family": "aca",
+           "heartbeat_interval": 10.0}
+    channel = _DyingChannel(heartbeats=0)
+    worker_main(3, channel, cfg)  # returns instead of raising
+    assert channel.closed
+    record = _death_record(capsys.readouterr().err)
+    assert record["event"] == "worker_channel_closed"
+    assert record["reason"] == "ready_send"
+    assert record["worker_id"] == 3
+    assert record["ops_total"] == 0
+    assert record["batches_total"] == 0
+    assert channel._batch is not None  # never reached the first recv
+
+
+def test_cluster_ready_well_within_one_heartbeat_interval():
+    # A real one-worker pool with a 5 s heartbeat interval: readiness
+    # arrives as soon as the worker has started, not one interval later.
+    async def scenario():
+        cfg = ClusterConfig(width=32, window=8, workers=1,
+                            heartbeat_interval=5.0)
+        async with ClusterRouter(cfg) as router:
+            t0 = time.monotonic()
+            await router.wait_ready(timeout=2.0)
+            return time.monotonic() - t0
+
+    assert asyncio.run(scenario()) < 2.0
