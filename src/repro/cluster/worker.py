@@ -107,33 +107,38 @@ def worker_main(worker_id: int, channel: WorkerChannel,
     cycle = 0
     last_beat = 0.0
 
-    def beat() -> None:
+    def beat(reason: str) -> bool:
+        """Send a heartbeat; if the router is gone, trace *reason*,
+        close the channel and return False."""
         nonlocal last_beat
-        if not channel.send(protocol.heartbeat_msg(worker_id,
-                                                   registry.state()),
-                            shed_if_full=True):
-            m_sheds.inc()
+        try:
+            if not channel.send(protocol.heartbeat_msg(worker_id,
+                                                       registry.state()),
+                                shed_if_full=True):
+                m_sheds.inc()
+        except ChannelClosed:
+            _death_trace(reason, worker_id, registry, channel)
+            channel.close()
+            return False
         last_beat = time.monotonic()
+        return True
 
     # Readiness: the router sends nothing until every worker has
     # heartbeated, so announce now rather than after an idle interval.
-    try:
-        beat()
-    except ChannelClosed:
-        _death_trace("ready_send", worker_id, registry, channel)
-        channel.close()
+    if not beat("ready_send"):
         return
 
     while True:
         try:
             msg = channel.recv(interval)
-            if msg is None:
-                beat()
-                continue
         except ChannelClosed:
             _death_trace("recv", worker_id, registry, channel)
             channel.close()
             return  # router went away; nothing left to serve
+        if msg is None:
+            if not beat("heartbeat_send"):
+                return
+            continue
         kind = msg[0]
         if kind == protocol.SHUTDOWN:
             try:
@@ -196,5 +201,6 @@ def worker_main(worker_id: int, channel: WorkerChannel,
             _death_trace("result_send", worker_id, registry, channel)
             channel.close()
             return
-        if time.monotonic() - last_beat >= interval:
-            beat()
+        if (time.monotonic() - last_beat >= interval
+                and not beat("heartbeat_send")):
+            return

@@ -16,9 +16,13 @@ no external client library — and exports in two formats:
 Histograms keep exact count/sum/min/max plus a bounded reservoir
 (Vitter's algorithm R with a *seeded* RNG, so quantiles are reproducible
 run-to-run) from which p50/p95/p99 are computed.  Recording one sample
-is O(1); bulk recording (``record(value, count=N)``) is bounded by the
-reservoir size, not N — memory and per-call work stay bounded
-regardless of how many samples a load test pushes.
+is O(1); bulk recording (``record(value, count=N)``) costs about one
+RNG draw per reservoir slot it overwrites, independent of N and, once
+the reservoir has filled, of its size.  After a histogram has seen
+many samples a small batch overwrites well under one slot, so
+recording a latency on every batch stays cheap on the serving hot
+path, and memory stays bounded however many samples a load test
+pushes.
 
 Every instrument additionally supports **merging**, the primitive the
 multi-process cluster is built on: a worker ships
@@ -34,11 +38,19 @@ of its source population), so merged quantiles stay unbiased.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+
+#: Largest per-slot overwrite probability for which a bulk record draws
+#: the gaps between overwritten slots.  One gap draw (two logarithms)
+#: costs about six per-slot ``random() < p`` tests on CPython, so a
+#: bulk record expected to replace more than a sixth of the reservoir
+#: (the first large batches after it fills) tests every slot instead.
+_SKIP_MAX_P = 0.17
 
 
 def _fmt(value: float) -> str:
@@ -175,11 +187,19 @@ class Histogram:
     def record(self, value: float, count: int = 1) -> None:
         """Record *value* occurring *count* times.
 
-        The bulk path is O(reservoir size), not O(count): all *count*
-        samples are equal, so only which slots end up overwritten
-        matters.  Under algorithm R a block of ``count`` equal samples
-        arriving after ``n`` others leaves each slot untouched with
-        probability ``n / (n + count)``; we draw that per slot.
+        The bulk path costs about one RNG draw per slot it overwrites,
+        not O(count) or O(reservoir size): all *count* samples are
+        equal, so only which slots end up overwritten matters.  Under
+        algorithm R the ``r`` samples of the block that find no empty
+        slot, arriving after ``n`` others, leave a given slot untouched
+        with probability ``n / (n + r)``; we overwrite each slot
+        independently with ``p = r / (n + r)``.  The gaps between
+        overwritten slots are then geometric, so we draw each gap
+        (Vitter's skip) instead of testing every slot: about
+        ``1 + p * reservoir_size`` draws in expectation.  When a large
+        share of the slots changes (``p > _SKIP_MAX_P``, e.g. the first
+        large batch after the reservoir fills) a test per slot is the
+        cheaper way to draw the same law, and that is what it does.
         """
         if count <= 0:
             raise ValueError("count must be positive")
@@ -206,9 +226,22 @@ class Histogram:
         if remaining <= 0 or not self._reservoir:
             return
         p_replace = remaining / self.count
-        for slot in range(len(self._reservoir)):
-            if self._rng.random() < p_replace:
-                self._reservoir[slot] = value
+        reservoir = self._reservoir
+        draw = self._rng.random
+        if p_replace > _SKIP_MAX_P:
+            for slot in range(len(reservoir)):
+                if draw() < p_replace:
+                    reservoir[slot] = value
+            return
+        # Geometric gap: floor(log(U) / log(1 - p)) untouched slots
+        # before the next overwrite, U in (0, 1] so the log is finite.
+        log_keep = math.log1p(-p_replace)
+        slot = -1
+        while True:
+            slot += 1 + int(math.log(1.0 - draw()) / log_keep)
+            if slot >= len(reservoir):
+                return
+            reservoir[slot] = value
 
     def record_many(self, values: Sequence[float]) -> None:
         """Record every element of *values*."""

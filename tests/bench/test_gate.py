@@ -25,7 +25,7 @@ from repro.cli import main
 _SLEEP = {}
 
 _BASE_S = 0.002
-_GATE_ARGS = ["--samples", "6", "--target-time", "0.005"]
+_GATE_ARGS = ["--samples", "12", "--target-time", "0.005"]
 
 
 def _toy_suite(preset):
@@ -34,7 +34,7 @@ def _toy_suite(preset):
             time.sleep(_SLEEP[name])
 
         return Benchmark(name=name, suite="toy", payload=payload,
-                         ops_per_call=1, samples=6, calibrate=False)
+                         ops_per_call=1, samples=12, calibrate=False)
 
     return [mk(name) for name in sorted(_SLEEP)]
 

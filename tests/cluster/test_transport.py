@@ -285,34 +285,38 @@ def test_worker_channel_spec_rejects_unknown_kind():
 # ----------------------------------------------------------------------
 # Worker death trace (the silent-exit fix)
 # ----------------------------------------------------------------------
-class _DyingChannel:
-    """Delivers one batch, then the router 'vanishes' on send.
+_ONE_BATCH = (protocol.BATCH, 1,
+              np.asarray([(1, 2), (3, 4)], dtype=np.uint64))
 
-    The first *heartbeats* sends (the worker's readiness heartbeat)
-    go through; every later send raises.
+
+class _DyingChannel:
+    """Replays *inbox*, then the router 'vanishes'.
+
+    ``recv`` returns the *inbox* messages in order (``None`` is an idle
+    timeout) and raises once they run out.  The first *sends* sends go
+    through (the default 1 is the worker's readiness heartbeat); every
+    later send raises.
     """
 
     transport_name = "stub"
 
-    def __init__(self, heartbeats=1):
+    def __init__(self, sends=1, inbox=(_ONE_BATCH,)):
         from repro.cluster.transport import ChannelClosed
 
         self._closed_exc = ChannelClosed
-        self._batch = (protocol.BATCH, 1,
-                       np.asarray([(1, 2), (3, 4)], dtype=np.uint64))
-        self._heartbeats = heartbeats
+        self.inbox = list(inbox)
+        self._sends = sends
         self.sent = []
         self.closed = False
 
     def recv(self, timeout):
-        if self._batch is not None:
-            msg, self._batch = self._batch, None
-            return msg
+        if self.inbox:
+            return self.inbox.pop(0)
         raise self._closed_exc("router gone")
 
     def send(self, msg, shed_if_full=False):
-        if msg[0] == protocol.HEARTBEAT and self._heartbeats > 0:
-            self._heartbeats -= 1
+        if self._sends > 0:
+            self._sends -= 1
             self.sent.append(msg)
             return True
         raise self._closed_exc("router gone")
@@ -364,7 +368,7 @@ def test_worker_death_trace_when_readiness_send_fails(capsys):
     cfg = {"width": 32, "window": 8, "recovery_cycles": 1,
            "backend": "numpy", "family": "aca",
            "heartbeat_interval": 10.0}
-    channel = _DyingChannel(heartbeats=0)
+    channel = _DyingChannel(sends=0)
     worker_main(3, channel, cfg)  # returns instead of raising
     assert channel.closed
     record = _death_record(capsys.readouterr().err)
@@ -373,7 +377,39 @@ def test_worker_death_trace_when_readiness_send_fails(capsys):
     assert record["worker_id"] == 3
     assert record["ops_total"] == 0
     assert record["batches_total"] == 0
-    assert channel._batch is not None  # never reached the first recv
+    assert channel.inbox  # never reached the first recv
+
+
+def test_worker_death_trace_when_heartbeat_after_result_fails(capsys):
+    # The router takes the result, then vanishes before the heartbeat
+    # that follows it (interval 0: every result is followed by one).
+    cfg = {"width": 32, "window": 8, "recovery_cycles": 1,
+           "backend": "numpy", "family": "aca",
+           "heartbeat_interval": 0.0}
+    channel = _DyingChannel(sends=2)
+    worker_main(4, channel, cfg)  # returns instead of raising
+    assert channel.closed
+    assert [msg[0] for msg in channel.sent] == [protocol.HEARTBEAT,
+                                                protocol.RESULT]
+    record = _death_record(capsys.readouterr().err)
+    assert record["reason"] == "heartbeat_send"
+    assert record["ops_total"] == 2
+    assert record["batches_total"] == 1
+
+
+def test_worker_death_trace_when_idle_heartbeat_fails(capsys):
+    # An idle recv timeout triggers a heartbeat; its failure is a send
+    # failure, not a recv one.
+    cfg = {"width": 32, "window": 8, "recovery_cycles": 1,
+           "backend": "numpy", "family": "aca",
+           "heartbeat_interval": 0.0}
+    channel = _DyingChannel(sends=1, inbox=(None,))
+    worker_main(6, channel, cfg)  # returns instead of raising
+    assert channel.closed
+    assert not channel.inbox
+    record = _death_record(capsys.readouterr().err)
+    assert record["reason"] == "heartbeat_send"
+    assert record["ops_total"] == 0
 
 
 def test_cluster_ready_well_within_one_heartbeat_interval():

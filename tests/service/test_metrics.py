@@ -1,5 +1,8 @@
 """Metrics registry: counters, gauges, histograms, exports."""
 
+import random
+import statistics
+
 import pytest
 
 from repro.service import Counter, Gauge, Histogram, MetricsRegistry
@@ -64,8 +67,9 @@ def test_histogram_reservoir_bounded_and_deterministic():
 
 
 def test_histogram_bulk_record_is_bounded_by_reservoir():
-    """Bulk recording must do O(reservoir) work, not O(count): ten
-    million samples per call would hang the old per-sample loop."""
+    """Bulk recording must not do O(count) work: ten million samples
+    per call would hang a per-sample loop.  Memory stays bounded by
+    the reservoir whatever the count."""
     h = Histogram("lat", reservoir_size=128, seed=3)
     h.record(1.0, count=10_000_000)
     h.record(2.0, count=10_000_000)
@@ -78,6 +82,70 @@ def test_histogram_bulk_record_is_bounded_by_reservoir():
     assert set(h._reservoir) == {1.0, 2.0}
     assert h.quantile(0.05) == 1.0
     assert h.quantile(0.95) == 2.0
+
+
+class _CountingRandom(random.Random):
+    """A seeded RNG that counts its ``random()`` draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def test_histogram_bulk_record_costs_slots_replaced_not_reservoir():
+    # After a million samples a 64-sample block overwrites each of the
+    # 8192 slots with p ~ 6.4e-5: ~0.5 slots, ~1.5 draws expected.  A
+    # per-slot test would make 8192 draws.
+    h = Histogram("lat", seed=0)
+    h._rng = _CountingRandom(0)
+    h.record(1, count=10**6)
+    h._rng.draws = 0
+    h.record(2, count=64)
+    assert h._rng.draws <= 20
+    assert h.count == 10**6 + 64
+    assert len(h._reservoir) == 8192
+
+
+@pytest.mark.parametrize("before, block, mean, var", [
+    # p = 0.5, above the skip threshold: every slot is tested.
+    (1000, 1000, (495, 505), (150, 350)),
+    # p = 0.1: the gaps between overwritten slots are drawn.
+    (9000, 1000, (97, 103), (50, 130)),
+])
+def test_histogram_bulk_record_keeps_binomial_sampling_law(
+        before, block, mean, var):
+    # A full 1000-slot reservoir that has seen *before* samples takes a
+    # block of *block* equal ones: each slot is overwritten with
+    # p = block / (before + block), so the number overwritten is
+    # Binomial(1000, p) (mean 1000p, variance 1000p(1 - p); the bounds
+    # are ~4 standard errors over 200 trials), and overwrites are
+    # spread evenly over the slots.
+    overwritten = []
+    first_half = 0
+    for trial in range(200):
+        h = Histogram("lat", reservoir_size=1000, seed=trial)
+        h.record(1, count=before)
+        h.record(2, count=block)
+        overwritten.append(h._reservoir.count(2.0))
+        first_half += h._reservoir[:500].count(2.0)
+    assert mean[0] <= statistics.mean(overwritten) <= mean[1]
+    assert var[0] <= statistics.variance(overwritten) <= var[1]
+    assert abs(first_half / sum(overwritten) - 0.5) < 0.02
+
+
+def test_histogram_bulk_record_is_deterministic_per_seed():
+    stream = [(1, 5000), (2, 64), (3, 9000), (1, 1), (4, 128), (5, 2)]
+    h1 = Histogram("x", reservoir_size=512, seed=11)
+    h2 = Histogram("x", reservoir_size=512, seed=11)
+    for value, count in stream * 20:
+        h1.record(value, count=count)
+        h2.record(value, count=count)
+    assert h1._reservoir == h2._reservoir
+    assert h1.to_json() == h2.to_json()
 
 
 def test_histogram_validation():
