@@ -5,8 +5,7 @@ representative implementation slice — the number that bounds how large
 a nightly fuzz run can be.  The reference oracle is benchmarked on its
 own (whole-chunk array arithmetic from the ACA definition, the cost
 every run shares), then one word-level serving implementation, the
-abstract VLSA machine, and one gate-level engine backend at a reduced
-share.
+abstract VLSA machine, and the gate-level engine at a reduced share.
 
 Every run must stay mismatch-free: a ``mismatches`` metric banded
 against zero turns a silently-diverging implementation into a gate
@@ -30,7 +29,7 @@ _GATE_SHARE = 8
 _IMPLS = (
     ("machine", False),
     ("service:numpy", False),
-    ("engine:numpy", True),
+    ("engine:bigint", True),
 )
 
 _CLEAN_BAND = MetricBand("mismatches", "expected_mismatches", rel_tol=0.0)

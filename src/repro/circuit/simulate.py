@@ -6,16 +6,17 @@ Two evaluation modes share the same front-end API:
   carries the stimulus of test vector ``j``.  With 64 vectors per word this
   already gives a 64x speedup over naive per-vector evaluation, and Python's
   big integers allow arbitrarily many vectors per call.
-* **NumPy vectors** — inputs are ``numpy.ndarray`` of an unsigned dtype; all
-  gate evaluations become element-wise array ops.
+* **NumPy vectors** — inputs are ``numpy.ndarray`` of an integer dtype;
+  every bit of every element is an independent vector, so the gate
+  evaluations act element-wise.
 
-Since PR 1 the heavy lifting happens in :mod:`repro.engine`:
-:func:`simulate` compiles the circuit once (memoised) into a flat op
-tape with pre-resolved kernels and dispatches to the configured engine
-backend (``bigint``/``numpy``/``sharded``).  The original per-gate
-interpreter survives as :func:`simulate_interpreted` — it is the
-reference implementation the engine is differentially tested against,
-and the ``legacy`` baseline of the ``engine`` bench suite.
+The heavy lifting happens in :mod:`repro.engine`: :func:`simulate`
+compiles the circuit once (memoised) into a flat op tape and replays
+it over packed Python-int words (array stimulus is packed into one such
+word per bit first).  The original per-gate interpreter survives as
+:func:`simulate_interpreted` — it is the reference implementation the
+engine is differentially tested against, and the ``legacy`` baseline of
+the ``engine`` bench suite.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ def bus_to_int(bits: Sequence[int]) -> int:
 
 
 def simulate(circuit: Circuit, stimulus: Mapping[str, Sequence[Word]],
-             num_vectors: Optional[int] = None,
-             backend: Optional[str] = None) -> Dict[str, List[Word]]:
+             num_vectors: Optional[int] = None) -> Dict[str, List[Word]]:
     """Simulate *circuit* on bit-parallel stimulus (compiled engine).
 
     Args:
@@ -78,21 +78,20 @@ def simulate(circuit: Circuit, stimulus: Mapping[str, Sequence[Word]],
         stimulus: Mapping from input bus name to a list of per-bit words
             (LSB first).  Each word packs one bit of every test vector.
         num_vectors: Number of packed test vectors.  Required for Python-int
-            words (it defines the negation mask); inferred from the dtype
-            for NumPy words.
-        backend: Engine backend override (default: ``numpy`` for array
-            stimulus, otherwise the run context's backend).
+            words (it defines the negation mask); ignored for NumPy
+            words, which all share one dtype and shape and carry
+            ``size * itemsize * 8`` vectors each.
 
     Returns:
-        Mapping from output bus name to per-bit words, LSB first.
+        Mapping from output bus name to per-bit words, LSB first, of
+        the stimulus' type (arrays keep its dtype and shape).
     """
     from ..engine import api as _api
 
     sample = _first_word(circuit, stimulus)
     if isinstance(sample, np.ndarray):
         return _simulate_arrays(circuit, stimulus, sample)
-    return _api.execute(circuit, stimulus, num_vectors=num_vectors,
-                        backend=backend)
+    return _api.execute(circuit, stimulus, num_vectors=num_vectors)
 
 
 def _first_word(circuit: Circuit,
@@ -112,40 +111,27 @@ def _first_word(circuit: Circuit,
 def _simulate_arrays(circuit: Circuit,
                      stimulus: Mapping[str, Sequence[Word]],
                      sample: np.ndarray) -> Dict[str, List[np.ndarray]]:
-    """Element-wise array mode: every array element is an independent
-    word of ``dtype``-many vectors.  Bitwise gate semantics are position
-    independent, so the engine evaluates the byte-identical uint64 view
-    and the results are cast back to the caller's dtype and shape."""
+    """Element-wise array mode.  Bitwise gate semantics are position
+    independent, so each array's bytes become one packed word of
+    ``nbytes * 8`` vectors, the engine runs those, and every output
+    word is read back into the caller's dtype and shape."""
     from ..engine import api as _api
-    from ..engine.backends import NumpyBackend, get_backend
 
     dtype = sample.dtype
     shape = sample.shape
-    nbytes_elem = dtype.itemsize
-    total_bytes = sample.size * nbytes_elem
-    nwords = (total_bytes + 7) // 8
+    nbytes = sample.nbytes
 
-    def to_u64(arr: np.ndarray) -> np.ndarray:
+    def to_word(arr: np.ndarray) -> int:
         if arr.dtype != dtype or arr.shape != shape:
             raise CircuitError("mixed stimulus dtypes/shapes")
-        raw = np.ascontiguousarray(arr).tobytes()
-        raw += b"\x00" * (nwords * 8 - len(raw))
-        return np.frombuffer(raw, dtype="<u8").copy()
+        return int.from_bytes(arr.tobytes(), "little")
 
-    rows = {name: [to_u64(np.asarray(w)) for w in stimulus[name]]
-            for name in circuit.inputs}
-    backend = get_backend("numpy")
-    if not isinstance(backend, NumpyBackend):  # pragma: no cover - custom
-        backend = NumpyBackend()
-    plan = _api.compiled_plan(circuit)
-    out = backend.run_u64(plan, rows, nwords)
-
-    def from_u64(arr: np.ndarray) -> np.ndarray:
-        raw = arr.tobytes()[:total_bytes]
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-
-    return {name: [from_u64(a) for a in words]
-            for name, words in out.items()}
+    words = {name: [to_word(np.asarray(w)) for w in stimulus[name]]
+             for name in circuit.inputs}
+    out = _api.execute(circuit, words, num_vectors=nbytes * 8)
+    return {name: [np.frombuffer(w.to_bytes(nbytes, "little"), dtype=dtype)
+                   .reshape(shape).copy() for w in bits]
+            for name, bits in out.items()}
 
 
 def simulate_interpreted(circuit: Circuit,
@@ -222,11 +208,9 @@ def _copy(mask: Word) -> Word:
 
 
 def simulate_words(circuit: Circuit, stimulus: Mapping[str, Sequence[int]],
-                   num_vectors: int,
-                   backend: Optional[str] = None) -> Dict[str, List[int]]:
+                   num_vectors: int) -> Dict[str, List[int]]:
     """Alias of :func:`simulate` for Python-int words (explicit vector count)."""
-    return simulate(circuit, stimulus, num_vectors=num_vectors,
-                    backend=backend)
+    return simulate(circuit, stimulus, num_vectors=num_vectors)
 
 
 def simulate_bus_ints(circuit: Circuit,

@@ -6,7 +6,7 @@ Usage::
     python -m repro table1
     python -m repro fig8 --widths 64,128,256
     python -m repro fig7 --ops 200000 --seed 1
-    python -m repro crosscheck --backend numpy
+    python -m repro crosscheck --widths 16,65,128
     python -m repro verify --width 64 --window 8 --vectors 100000
     python -m repro bench run --suite service --preset small
     python -m repro bench gate
@@ -17,10 +17,9 @@ Usage::
 Results are printed and also written under ``results/`` (or
 ``$REPRO_RESULTS_DIR``).  Every experiment command runs inside an
 instrumented :class:`repro.engine.RunContext`: ``--seed`` roots all
-randomness and ``--backend`` selects the engine backend for gate-level
-simulation.  Unless ``--no-save`` is given, every command also writes
-``results/<command>_manifest.json`` recording the seed, backend,
-gate-eval counters, per-phase wall times and trace events of the run.
+randomness.  Unless ``--no-save`` is given, every command also writes
+``results/<command>_manifest.json`` recording the seed, gate-eval
+counters, per-phase wall times and trace events of the run.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ __all__ = ["main"]
 
 # Choice lists and defaults the parser shows, spelled out here so that
 # building it imports neither the experiments, the load generator, the
-# RTL generator, the engine backends nor the bench harness (each pulls
+# RTL generator, the engine nor the bench harness (each pulls
 # in the netlist stack).  tests/test_public_api.py pins every one to
 # the list or value it mirrors.
-_ENGINE_BACKENDS = ("bigint", "numpy", "sharded")
 _LOADGEN_WORKLOADS = ("uniform", "biased", "adversarial", "attack", "mixed",
                       "drift")
 #: ``generator.DESIGN_KINDS`` before the families add theirs: the fixed
@@ -260,7 +258,7 @@ _COMMANDS: Dict[str, Tuple[Callable, str, Tuple[str, ...]]] = {
             "workload dependence",
             ("width",)),
     "crosscheck": (_cmd_crosscheck,
-                   "Every engine backend versus the functional model",
+                   "The gate-level engine versus the functional model",
                    ("widths", "samples")),
     "loadgen": (_cmd_loadgen,
                 "Drive a workload through the in-process VLSA service "
@@ -381,9 +379,6 @@ def _add_loadgen(p):
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=_ENGINE_BACKENDS,
-                   default="bigint",
-                   help="engine backend for gate-level simulation")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="root RNG seed (default: %(default)s)")
     p.add_argument("--manifest", action="store_true",
@@ -398,7 +393,7 @@ def _run_command(name: str, args) -> str:
     """Run one experiment command inside a fresh instrumented context."""
     from . import experiments
 
-    ctx = RunContext(seed=args.seed, backend=args.backend, label=name)
+    ctx = RunContext(seed=args.seed, label=name)
     set_default_context(ctx)
     handler = _COMMANDS[name][0]
     with ctx.phase(name):
@@ -608,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="differential + formal verification: fuzzing, exhaustive "
              "sweeps, and BDD proofs vs the analytic model",
         description="Drive every registered ACA/VLSA implementation "
-                    "(engine backends, interpreter, functional model, "
+                    "(gate-level engine, interpreter, functional model, "
                     "VLSA machine, service executors) from one seeded "
                     "vector stream; report elementwise mismatches with "
                     "minimised reproducers, and check empirical error/"
@@ -1056,7 +1051,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         chunks = []
         for name in _COMMANDS:
             defaults = parser.parse_args(
-                [name, "--backend", args.backend, "--seed", str(args.seed)]
+                [name, "--seed", str(args.seed)]
                 + (["--manifest"] if args.manifest else [])
                 + (["--no-save"] if args.no_save else []))
             text = _run_command(name, defaults)

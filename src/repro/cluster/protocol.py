@@ -24,7 +24,8 @@ Router -> worker:
 Worker -> router:
 
 * ``(RESULT, msg_id, result)`` — *result* is a dict: ``sums`` /
-  ``couts`` / ``stalled`` / ``spec_errors`` (arrays or lists),
+  ``couts`` / ``stalled`` / ``spec_errors`` (numpy arrays; sums and
+  carries are ``uint64`` at widths up to 64, ``dtype=object`` above),
   ``cycles``, ``start_cycle`` (worker-local clock) and ``counters``
   (lightweight running totals, see :func:`light_counters`).
 * ``(HEARTBEAT, worker_id, state)`` — liveness beacon carrying the full

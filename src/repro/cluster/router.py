@@ -584,18 +584,16 @@ class ClusterRouter:
         sums, couts = result["sums"], result["couts"]
         stalled, spec = result["stalled"], result["spec_errors"]
         cycles, start_cycle = result["cycles"], result["start_cycle"]
-        is_np = isinstance(sums, np.ndarray)
-        if is_np:
-            # Ring results are views into their slot, which is reused
-            # once this returns; the responses keep copies.
-            sums, couts, stalled = sums.copy(), couts.copy(), stalled.copy()
+        # Ring results are views into their slot, which is reused once
+        # this returns; the responses keep copies.
+        sums, couts, stalled = sums.copy(), couts.copy(), stalled.copy()
         n = wb.ops
-        stall_count = int(stalled.sum()) if is_np else sum(stalled)
+        stall_count = int(np.count_nonzero(stalled))
         rc = self.recovery_cycles
         self._cycle += cycles
         self.m_ops.inc(n)
         self.m_stalls.inc(stall_count)
-        self.m_spec_errors.inc(int(spec.sum()) if is_np else sum(spec))
+        self.m_spec_errors.inc(int(np.count_nonzero(spec)))
         self.m_batches.inc()
         self.m_cycles.set(self._cycle)
         self.h_batch.record(n)
@@ -607,19 +605,17 @@ class ClusterRouter:
         accept = start_cycle
         for pending, lo in zip(wb.pendings, wb.offsets):
             hi = lo + pending.ops
-            seg_stalls = (int(stalled[lo:hi].sum()) if is_np
-                          else sum(stalled[lo:hi]))
+            seg_stalls = int(np.count_nonzero(stalled[lo:hi]))
             seg_cycles = pending.ops + rc * seg_stalls
             if not pending.future.done():
                 self.h_wall.record(now - pending.enqueued_at)
                 pending.future.set_result(self._build_response(
                     pending, sums[lo:hi], couts[lo:hi], stalled[lo:hi],
-                    accept, seg_cycles, seg_stalls, is_np))
+                    accept, seg_cycles, seg_stalls))
             accept += seg_cycles
 
     def _build_response(self, pending: _Pending, sums, couts, stalled,
-                        accept: int, seg_cycles: int, seg_stalls: int,
-                        is_np: bool):
+                        accept: int, seg_cycles: int, seg_stalls: int):
         rc = self.recovery_cycles
         if pending.scalar:
             a, b = pending.scalar_pair
@@ -628,10 +624,9 @@ class ClusterRouter:
                 a=a, b=b, sum_out=int(sums[0]), cout=int(couts[0]),
                 stalled=flag, latency_cycles=1 + (rc if flag else 0),
                 accept_cycle=accept)
-        latencies = (np.where(stalled, 1 + rc, 1) if is_np
-                     else [1 + (rc if f else 0) for f in stalled])
         return BatchResponse(
-            sums=sums, couts=couts, stalled=stalled, latencies=latencies,
+            sums=sums, couts=couts, stalled=stalled,
+            latencies=np.where(stalled, 1 + rc, 1),
             accept_cycle=accept, cycles=seg_cycles,
             stall_count=seg_stalls)
 

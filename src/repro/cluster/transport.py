@@ -197,8 +197,8 @@ def _is_binary_batch(msg: protocol.Message) -> bool:
 
 
 def _is_binary_result(msg: protocol.Message) -> bool:
-    return (msg[0] == protocol.RESULT
-            and isinstance(msg[2].get("sums"), np.ndarray))
+    sums = msg[2].get("sums") if msg[0] == protocol.RESULT else None
+    return isinstance(sums, np.ndarray) and sums.dtype == np.uint64
 
 
 def encode_into(msg: protocol.Message, mv: memoryview) -> int:

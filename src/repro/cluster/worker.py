@@ -6,8 +6,9 @@ single-process service runs), a private
 :class:`~repro.service.metrics.MetricsRegistry`, and a worker-local
 virtual cycle clock; it reads wire batches off its transport channel
 (pipe or shared-memory ring — see :mod:`repro.cluster.transport`),
-executes them, and replies with array-native results (numpy backend) or
-lists (bigint fallback).
+executes them, and replies with array-native results on either backend
+(``uint64`` sums and carries at widths up to 64, ``dtype=object`` lanes
+above).
 
 The worker is deliberately synchronous and single-threaded: the paper's
 datapath is a serial accelerator, and a worker models exactly one of
@@ -180,10 +181,9 @@ def worker_main(worker_id: int, channel: WorkerChannel,
         else:
             outcome = executor.execute(payload)
             n, stalls = outcome.size, outcome.stall_count
-            result = {"sums": outcome.sums, "couts": outcome.couts,
-                      "stalled": outcome.stalled,
-                      "spec_errors": outcome.spec_errors,
-                      "cycles": outcome.cycles}
+            result = {name: outcome.column(name) for name in
+                      ("sums", "couts", "stalled", "spec_errors")}
+            result["cycles"] = outcome.cycles
         result["start_cycle"] = cycle
         cycle += result["cycles"]
         m_ops.inc(n)

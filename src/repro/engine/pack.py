@@ -1,13 +1,11 @@
 """Fast bit-slice packing/unpacking between vector and word domains.
 
-The engine moves data between three representations:
+The engine moves data between two representations:
 
 * **per-vector integers** — one Python int per test vector (what
   reference models and ATPG vectors use);
 * **packed big-int words** — one Python int per *bit column*, bit ``j``
-  of the word carrying vector ``j`` (the bigint backend's native form);
-* **uint64 word arrays** — the same bit-sliced layout chunked into
-  64-vector machine words (the NumPy backend's native form).
+  of the word carrying vector ``j`` (what the engine's op tape runs on).
 
 Packing and unpacking are the same bit-matrix transpose, one numpy
 kernel for both directions:
@@ -43,8 +41,6 @@ __all__ = [
     "pack_vectors",
     "unpack_vectors",
     "unpack_lanes",
-    "word_to_u64",
-    "u64_to_word",
     "random_word",
     "random_word_array",
     "uniform_ints",
@@ -153,21 +149,6 @@ def unpack_lanes(words: Sequence[int], count: int) -> np.ndarray:
 def unpack_vectors(words: Sequence[int], count: int) -> List[int]:
     """:func:`unpack_lanes` as a list of Python ints."""
     return unpack_lanes(words, count).tolist()
-
-
-def word_to_u64(word: int, num_vectors: int) -> np.ndarray:
-    """Split a packed big-int word into little-endian uint64 chunks."""
-    nwords = (num_vectors + 63) // 64
-    mask = (1 << num_vectors) - 1
-    raw = (int(word) & mask).to_bytes(nwords * 8, "little")
-    return np.frombuffer(raw, dtype="<u8").copy()
-
-
-def u64_to_word(array: np.ndarray, num_vectors: int) -> int:
-    """Reassemble uint64 chunks into one packed big-int word."""
-    value = int.from_bytes(np.ascontiguousarray(
-        array, dtype="<u8").tobytes(), "little")
-    return value & ((1 << num_vectors) - 1)
 
 
 def random_word(rng: np.random.Generator, num_vectors: int) -> int:

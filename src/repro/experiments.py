@@ -780,56 +780,47 @@ def dsp_table(samples: int = 400, windows: Sequence[int] = (12, 18, 24, 30),
 
 
 # ----------------------------------------------------------------------
-# XCK: engine backends vs functional model cross-check
+# XCK: gate-level engine vs functional model cross-check
 # ----------------------------------------------------------------------
 def crosscheck_table(widths: Sequence[int] = (16, 32, 64),
                      vectors: int = 2048,
                      ctx: Optional[RunContext] = None) -> Table:
-    """Cross-check every engine backend against the functional ACA model.
+    """Cross-check the gate-level engine against the functional ACA model.
 
     A thin front-end over :mod:`repro.verify`: for each width the
     gate-level ACA (at the 99.99 % window) runs the same seeded uniform
-    vectors through every registered engine backend via the differential
-    verifier, so mismatches come back with a first failing vector and a
-    minimised reproducer instead of a bare boolean.  Also reports
-    per-backend throughput, making this the quickest way to sanity-check
-    a ``--backend`` choice.  Deeper coverage (all implementation
-    families, adversarial/boundary streams, exhaustive small widths,
-    statistical rate checks) lives in ``python -m repro verify``.
+    vectors through the compiled engine via the differential verifier,
+    so mismatches come back with a first failing vector and a minimised
+    reproducer instead of a bare boolean.  Also reports engine
+    throughput.  Deeper coverage (all implementation families,
+    adversarial/boundary streams, exhaustive small widths, statistical
+    rate checks) lives in ``python -m repro verify``.
     """
-    from .engine import available_backends
     from .verify import DifferentialVerifier
 
     ctx = ctx or get_default_context()
     table = Table(
-        f"Engine cross-check: gate-level backends vs functional ACA "
+        f"Engine cross-check: gate-level engine vs functional ACA "
         f"({vectors} vectors)",
-        ["bitwidth", "window", "backend", "matches functional", "Mvec/s"])
-    # The context's backend (the CLI's --backend) is checked first.
-    order = [ctx.backend] + [b for b in available_backends()
-                             if b != ctx.backend]
+        ["bitwidth", "window", "matches functional", "Mvec/s"])
     failures = []
     for n in widths:
         w = choose_window(n)
-        for backend in order:
-            verifier = DifferentialVerifier(
-                width=n, window=w, impls=(f"engine:{backend}",), ctx=ctx)
-            with ctx.phase(f"crosscheck_{backend}"):
-                t0 = time.perf_counter()
-                report = verifier.run(vectors=vectors, streams=("uniform",),
-                                      seed=ctx.spawn_seed("crosscheck"))
-                dt = time.perf_counter() - t0
-            cov = next(c for c in report.coverage
-                       if c.impl == f"engine:{backend}")
-            table.add_row(n, w, backend,
-                          "yes" if report.ok else "NO",
-                          round(cov.vectors / dt / 1e6, 3))
-            failures.extend(d.describe() for d in report.discrepancies)
+        verifier = DifferentialVerifier(
+            width=n, window=w, impls=("engine:bigint",), ctx=ctx)
+        t0 = time.perf_counter()
+        report = verifier.run(vectors=vectors, streams=("uniform",),
+                              seed=ctx.spawn_seed("crosscheck"))
+        dt = time.perf_counter() - t0
+        cov = report.coverage[0]
+        table.add_row(n, w, "yes" if report.ok else "NO",
+                      round(cov.vectors / dt / 1e6, 3))
+        failures.extend(d.describe() for d in report.discrepancies)
     if failures:
         raise AssertionError(
-            "engine backends disagree with the functional model:\n  "
+            "the gate-level engine disagrees with the functional model:\n  "
             + "\n  ".join(failures))
-    table.note = ("All backends must agree bit-for-bit with the functional "
+    table.note = ("The engine must agree bit-for-bit with the functional "
                   "model (proven equivalent to the gates in tests); "
                   "throughput is indicative, not a benchmark.")
     return _finish(table, ctx)

@@ -1,7 +1,7 @@
 """Batched VLSA evaluation backing the service's micro-batcher.
 
 One coalesced batch of operand pairs is evaluated in a single call,
-mirroring the engine's backend split:
+on one of two backends:
 
 * ``numpy`` — the family's own ``numpy_kernel`` for widths up to 64
   bits (the throughput path: exact sums, detector flags and
@@ -42,7 +42,7 @@ __all__ = ["BatchOutcome", "BatchArrays", "Pairs", "ResultColumn",
            "ResultColumns", "VlsaBatchExecutor", "EXECUTOR_BACKENDS",
            "count_true", "pairs_array"]
 
-#: Executor backend names (mirrors the engine backend vocabulary).
+#: Executor backend names.
 EXECUTOR_BACKENDS = ("numpy", "bigint")
 
 

@@ -105,9 +105,10 @@ class BatchResponse(ResultColumns):
     """Outcome of a client-side batch submitted as one request.
 
     Per-addition results are parallel columns (a million-op load test
-    should not allocate a million dataclasses): on the numpy backend
-    they are numpy arrays, slices of the micro-batch's result arrays;
-    on the bigint backend, lists.  ``sums``, ``couts``, ``stalled`` and
+    should not allocate a million dataclasses): on the numpy backend,
+    and from a cluster on either backend, they are numpy arrays, slices
+    of the batch's result arrays; on the in-process bigint backend,
+    lists.  ``sums``, ``couts``, ``stalled`` and
     ``latencies`` read as lists either way, built on first read (see
     :class:`~repro.service.executor.ResultColumn`); :meth:`column`
     gives a column as stored, which is what the TCP edge renders its

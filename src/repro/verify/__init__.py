@@ -1,8 +1,8 @@
 """Differential + formal verification subsystem.
 
 "Bit-identical" is an invariant, not a comment: this package drives
-every registered ACA/VLSA implementation — compiled-engine backends,
-the legacy interpreter, the functional models, the cycle-accurate
+every registered ACA/VLSA implementation — the compiled engine, the
+legacy interpreter, the functional models, the cycle-accurate
 machine, and the service executors — from one seeded vector stream,
 cross-checks them elementwise, and tests their empirical error/detector
 rates against the exact analytic model with binomial bounds.

@@ -9,7 +9,7 @@ Implementations register as adapters with a uniform batch interface and
 fall into two groups:
 
 * ``speculative`` — produce the raw speculative ``(sum, cout)`` the
-  hardware emits (gate-level circuits under every engine backend, the
+  hardware emits (gate-level circuits on the compiled engine, the
   legacy interpreter, the functional model itself, the family's
   vectorised numpy kernel);
 * ``exact`` — produce the corrected sum plus the detector/stall flag and
@@ -272,21 +272,20 @@ def _run_netlist(simulate: Callable[..., Dict[str, List[int]]],
 
 
 class EngineImpl(Implementation):
-    """Gate-level speculative core under one compiled-engine backend."""
+    """Gate-level speculative core on the compiled engine."""
 
     family = "speculative"
 
-    def __init__(self, width: int, window: int, backend: str,
-                 recovery_cycles: int = 1, family: str = "aca"):
+    def __init__(self, width: int, window: int, recovery_cycles: int = 1,
+                 family: str = "aca"):
         fam, params, _ = _resolved(family, width, window)
-        self.name = f"engine:{backend}"
-        self.backend = backend
+        self.name = "engine:bigint"
         self.width = width
         self.circuit = fam.build_speculative(width, **params)
 
     def run(self, pairs: Pairs) -> ImplResult:
         sums, couts = _run_netlist(execute, self.circuit, pairs,
-                                   ("sum", "cout"), backend=self.backend)
+                                   ("sum", "cout"))
         return ImplResult(sums=sums, couts=couts)
 
 
@@ -505,9 +504,8 @@ def unregister_implementation(name: str) -> None:
 def _ensure_builtin() -> None:
     if _BUILTIN:
         return
-    from ..engine import available_backends
-
     builtin: Dict[str, Callable[..., Implementation]] = {
+        "engine:bigint": EngineImpl,
         "functional": FunctionalImpl,
         "interpreter": InterpreterImpl,
         "kernel": KernelImpl,
@@ -518,10 +516,6 @@ def _ensure_builtin() -> None:
         "service:bigint": lambda w, win, rc, family="aca":
             ExecutorImpl(w, win, "bigint", rc, family=family),
     }
-    for backend in available_backends():
-        builtin[f"engine:{backend}"] = (
-            lambda w, win, rc, family="aca", _b=backend:
-                EngineImpl(w, win, _b, rc, family=family))
     _FACTORIES.update(builtin)
     # Only these names: anything registered before the built-ins loaded
     # stays an external implementation.

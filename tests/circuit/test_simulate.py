@@ -69,6 +69,29 @@ def test_numpy_vector_mode():
     assert np.array_equal(out["co"][0], expected_co)
 
 
+def test_numpy_mode_keeps_dtype_and_shape_off_the_word_size():
+    # 15 bytes of stimulus: not a whole number of 64-bit words.
+    c = _full_adder()
+    rng = np.random.default_rng(1)
+    a, b, ci = (rng.integers(0, 256, size=(3, 5), dtype=np.uint8)
+                for _ in range(3))
+    out = simulate(c, {"a": [a], "b": [b], "cin": [ci]})
+    for got, want in ((out["s"][0], a ^ b ^ ci),
+                      (out["co"][0], (a & b) | (a & ci) | (b & ci))):
+        assert got.dtype == np.uint8
+        assert got.shape == (3, 5)
+        assert np.array_equal(got, want)
+
+
+def test_numpy_mode_rejects_mixed_dtypes_and_shapes():
+    c = _full_adder()
+    a = np.zeros((3, 5), dtype=np.uint8)
+    for other in (np.zeros((3, 5), dtype=np.uint16),
+                  np.zeros(15, dtype=np.uint8)):
+        with pytest.raises(CircuitError, match="mixed stimulus"):
+            simulate(c, {"a": [a], "b": [other], "cin": [a]})
+
+
 def test_constants_in_simulation():
     c = Circuit("t")
     a = c.add_input("a")

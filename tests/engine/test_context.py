@@ -60,7 +60,7 @@ def test_phase_timer_accumulates():
 
 
 def test_snapshot_is_json_serialisable(tmp_path):
-    ctx = RunContext(seed=4, backend="numpy", label="unit")
+    ctx = RunContext(seed=4, label="unit")
     ctx.add("gate_evals", 3)
     with ctx.phase("p"):
         pass
@@ -68,7 +68,6 @@ def test_snapshot_is_json_serialisable(tmp_path):
     with open(path, encoding="utf-8") as f:
         manifest = json.load(f)
     assert manifest["seed"] == 4
-    assert manifest["backend"] == "numpy"
     assert manifest["label"] == "unit"
     assert manifest["gate_evals"] == 3
     assert "p" in manifest["phase_seconds"]
@@ -97,7 +96,7 @@ def restore_default_context():
 
 
 def test_set_default_context(restore_default_context):
-    ctx = RunContext(seed=77, backend="numpy")
+    ctx = RunContext(seed=77)
     assert set_default_context(ctx) is ctx
     assert get_default_context() is ctx
     assert get_default_context().seed == 77

@@ -58,17 +58,6 @@ def test_pack_unpack_match_naive_definition(width, count):
     assert all(type(v) is int for v in got)
 
 
-@pytest.mark.parametrize("num_vectors", [1, 63, 64, 65, 200])
-def test_word_u64_roundtrip(num_vectors):
-    rng = np.random.default_rng(num_vectors)
-    word = int.from_bytes(rng.bytes((num_vectors + 7) // 8), "little") & (
-        (1 << num_vectors) - 1)
-    arr = pack.word_to_u64(word, num_vectors)
-    assert arr.dtype == np.uint64
-    assert len(arr) == (num_vectors + 63) // 64
-    assert pack.u64_to_word(arr, num_vectors) == word
-
-
 def test_random_word_bounds_and_determinism():
     a = pack.random_word(np.random.default_rng(5), 67)
     b = pack.random_word(np.random.default_rng(5), 67)

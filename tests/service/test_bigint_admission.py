@@ -144,3 +144,38 @@ def test_bigint_router_replies(width):
                                                  one["couts"][0])
 
     asyncio.run(main())
+
+
+@pytest.mark.parametrize("transport", ["pipe", "shm"])
+def test_bigint_pool_ships_array_columns(transport, monkeypatch):
+    """Above 64 bits a worker's RESULT columns are arrays (``dtype=object``
+    lanes), pickled on either transport, and the replies are the
+    service's."""
+    width = 96
+    pairs = _operands(width)
+    columns = []
+    on_message = ClusterRouter._on_message
+
+    def spy(self, handle, msg):
+        if msg[0] == protocol.RESULT:
+            columns.append({name: type(msg[2][name]) for name in
+                            ("sums", "couts", "stalled", "spec_errors")})
+        return on_message(self, handle, msg)
+
+    monkeypatch.setattr(ClusterRouter, "_on_message", spy)
+
+    async def main():
+        svc = VlsaService(width=width, window=WINDOW, backend="bigint",
+                          recovery_cycles=RECOVERY)
+        async with svc:
+            want = [await svc.submit_batch(pairs),
+                    await svc.submit(-1, 1 << 64)]
+        async with ClusterRouter(_cfg(width, transport=transport)) as router:
+            await router.wait_ready()
+            got = [await router.submit_batch(pairs),
+                   await router.submit(-1, 1 << 64)]
+        assert got == want
+
+    asyncio.run(main())
+    assert len(columns) == 2
+    assert all(set(c.values()) == {np.ndarray} for c in columns)

@@ -111,7 +111,6 @@ def test_manifest_written_by_default(_results_tmpdir):
     manifest = json.loads(
         (_results_tmpdir / "theorem1_manifest.json").read_text())
     assert manifest["label"] == "theorem1"
-    assert manifest["backend"] == "bigint"
     assert "theorem1" in manifest["phase_seconds"]
     assert (_results_tmpdir / "theorem1.txt").exists()
 

@@ -105,13 +105,6 @@ def test_export_description_lists_every_design_kind():
     assert {"cesa", "cesa_r", "blockspec", "blockspec_r"} <= set(DESIGN_KINDS)
 
 
-def test_backend_choices_match_the_engine_registry():
-    from repro.engine import available_backends
-
-    table1 = _subparser(cli._build_parser(), "table1")
-    assert list(_action(table1, "backend").choices) == available_backends()
-
-
 def test_bench_defaults_match_the_harness():
     from repro.bench.stats import DEFAULT_ALPHA, DEFAULT_THRESHOLD
 

@@ -16,8 +16,7 @@ from repro.verify import (Chunk, DifferentialVerifier,
 from repro.verify import differential
 from repro.verify.vectors import pair_stream
 
-NETLIST_ROWS = ("engine:bigint", "engine:numpy", "engine:sharded",
-                "interpreter", "recovery")
+NETLIST_ROWS = ("engine:bigint", "interpreter", "recovery")
 
 
 def _rows(width, count, stream="adversarial"):
