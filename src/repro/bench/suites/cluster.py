@@ -3,7 +3,7 @@ service, over both router<->worker transports.
 
 The same uniform workload through the single-process service baseline
 and through 1- and 2-worker pools (the ``full`` preset adds 4), once
-per transport: ``cluster_w{n}`` rides the pickle-over-pipe wire,
+per transport: ``cluster_w{n}`` rides the socket-pair frame wire,
 ``cluster_shm_w{n}`` the zero-copy shared-memory rings.  A benchmarked
 pool run must be *healthy*: restarts, degraded, failed, rejected and
 timed-out requests are summed into a ``failures_total`` metric banded
@@ -15,8 +15,8 @@ router<->worker round trip — which is where serialization cost lives
 once the adders themselves are vectorised.  The ``transport_overhead``
 bench drives both transports back to back at a deliberately small
 batch size (per-message cost dominant) and bands the boolean
-``shm_overhead_below_pipe``: the ring transport must beat the pickle
-pipe on per-message overhead outright, on every host, or the suite
+``shm_overhead_below_pipe``: the ring transport must beat the socket
+pair on per-message overhead outright, on every host, or the suite
 fails.  The comparison takes the best run per transport across all
 samples, so scheduler noise on a loaded host cannot flip the verdict.
 

@@ -368,8 +368,9 @@ def _add_loadgen(p):
                    help="cluster shard policy (default: %(default)s)")
     p.add_argument("--transport", choices=("pipe", "shm"),
                    default="pipe",
-                   help="cluster wire: pickle-over-pipe or zero-copy "
-                        "shared-memory rings (default: %(default)s)")
+                   help="cluster wire: binary frames on a socket pair "
+                        "or zero-copy shared-memory rings "
+                        "(default: %(default)s)")
     p.add_argument("--connect", metavar="HOST:PORT", default=None,
                    help="drive an external already-running server "
                         "(--target tcp only; default: self-host one)")
@@ -588,8 +589,9 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--transport", choices=("pipe", "shm"),
                      default="pipe",
                      help="router<->worker transport, --workers > 0 "
-                          "only: pickle-over-pipe or zero-copy "
-                          "shared-memory rings (default: %(default)s)")
+                          "only: binary frames on a socket pair or "
+                          "zero-copy shared-memory rings "
+                          "(default: %(default)s)")
     srv.add_argument("--listen", default=None, metavar="HOST:PORT",
                      help="bind address as one flag; overrides "
                           "--host/--port")

@@ -6,8 +6,8 @@ the single-process service's submission contract — plus supervision
 degraded exact-addition fallback, and cluster-wide metrics aggregation.
 See :mod:`repro.cluster.router` for the data path,
 :mod:`repro.cluster.supervisor` for the control path, and
-:mod:`repro.cluster.transport` for the wire (pickle-over-pipe or
-zero-copy shared-memory rings).
+:mod:`repro.cluster.transport` for the wire (binary frames on a socket
+pair or zero-copy shared-memory rings).
 """
 
 from .._lazy import lazy_exports

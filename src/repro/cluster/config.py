@@ -64,12 +64,12 @@ class ClusterConfig:
             live; ``"error"`` fails submissions instead.
         start_method: multiprocessing start method (default: the
             ``REPRO_MP_START`` env var, else ``spawn`` — fork is faster
-            to boot but unsafe with the router's I/O threads running).
-        transport: Router↔worker wire: ``"pipe"`` (pickle over
-            multiprocessing pipes — the portable fallback and the
-            differential reference) or ``"shm"`` (zero-copy
-            shared-memory ring buffers; see
-            :mod:`repro.cluster.transport`).
+            to boot but copies the router's event loop and every open
+            socket into each worker).
+        transport: Router↔worker wire: ``"pipe"`` (binary frames on a
+            socket pair — the portable transport and the differential
+            reference) or ``"shm"`` (zero-copy shared-memory ring
+            buffers; see :mod:`repro.cluster.transport`).
         shm_slots: Ring depth per direction per worker (shm only).
         shm_slot_bytes: Slot payload capacity in bytes (shm only;
             default: sized so a ``max_batch_ops`` result fits one

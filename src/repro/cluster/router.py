@@ -88,6 +88,8 @@ class _Pending:
     enqueued_at: float = 0.0
     attempts: int = 0
     scalar_pair: Optional[Pair] = None
+    wid: Optional[int] = None       # worker it is queued on or sent to
+    wire_id: Optional[int] = None   # wire batch that carries it
 
 
 @dataclass
@@ -236,63 +238,13 @@ class ClusterRouter:
             "latency_cycles", "per-addition latency in cycles")
         self.h_wall = reg.histogram(
             "request_wall_seconds", "request wall time, admission to response")
-        # Transport-layer accounting, synced from the per-worker
-        # channels' I/O threads (deltas for counters, sums for gauges).
-        self.m_tx_bytes = reg.counter(
-            "transport_tx_bytes_total",
-            "payload bytes shipped router -> workers")
-        self.m_rx_bytes = reg.counter(
-            "transport_rx_bytes_total",
-            "payload bytes shipped workers -> router")
-        self.m_tx_msgs = reg.counter(
-            "transport_tx_msgs_total", "messages shipped router -> workers")
-        self.m_rx_msgs = reg.counter(
-            "transport_rx_msgs_total", "messages shipped workers -> router")
-        self.m_pipe_fallback = reg.counter(
-            "transport_pipe_fallback_total",
-            "messages too large for a ring slot, sent via the control pipe")
-        self.m_ring_stalls = reg.counter(
-            "transport_ring_full_stalls_total",
-            "producer waits on a full ring (back-pressure events)")
-        self.g_ring_tx = reg.gauge(
-            "ring_tx_occupancy_slots",
-            "router->worker ring slots published but not retired")
-        self.g_ring_rx = reg.gauge(
-            "ring_rx_occupancy_slots",
-            "worker->router ring slots published but not retired")
-        self._tstats_seen: Dict[int, Dict[str, int]] = {}
-
-    def _sync_transport_metrics(self) -> None:
-        """Fold channel I/O-thread accounting into the registry.
-
-        Counters accumulate deltas per worker id (channels die with
-        their workers); occupancy gauges are instantaneous sums over
-        the live pool.
-        """
-        tx_occ = rx_occ = 0
-        for handle in self.supervisor.live:
-            stats = handle.transport_stats()
-            if not stats:
-                continue
-            tx_occ += stats.get("ring_tx_occupancy", 0)
-            rx_occ += stats.get("ring_rx_occupancy", 0)
-            self._fold_channel_stats(handle.wid, stats)
-        self.g_ring_tx.set(tx_occ)
-        self.g_ring_rx.set(rx_occ)
-
-    def _fold_channel_stats(self, wid: int, stats: Dict[str, int]) -> None:
-        seen = self._tstats_seen.setdefault(wid, {})
-        for key, counter in (("tx_bytes", self.m_tx_bytes),
-                             ("rx_bytes", self.m_rx_bytes),
-                             ("tx_msgs", self.m_tx_msgs),
-                             ("rx_msgs", self.m_rx_msgs),
-                             ("pipe_fallbacks", self.m_pipe_fallback),
-                             ("ring_full_stalls", self.m_ring_stalls)):
-            value = stats.get(key, 0)
-            delta = value - seen.get(key, 0)
-            if delta > 0:
-                counter.inc(delta)
-            seen[key] = value
+        # Transport-layer accounting: the channels bump these on the
+        # loop as messages cross (see transport.WireCounters).
+        wire = self.supervisor.wire_counters
+        self.m_tx_bytes, self.m_rx_bytes = wire.tx_bytes, wire.rx_bytes
+        self.m_tx_msgs, self.m_rx_msgs = wire.tx_msgs, wire.rx_msgs
+        self.m_pipe_fallback = wire.pipe_fallbacks
+        self.m_ring_stalls = wire.ring_full_stalls
 
     # -- analytic model / descriptors -----------------------------------
     @property
@@ -471,6 +423,7 @@ class ClusterRouter:
         return pending
 
     def _enqueue(self, handle: WorkerHandle, pending: _Pending) -> None:
+        pending.wid, pending.wire_id = handle.wid, None
         handle.backlog.append(pending)
         handle.backlog_ops += pending.ops
         self.m_queue_depth.set(self.queue_depth)
@@ -485,10 +438,11 @@ class ClusterRouter:
                 asyncio.shield(pending.future), timeout)
         except asyncio.TimeoutError:
             self.m_timeouts.inc()
-            self.tracer.emit("request_timeout", id=pending.id)
+            self.tracer.emit("request_timeout", id=pending.id,
+                             wire_id=pending.wire_id, wid=pending.wid)
             pending.future.cancel()
             raise RequestTimeoutError(
-                f"no response within {timeout}s") from None
+                self._timeout_report(pending, timeout)) from None
         except asyncio.CancelledError:
             if pending.future.cancelled() or not pending.future.done():
                 pending.future.cancel()
@@ -497,6 +451,21 @@ class ClusterRouter:
             raise
         finally:
             self.m_inflight.dec()
+
+    def _timeout_report(self, pending: _Pending, timeout: float) -> str:
+        """Name what a timed-out request was waiting on."""
+        now = time.monotonic()
+        handle = next((h for h in self.supervisor.slots
+                       if h is not None and h.wid == pending.wid), None)
+        where = ("still queued" if pending.wire_id is None
+                 else f"wire batch {pending.wire_id}")
+        heard = ("worker gone" if handle is None
+                 else f"worker last heard {now - handle.last_msg:.3f}s ago")
+        age = asyncio.get_running_loop().time() - pending.enqueued_at
+        return (f"request {pending.id}: no response within {timeout}s "
+                f"({where} on worker wid {pending.wid}, "
+                f"transport {self.cfg.transport}, {age:.3f}s since "
+                f"enqueue, {heard})")
 
     async def submit(self, a: int, b: int, timeout: Optional[float] = None,
                      retries: int = 0,
@@ -559,6 +528,8 @@ class ClusterRouter:
             else:
                 payload = np.concatenate([p.payload for p in group])
             msg_id = next(self._msg_ids)
+            for pending in group:
+                pending.wire_id = msg_id
             handle.wire[msg_id] = _WireBatch(pendings=group,
                                              offsets=offsets, ops=ops)
             handle.wire_ops += ops
@@ -576,7 +547,6 @@ class ClusterRouter:
         handle.wire_ops -= wb.ops
         handle.counters = result.get("counters", handle.counters)
         self._resolve_wire_batch(wb, result)
-        self._sync_transport_metrics()
         self._kick(handle)
 
     def _resolve_wire_batch(self, wb: _WireBatch,
@@ -723,17 +693,13 @@ class ClusterRouter:
 
     def _retire_worker(self, handle: WorkerHandle) -> None:
         """Fold a finished worker's final state into the retired bank."""
-        stats = handle.transport_stats()
-        if stats:
-            self._fold_channel_stats(handle.wid, stats)
-        self._tstats_seen.pop(handle.wid, None)
         state = self._patched_worker_state(handle)
         if state:
             self._retired.merge_snapshot(state)
 
     def merged_registry(self) -> MetricsRegistry:
         """Router + retired + live worker registries, merged fresh."""
-        self._sync_transport_metrics()
+        self.supervisor.sample_occupancy()
         merged = MetricsRegistry(namespace=self.registry.namespace)
         merged.merge_snapshot(self.registry.state())
         merged.merge_snapshot(self._retired.state())

@@ -4,18 +4,18 @@ The :class:`WorkerSupervisor` owns every OS-level concern of the pool so
 the router can stay a pure asyncio front end:
 
 * **Spawn.**  Each slot gets a fresh process (``spawn`` start method by
-  default — fork is unsafe once the I/O threads below exist) and a
-  transport channel (:mod:`repro.cluster.transport`: pickle-over-pipe
-  or zero-copy shared-memory rings) whose writer thread guarantees a
-  full wire can never block the event loop and whose reader thread
-  posts every message onto the loop.  Shared-memory segments are
-  created at spawn and destroyed deterministically on worker death,
-  restart and shutdown via the transport's segment tracker.
-* **Liveness.**  Three independent detectors: the reader thread sees
-  pipe EOF the instant a crashed worker's last buffered replies drain
-  (so no delivered result is ever thrown away), the monitor tick checks
+  default) and a transport channel (:mod:`repro.cluster.transport`:
+  binary frames over a socket pair, or zero-copy shared-memory rings)
+  that reads and writes on the router's event loop: a full wire
+  buffers rather than blocking the loop, and each arriving message is
+  handled in place, with no thread hand-off.  Shared-memory segments
+  are created at spawn and destroyed deterministically on worker
+  death, restart and shutdown via the transport's segment tracker.
+* **Liveness.**  Three independent detectors: the channel sees socket
+  EOF the instant a crashed worker's last buffered replies drain (so
+  no delivered result is ever thrown away), the monitor tick checks
   ``Process.is_alive()`` (catches SIGKILL even when inherited
-  descriptors keep the pipe open), and a silence-with-work-in-flight
+  descriptors keep the socket open), and a silence-with-work-in-flight
   timer declares a live-but-wedged process hung and kills it.
 * **Restart.**  Dead slots respawn after exponential backoff
   (``base * 2^(consecutive failures - 1)``, capped); a successful
@@ -37,7 +37,7 @@ from ..service.metrics import MetricsRegistry
 from ..service.tracing import Tracer
 from . import protocol
 from .config import ClusterConfig
-from .transport import RouterChannel, Transport, make_transport
+from .transport import RouterChannel, Transport, WireCounters, make_transport
 
 __all__ = ["WorkerHandle", "WorkerSupervisor"]
 
@@ -72,17 +72,15 @@ class WorkerHandle:
         return self.backlog_ops + self.wire_ops
 
     def send(self, msg) -> None:
-        """Queue *msg* on the channel (never blocks the loop)."""
+        """Ship *msg* on the channel (never blocks the loop)."""
         self.channel.send(msg)
 
-    def transport_stats(self) -> Dict[str, int]:
-        """Live wire accounting from the channel's I/O threads."""
-        return self.channel.stats() if self.channel is not None else {}
-
     # -- lifecycle (called by the supervisor only) ----------------------
-    def start(self, ctx, cfg: ClusterConfig, loop, transport: Transport,
-              on_message: Callable, on_eof: Callable) -> None:
-        self.channel = transport.open_router_channel(ctx, cfg, self.wid)
+    async def start(self, ctx, cfg: ClusterConfig, loop,
+                    transport: Transport, counters: WireCounters,
+                    on_message: Callable, on_eof: Callable) -> None:
+        self.channel = transport.open_router_channel(ctx, cfg, self.wid,
+                                                     counters)
         self.proc = ctx.Process(
             target=_spawn_target, name=f"vlsa-worker-{self.slot}",
             args=(self.wid, self.channel.spawn_spec(), cfg.worker_dict()),
@@ -91,17 +89,8 @@ class WorkerHandle:
         self.channel.after_spawn()  # drop child-side handles
         self.alive = True
         self.started_at = self.last_msg = time.monotonic()
-
-        def _post(cb, *args):
-            try:
-                loop.call_soon_threadsafe(cb, *args)
-            except RuntimeError:
-                pass  # loop already closed during teardown
-
-        self.channel.start_io(
-            _post,
-            lambda msg: on_message(self, msg),
-            lambda: on_eof(self))
+        await self.channel.start_io(loop, lambda msg: on_message(self, msg),
+                                    lambda: on_eof(self))
 
     def close(self, kill: bool = False, join_timeout: float = 0.5) -> None:
         """Stop the process and the channel (``kill=True`` skips SIGTERM).
@@ -154,6 +143,7 @@ class WorkerSupervisor:
         self._on_message = on_message
         self._on_failover = on_failover
         self.transport = make_transport(cfg.transport)
+        self.wire_counters = WireCounters(registry)
         self._slots: List[Optional[WorkerHandle]] = [None] * cfg.workers
         self._failures = [0] * cfg.workers
         self._next_wid = 0
@@ -170,6 +160,12 @@ class WorkerSupervisor:
             "heartbeats_total", "worker heartbeats received")
         self.g_live = registry.gauge(
             "workers_live", "worker processes currently serving")
+        self.g_ring_tx = registry.gauge(
+            "ring_tx_occupancy_slots",
+            "router->worker ring slots published but not retired")
+        self.g_ring_rx = registry.gauge(
+            "ring_rx_occupancy_slots",
+            "worker->router ring slots published but not retired")
 
     # ------------------------------------------------------------------
     @property
@@ -187,7 +183,7 @@ class WorkerSupervisor:
         self._mp_ctx = multiprocessing.get_context(
             self.cfg.resolve_start_method())
         for slot in range(self.cfg.workers):
-            self._spawn(slot)
+            await self._spawn(slot)
         self._monitor_task = self._loop.create_task(
             self._monitor(), name="vlsa-cluster-monitor")
 
@@ -216,12 +212,27 @@ class WorkerSupervisor:
         self.transport.close()
         self.g_live.set(0)
 
+    def sample_occupancy(self) -> None:
+        """Set the ring occupancy gauges: sums over the live pool."""
+        tx = rx = 0
+        for handle in self.live:
+            t, r = handle.channel.occupancy()
+            tx += t
+            rx += r
+        self.g_ring_tx.set(tx)
+        self.g_ring_rx.set(rx)
+
     # ------------------------------------------------------------------
-    def _spawn(self, slot: int) -> None:
+    async def _spawn(self, slot: int) -> None:
         handle = WorkerHandle(self._next_wid, slot)
         self._next_wid += 1
-        handle.start(self._mp_ctx, self.cfg, self._loop, self.transport,
-                     self._handle_message, self._handle_eof)
+        try:
+            await handle.start(self._mp_ctx, self.cfg, self._loop,
+                               self.transport, self.wire_counters,
+                               self._handle_message, self._handle_eof)
+        except BaseException:  # e.g. stop() cancelled a restart
+            handle.close(kill=True)
+            raise
         self._slots[slot] = handle
         self.g_live.set(len(self.live))
         self.tracer.emit("worker_spawn", slot=slot, wid=handle.wid,
@@ -242,7 +253,7 @@ class WorkerSupervisor:
         self._on_message(handle, msg)
 
     def _handle_eof(self, handle: WorkerHandle) -> None:
-        """Reader thread hit EOF: every buffered reply is already in."""
+        """The channel hit EOF: every buffered reply is already in."""
         handle.eof = True
         if not handle.alive:
             return
@@ -286,7 +297,7 @@ class WorkerSupervisor:
                 await asyncio.sleep(backoff)
                 if self._stopping:
                     return
-                self._spawn(slot)
+                await self._spawn(slot)
                 self.m_restarts.inc()
             finally:
                 self._restart_tasks.pop(slot, None)
@@ -298,6 +309,7 @@ class WorkerSupervisor:
         interval = self.cfg.heartbeat_interval
         while True:
             await asyncio.sleep(interval)
+            self.sample_occupancy()
             now = time.monotonic()
             for handle in self.live:
                 if handle.bye and not handle.load_ops:

@@ -1,23 +1,29 @@
-"""Pluggable cluster transports: the pipe/pickle path and a
-zero-copy shared-memory ring-buffer path.
+"""Cluster transports: one binary frame codec, two ways to move it,
+every router-side byte handled on the router's event loop.
 
 The router and its workers exchange :mod:`repro.cluster.protocol`
-messages.  *How* those messages travel is this module's concern, behind
-one small interface:
+messages.  Every message travels as one **frame**, the bytes one ring
+slot holds: a 32-byte :data:`SLOT_HEADER` plus the payload it sizes
+(:func:`encode_into` / :func:`decode_from`).  A ``uint64`` BATCH or
+RESULT is raw array bytes; everything else (heartbeats, CONFIG, chaos
+hooks, object-lane payloads above 64 bits) is pickled into the frame.
+*How* frames travel is this module's concern, behind one interface:
 
-* :class:`PipeTransport` — the original wire: one duplex
-  ``multiprocessing`` pipe per worker, pickle framing for free.  Kept
-  both as the portable fallback and as the differential reference the
-  shm path is verified against.
+* :class:`PipeTransport` — one stream socket pair per worker, frames
+  written back to back.  The portable transport, and the differential
+  reference the shm path is verified against.
 * :class:`ShmRingTransport` — two fixed-slot single-producer /
   single-consumer ring buffers per worker (one per direction) living in
-  ``multiprocessing.shared_memory`` segments.  Operand blocks and
-  result arrays cross the process boundary as **raw bytes plus a tiny
-  binary header** — one ``memcpy`` in, numpy *views* out, no pickle on
-  the hot path.  Control traffic (heartbeats, CONFIG, chaos hooks)
-  still pickles, but into ring slots; a thin control *pipe* carries no
-  data and exists only for instant peer-death detection plus a
-  fallback lane for messages too large for a slot.
+  ``multiprocessing.shared_memory`` segments: one ``memcpy`` in, numpy
+  *views* out.  A control socket carries a one-header *doorbell* frame
+  after each slot the worker publishes, frames too large for a slot,
+  and peer death (EOF).
+
+On the router side neither transport starts a thread.  A channel wraps
+its socket in an asyncio :class:`~asyncio.Protocol`: ``send`` encodes
+and writes from the loop through the non-blocking transport (a full
+socket buffers, it never blocks the loop), and ``data_received`` cuts
+frames out of the stream and hands each to the router in place.
 
 Ring protocol (per direction)
 -----------------------------
@@ -37,10 +43,11 @@ can never observe a torn slot — a worker SIGKILLed mid-slot-write
 simply never publishes, and the message is redelivered by the router's
 failover path.  The consumer reads at its private cursor and retires
 slots strictly in order by bumping ``consumed``, which is what gives
-the producer back-pressure (block, or shed when the caller says the
-message is disposable, e.g. heartbeats).  A pair of semaphores
-(``items``/``space``) turns both waits into real blocking waits rather
-than busy-polling — important on small hosts.
+the producer back-pressure.  Waits are real blocking waits, never
+busy-polling: the worker blocks on semaphores (``tx_items`` for work,
+``rx_space`` for room to reply); the router's loop wakes on the
+worker's doorbell, and a full router→worker ring parks the message and
+retries it after each received message and on a short timer.
 
 Segment lifecycle
 -----------------
@@ -57,11 +64,14 @@ on Python < 3.13.
 
 from __future__ import annotations
 
+import asyncio
 import atexit
+import collections
 import contextlib
 import os
 import pickle
-import queue
+import select
+import socket
 import struct
 import threading
 import time
@@ -83,6 +93,10 @@ __all__ = [
     "RESULT_TRAILER",
     "encode_into",
     "decode_from",
+    "encode_frame",
+    "DOORBELL",
+    "FrameProtocol",
+    "WireCounters",
     "batch_capacity_ops",
     "result_capacity_ops",
     "default_slot_bytes",
@@ -126,6 +140,7 @@ SLOT_HEADER = 32
 RESULT_TRAILER = 48
 
 _HDR = struct.Struct("<IIQQQ")        # kind, flags, msg_id, nbytes, aux
+_NBYTES_AT = 16                       # offset of nbytes in the header
 _TRAILER = struct.Struct("<QQQQQQ")
 _CTR = struct.Struct("<Q")
 
@@ -142,6 +157,10 @@ _KIND_CODES = {
     protocol.BYE: 8,
 }
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+
+#: The empty frame (a header with no payload): on the shm control
+#: socket it means "a slot was published, drain the ring".
+DOORBELL = bytes(SLOT_HEADER)
 
 #: Per-op bytes of a binary RESULT: sums u64 + couts u64 + stalled u8
 #: + spec_errors u8.
@@ -249,14 +268,29 @@ def encode_into(msg: protocol.Message, mv: memoryview) -> int:
             int(ctr.get("ops", 0)), int(ctr.get("stalls", 0)),
             int(ctr.get("batches", 0)), int(ctr.get("cycles", 0)))
         return SLOT_HEADER + nbytes
-    blob = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-    if SLOT_HEADER + len(blob) > cap:
+    frame = _pickled_frame(msg)
+    if len(frame) > cap:
         raise SlotOverflow(f"pickled {msg[0]!r} message of "
-                           f"{len(blob)} B exceeds slot {cap} B")
-    code = _KIND_CODES.get(msg[0], 0)
-    _HDR.pack_into(mv, 0, code, _FLAG_PICKLED, 0, len(blob), 0)
-    mv[SLOT_HEADER:SLOT_HEADER + len(blob)] = blob
-    return SLOT_HEADER + len(blob)
+                           f"{len(frame) - SLOT_HEADER} B exceeds slot "
+                           f"{cap} B")
+    mv[:len(frame)] = frame
+    return len(frame)
+
+
+def _pickled_frame(msg: protocol.Message) -> bytes:
+    blob = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+    return _HDR.pack(_KIND_CODES.get(msg[0], 0), _FLAG_PICKLED, 0,
+                     len(blob), 0) + blob
+
+
+def encode_frame(msg: protocol.Message):
+    """*msg* as one frame: exactly the bytes :func:`encode_into` writes
+    into a slot, with no size limit."""
+    if _is_binary_batch(msg) or _is_binary_result(msg):
+        frame = bytearray(SLOT_HEADER + payload_nbytes(msg))
+        encode_into(msg, memoryview(frame))
+        return frame
+    return _pickled_frame(msg)
 
 
 def decode_from(mv: memoryview) -> protocol.Message:
@@ -307,9 +341,8 @@ class Ring:
     """Fixed-slot SPSC ring over a shared buffer (see module docstring).
 
     The ring itself is synchronization-free (single writer per
-    counter); blocking behaviour is provided by the channel layer's
-    semaphores.  ``push``/``pop`` here are the non-blocking primitives
-    plus an optional spin-free timed wait used directly by tests.
+    counter) and never blocks; waiting for items or space is the
+    channel layer's job.
     """
 
     def __init__(self, buf, slots: int, slot_bytes: int,
@@ -321,10 +354,6 @@ class Ring:
             self._mv[:RING_HEADER] = bytes(RING_HEADER)
             struct.pack_into("<QQ", self._mv, 16, slots, slot_bytes)
         self._read = self.consumed  # consumer's private peek cursor
-        #: producer-side shed/stall accounting (single-threaded access)
-        self.pushed = 0
-        self.shed = 0
-        self.full_stalls = 0
 
     @staticmethod
     def size_for(slots: int, slot_bytes: int) -> int:
@@ -361,37 +390,9 @@ class Ring:
             return False
         encode_into(msg, self._slot(seq))
         _CTR.pack_into(self._mv, 0, seq + 1)
-        self.pushed += 1
         return True
 
-    def push(self, msg: protocol.Message, timeout: Optional[float] = None,
-             policy: str = "block", poll: float = 0.002) -> bool:
-        """Push under back-pressure.
-
-        ``policy="block"`` waits (bounded by *timeout*) for a free
-        slot; ``policy="shed"`` drops the message immediately when
-        full and counts it in :attr:`shed`.  Returns True when the
-        message was published.
-        """
-        if self.try_push(msg):
-            return True
-        if policy == "shed":
-            self.shed += 1
-            return False
-        self.full_stalls += 1
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while deadline is None or time.monotonic() < deadline:
-            time.sleep(poll)
-            if self.try_push(msg):
-                return True
-        return False
-
     # -- consumer -------------------------------------------------------
-    @property
-    def readable(self) -> int:
-        """Published slots not yet read by this consumer."""
-        return self.produced - self._read
-
     def pop(self) -> Optional[Tuple[int, protocol.Message]]:
         """Read the next published slot (without retiring it).
 
@@ -515,29 +516,91 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 
 
 # ----------------------------------------------------------------------
-# Channel state shared by both implementations
+# Frames on a stream socket
 # ----------------------------------------------------------------------
-_CLOSE = object()
+class FrameProtocol(asyncio.Protocol):
+    """Cuts a byte stream into frames on the event loop.
 
-
-class _Stats:
-    """Plain-int I/O accounting updated by a channel's own threads.
-
-    Each field is only ever written by one thread; the router reads a
-    merged snapshot from the event loop via ``RouterChannel.stats()``.
+    Each complete frame goes to *on_frame* in place, as a memoryview
+    over bytes nothing reuses (decoded arrays may keep viewing it); a
+    frame split across chunks waits in a buffer for its tail.  When the
+    peer is gone every complete frame has been delivered, and
+    *on_close* runs once.  A handler exception goes to the loop's
+    exception handler instead of killing the connection.
     """
 
-    __slots__ = ("tx_msgs", "tx_bytes", "rx_msgs", "rx_bytes",
-                 "pipe_fallbacks", "ring_full_stalls", "shed")
+    def __init__(self, loop, on_frame: Callable, on_close: Callable):
+        self._loop = loop
+        self._on_frame = on_frame
+        self._on_close = on_close
+        self._buf = bytearray()
+        self._need = SLOT_HEADER
 
-    def __init__(self) -> None:
-        self.tx_msgs = 0
-        self.tx_bytes = 0
-        self.rx_msgs = 0
-        self.rx_bytes = 0
-        self.pipe_fallbacks = 0
-        self.ring_full_stalls = 0
-        self.shed = 0
+    def data_received(self, data: bytes) -> None:
+        if self._buf:
+            self._buf += data
+            if len(self._buf) < self._need:
+                return
+            data = bytes(self._buf)
+            self._buf.clear()
+        view, off, end = memoryview(data), 0, len(data)
+        need = SLOT_HEADER
+        while end - off >= SLOT_HEADER:
+            need = SLOT_HEADER + _CTR.unpack_from(data, off + _NBYTES_AT)[0]
+            if off + need > end:
+                break
+            self._deliver(view[off:off + need])
+            off += need
+            need = SLOT_HEADER
+        if off < end:
+            self._buf += view[off:]
+            self._need = need
+
+    def _deliver(self, frame: memoryview) -> None:
+        try:
+            self._on_frame(frame)
+        except Exception as exc:
+            self._loop.call_exception_handler({
+                "message": "cluster frame handler failed",
+                "exception": exc, "protocol": self})
+
+    def connection_lost(self, exc) -> None:
+        self._buf.clear()  # a torn tail: the peer died mid-write
+        self._on_close()
+
+
+# ----------------------------------------------------------------------
+# Channel state shared by both implementations
+# ----------------------------------------------------------------------
+class WireCounters:
+    """The router registry's ``transport_*`` counters, bumped by the
+    channels on the event loop as messages cross."""
+
+    _COUNTERS = (
+        ("tx_bytes", "transport_tx_bytes_total",
+         "payload bytes shipped router -> workers"),
+        ("rx_bytes", "transport_rx_bytes_total",
+         "payload bytes shipped workers -> router"),
+        ("tx_msgs", "transport_tx_msgs_total",
+         "messages shipped router -> workers"),
+        ("rx_msgs", "transport_rx_msgs_total",
+         "messages shipped workers -> router"),
+        ("pipe_fallbacks", "transport_pipe_fallback_total",
+         "messages too large for a ring slot, sent via the control socket"),
+        ("ring_full_stalls", "transport_ring_full_stalls_total",
+         "producer waits on a full ring (back-pressure events)"))
+
+    def __init__(self, registry) -> None:
+        for attr, name, help_text in self._COUNTERS:
+            setattr(self, attr, registry.counter(name, help_text))
+
+    def sent(self, msg: protocol.Message) -> None:
+        self.tx_msgs.inc()
+        self.tx_bytes.inc(payload_nbytes(msg))
+
+    def received(self, msg: protocol.Message) -> None:
+        self.rx_msgs.inc()
+        self.rx_bytes.inc(payload_nbytes(msg))
 
 
 class RouterChannel:
@@ -545,53 +608,49 @@ class RouterChannel:
 
     Lifecycle: construct (allocates OS resources) → ``spawn_spec()``
     (picklable descriptor handed to the child) → ``after_spawn()``
-    (drop child-side handles) → ``start_io(post, on_message, on_eof)``
-    → ``send`` at will → ``close()``.
+    (drop child-side handles) → ``await start_io(loop, on_message,
+    on_eof)`` → ``send`` at will → ``close()``.  Everything after
+    construction runs on the event loop.
     """
 
     transport_name = "?"
 
-    def __init__(self) -> None:
-        self._stats = _Stats()
-        self._out_q: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._threads: List[threading.Thread] = []
-        self._stopping = False
+    def __init__(self, counters: WireCounters) -> None:
+        self._counters = counters
+        self._sock, self._child = socket.socketpair()
+        self._wire: Optional[asyncio.Transport] = None
+        self._closed = False
 
     def spawn_spec(self):
         raise NotImplementedError
 
     def after_spawn(self) -> None:
-        pass
+        self._child.close()  # parent must drop the child end to see EOF
 
-    def start_io(self, post: Callable, on_message: Callable,
-                 on_eof: Callable) -> None:
+    async def start_io(self, loop, on_message: Callable,
+                       on_eof: Callable) -> None:
         raise NotImplementedError
+
+    async def _connect(self, loop, on_frame: Callable,
+                       on_close: Callable) -> None:
+        self._wire, _ = await loop.connect_accepted_socket(
+            lambda: FrameProtocol(loop, on_frame, on_close), self._sock)
 
     def send(self, msg: protocol.Message) -> None:
-        """Queue *msg* for the writer thread (never blocks the loop)."""
-        self._out_q.put(msg)
-
-    def stats(self) -> Dict[str, int]:
-        s = self._stats
-        return {"tx_msgs": s.tx_msgs, "tx_bytes": s.tx_bytes,
-                "rx_msgs": s.rx_msgs, "rx_bytes": s.rx_bytes,
-                "pipe_fallbacks": s.pipe_fallbacks,
-                "ring_full_stalls": s.ring_full_stalls,
-                "shed": s.shed, "ring_tx_occupancy": 0,
-                "ring_rx_occupancy": 0}
-
-    def close(self) -> None:
+        """Ship *msg* from the loop (never blocks it)."""
         raise NotImplementedError
 
-    def _spawn_thread(self, target: Callable, name: str) -> None:
-        t = threading.Thread(target=target, name=name, daemon=True)
-        t.start()
-        self._threads.append(t)
+    def occupancy(self) -> Tuple[int, int]:
+        """Ring slots published but not retired: ``(tx, rx)``."""
+        return 0, 0
 
-    def _join_threads(self, timeout: float = 1.0) -> None:
-        for t in self._threads:
-            if t is not threading.current_thread():
-                t.join(timeout)
+    def close(self) -> None:
+        self._closed = True
+        self._child.close()  # already closed unless the spawn failed
+        if self._wire is not None:
+            self._wire.abort()
+        else:
+            self._sock.close()
 
 
 class WorkerChannel:
@@ -616,109 +675,110 @@ class WorkerChannel:
         """
         raise NotImplementedError
 
-    def stats(self) -> Dict[str, int]:
-        return {}
-
     def close(self) -> None:
         pass
 
 
+# Worker side: blocking frame I/O on the router socket.
+def _readable(poller, timeout: float) -> bool:
+    return bool(poller.poll(max(0.0, timeout) * 1000))
+
+
+def _send_frame(sock: socket.socket, frame) -> None:
+    try:
+        sock.sendall(frame)
+    except OSError:
+        raise ChannelClosed("router socket closed") from None
+
+
+def _recv_exactly(sock: socket.socket, n: int) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    while view:
+        try:
+            got = sock.recv_into(view)
+        except OSError:
+            got = 0
+        if not got:
+            raise ChannelClosed("router socket closed")
+        view = view[got:]
+    return buf
+
+
+def _recv_message(sock: socket.socket) -> protocol.Message:
+    head = _recv_exactly(sock, SLOT_HEADER)
+    body = _recv_exactly(sock, _CTR.unpack_from(head, _NBYTES_AT)[0])
+    return decode_from(memoryview(head + body))
+
+
 # ----------------------------------------------------------------------
-# Pipe transport (the original path, now behind the interface)
+# Pipe transport: frames on a socket pair
 # ----------------------------------------------------------------------
 class _PipeRouterChannel(RouterChannel):
     transport_name = "pipe"
 
-    def __init__(self, mp_ctx):
-        super().__init__()
-        self._parent, self._child = mp_ctx.Pipe(duplex=True)
-
     def spawn_spec(self):
-        return ("pipe", {"conn": self._child})
+        return ("pipe", {"sock": self._child})
 
-    def after_spawn(self) -> None:
-        self._child.close()  # parent must drop the child end to see EOF
+    async def start_io(self, loop, on_message, on_eof) -> None:
+        counters = self._counters
 
-    def start_io(self, post, on_message, on_eof) -> None:
-        conn, stats = self._parent, self._stats
+        def on_frame(frame):
+            msg = decode_from(frame)
+            counters.received(msg)
+            on_message(msg)
 
-        def _reader():
-            while True:
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    break
-                stats.rx_msgs += 1
-                stats.rx_bytes += payload_nbytes(msg)
-                post(on_message, msg)
-            post(on_eof)
+        await self._connect(loop, on_frame, on_eof)
 
-        def _writer():
-            while True:
-                item = self._out_q.get()
-                if item is _CLOSE:
-                    break
-                try:
-                    conn.send(item)
-                except (BrokenPipeError, OSError):
-                    break  # reader will surface the EOF
-                stats.tx_msgs += 1
-                stats.tx_bytes += payload_nbytes(item)
-
-        self._spawn_thread(_reader, "vlsa-pipe-r")
-        self._spawn_thread(_writer, "vlsa-pipe-w")
-
-    def close(self) -> None:
-        self._stopping = True
-        self._out_q.put(_CLOSE)
-        with contextlib.suppress(OSError):
-            self._parent.close()
-        self._join_threads()
+    def send(self, msg) -> None:
+        self._wire.write(encode_frame(msg))
+        self._counters.sent(msg)
 
 
 class _PipeWorkerChannel(WorkerChannel):
     transport_name = "pipe"
 
-    def __init__(self, conn):
-        self._conn = conn
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._poller = select.poll()
+        self._poller.register(sock, select.POLLIN)
 
     def recv(self, timeout: float) -> Optional[protocol.Message]:
-        try:
-            if not self._conn.poll(timeout):
-                return None
-            return self._conn.recv()
-        except (EOFError, OSError):
-            raise ChannelClosed("router pipe closed") from None
+        if not _readable(self._poller, timeout):
+            return None
+        return _recv_message(self._sock)
 
     def send(self, msg, shed_if_full: bool = False) -> bool:
-        try:
-            self._conn.send(msg)
-            return True
-        except (BrokenPipeError, OSError):
-            raise ChannelClosed("router pipe closed") from None
+        _send_frame(self._sock, encode_frame(msg))
+        return True
 
     def close(self) -> None:
-        with contextlib.suppress(OSError):
-            self._conn.close()
+        self._sock.close()
 
 
 # ----------------------------------------------------------------------
 # Shared-memory ring transport
 # ----------------------------------------------------------------------
-class _ShmRouterChannel(RouterChannel):
-    """Router endpoint: two segments, four semaphores, a control pipe.
+#: Seconds between retries of a message parked on a full tx ring.
+_PARK_RETRY_S = 0.002
 
-    ``tx`` is router→worker, ``rx`` worker→router.  Data never touches
-    the control pipe except for the oversized-message fallback; its
-    real job is EOF: the instant the worker dies the reader thread
+
+class _ShmRouterChannel(RouterChannel):
+    """Router endpoint: two segments, three semaphores, a control socket.
+
+    ``tx`` is router→worker, ``rx`` worker→router.  The control socket
+    carries a doorbell per published rx slot, the oversized-message
+    fallback both ways, and EOF: the instant the worker dies the loop
     sees it, drains every *published* rx slot (no delivered result is
-    thrown away), and only then reports EOF.
+    thrown away), and only then reports EOF.  Slots are read and
+    retired in order on the loop, so no lease bookkeeping is needed.
     """
 
     transport_name = "shm"
 
-    def __init__(self, mp_ctx, wid: int, slots: int, slot_bytes: int):
-        super().__init__()
+    def __init__(self, mp_ctx, counters: WireCounters, wid: int,
+                 slots: int, slot_bytes: int):
+        super().__init__(counters)
         self.slots = slots
         self.slot_bytes = slot_bytes
         token = os.urandom(3).hex()
@@ -732,14 +792,10 @@ class _ShmRouterChannel(RouterChannel):
                              create=True)
         self._tx_items = mp_ctx.Semaphore(0)
         self._tx_space = mp_ctx.Semaphore(slots)
-        self._rx_items = mp_ctx.Semaphore(0)
         self._rx_space = mp_ctx.Semaphore(slots)
-        self._parent, self._child = mp_ctx.Pipe(duplex=True)
-        # In-order lease retirement: the loop thread releases result
-        # leases, the reader thread releases control-message leases;
-        # the lock keeps `consumed` advancing strictly sequentially.
-        self._lease_lock = threading.Lock()
-        self._lease_done: Dict[int, bool] = {}
+        self._parked: "collections.deque" = collections.deque()
+        self._retry: Optional[asyncio.TimerHandle] = None
+        self._loop = None
 
     def spawn_spec(self):
         return ("shm", {
@@ -747,134 +803,100 @@ class _ShmRouterChannel(RouterChannel):
             "tx_name": self._seg_tx.name, "rx_name": self._seg_rx.name,
             "slots": self.slots, "slot_bytes": self.slot_bytes,
             "tx_items": self._tx_items, "tx_space": self._tx_space,
-            "rx_items": self._rx_items, "rx_space": self._rx_space,
+            "rx_space": self._rx_space,
         })
 
-    def after_spawn(self) -> None:
-        self._child.close()
+    async def start_io(self, loop, on_message, on_eof) -> None:
+        self._loop = loop
+        counters, ring = self._counters, self._ring_rx
 
-    # -- lease management (rx ring) -------------------------------------
-    def _release(self, seq: int) -> None:
-        with self._lease_lock:
-            self._lease_done[seq] = True
-            while self._lease_done.get(self._ring_rx.consumed):
-                done_seq = self._ring_rx.consumed
-                del self._lease_done[done_seq]
-                self._ring_rx.retire(done_seq)
-                self._rx_space.release()
+        def drain():
+            # Deliver every published slot, retiring each in order
+            # once the router is done with its views.
+            while not self._closed:
+                popped = ring.pop()
+                if popped is None:
+                    return
+                seq, msg = popped
+                counters.received(msg)
+                try:
+                    on_message(msg)
+                finally:
+                    ring.retire(seq)
+                    self._rx_space.release()
+                self._flush()
 
-    def start_io(self, post, on_message, on_eof) -> None:
-        stats = self._stats
-
-        def _deliver(msg, seq):
-            # Runs on the event loop: hand the (possibly view-backed)
-            # message to the router, then retire the slot so the
-            # worker regains the space.
-            try:
+        def on_frame(frame):
+            drain()  # a doorbell, or slots published before a fallback
+            if len(frame) > SLOT_HEADER:
+                msg = decode_from(frame)
+                counters.received(msg)
+                counters.pipe_fallbacks.inc()
                 on_message(msg)
-            finally:
-                if seq is not None:
-                    self._release(seq)
+                self._flush()
 
-        def _pop_and_post() -> bool:
-            popped = self._ring_rx.pop()
-            if popped is None:
+        def on_close():
+            drain()  # by the counters: buffered replies beat the EOF
+            on_eof()
+
+        await self._connect(loop, on_frame, on_close)
+
+    # -- tx: push from the loop, park when full --------------------------
+    def send(self, msg) -> None:
+        if self._parked or not self._push(msg):
+            self._parked.append(msg)
+            self._arm_retry()
+
+    def _push(self, msg) -> bool:
+        """Publish *msg* (ring slot or fallback frame); False when full."""
+        if SLOT_HEADER + payload_nbytes(msg) <= self.slot_bytes:
+            if not self._tx_space.acquire(block=False):
+                self._counters.ring_full_stalls.inc()
                 return False
-            seq, msg = popped
-            stats.rx_msgs += 1
-            stats.rx_bytes += payload_nbytes(msg)
-            post(_deliver, msg, seq)
-            return True
-
-        def _reader():
-            control = self._parent
-            while not self._stopping:
-                if self._rx_items.acquire(timeout=0.05):
-                    _pop_and_post()
-                    # opportunistically drain what else is published
-                    while self._rx_items.acquire(block=False):
-                        if not _pop_and_post():
-                            break
-                try:
-                    has_control = control.poll(0)
-                except OSError:
-                    break  # control pipe closed under us (teardown)
-                if has_control:
-                    try:
-                        msg = control.recv()
-                    except (EOFError, OSError):
-                        break
-                    stats.rx_msgs += 1
-                    stats.rx_bytes += payload_nbytes(msg)
-                    stats.pipe_fallbacks += 1
-                    post(_deliver, msg, None)
-            # Worker gone (or closing): drain every published slot by
-            # the counters — buffered replies beat the death report.
-            while _pop_and_post():
-                pass
-            post(on_eof)
-
-        def _writer():
-            ring = self._ring_tx
-            while True:
-                item = self._out_q.get()
-                if item is _CLOSE:
-                    break
-                size = payload_nbytes(item)
-                if SLOT_HEADER + max(size, 0) > self.slot_bytes:
-                    # Oversized for one slot: the control pipe is the
-                    # always-correct slow lane.
-                    try:
-                        self._parent.send(item)
-                        stats.pipe_fallbacks += 1
-                        stats.tx_msgs += 1
-                        stats.tx_bytes += size
-                    except (BrokenPipeError, OSError):
-                        break
-                    continue
-                # Block for slot space; bail out when closing or the
-                # worker stops consuming entirely (EOF path cleans up).
-                acquired = False
-                while not self._stopping:
-                    if self._tx_space.acquire(timeout=0.1):
-                        acquired = True
-                        break
-                    stats.ring_full_stalls += 1
-                if not acquired:
-                    break
-                try:
-                    ring.try_push(item)
-                except SlotOverflow:  # pickled blob grew past the slot
-                    self._tx_space.release()
-                    try:
-                        self._parent.send(item)
-                        stats.pipe_fallbacks += 1
-                    except (BrokenPipeError, OSError):
-                        break
-                    continue
-                stats.tx_msgs += 1
-                stats.tx_bytes += size
+            try:
+                self._ring_tx.try_push(msg)
+            except SlotOverflow:  # a pickled blob outgrew the slot
+                self._tx_space.release()
+            else:
                 self._tx_items.release()
+                self._counters.sent(msg)
+                return True
+        # Oversized for one slot: the control socket is the
+        # always-correct slow lane.
+        self._wire.write(encode_frame(msg))
+        self._counters.pipe_fallbacks.inc()
+        self._counters.sent(msg)
+        return True
 
-        self._spawn_thread(_reader, "vlsa-shm-r")
-        self._spawn_thread(_writer, "vlsa-shm-w")
+    def _flush(self) -> None:
+        parked = self._parked
+        while parked and not self._closed and self._push(parked[0]):
+            parked.popleft()
+        if parked:
+            self._arm_retry()
 
-    def stats(self) -> Dict[str, int]:
-        out = super().stats()
-        with contextlib.suppress(ValueError):  # released after close()
-            out["ring_tx_occupancy"] = self._ring_tx.occupancy
-            out["ring_rx_occupancy"] = self._ring_rx.occupancy
-        return out
+    def _arm_retry(self) -> None:
+        if self._retry is None and not self._closed:
+            self._retry = self._loop.call_later(_PARK_RETRY_S,
+                                                self._on_retry)
+
+    def _on_retry(self) -> None:
+        self._retry = None
+        self._flush()
+
+    def occupancy(self) -> Tuple[int, int]:
+        if self._closed:
+            return 0, 0
+        return self._ring_tx.occupancy, self._ring_rx.occupancy
 
     def close(self) -> None:
-        self._stopping = True
-        self._out_q.put(_CLOSE)
-        with contextlib.suppress(OSError):
-            self._parent.close()
-        self._join_threads()
-        # Drop our ring views so the segment can actually unmap; any
-        # message still queued on the loop keeps its own view alive
-        # (and thereby the mapping) until it is processed.
+        super().close()
+        if self._retry is not None:
+            self._retry.cancel()
+        self._parked.clear()
+        # Drop our ring views so the segment can actually unmap; a
+        # message the router still holds keeps its own view alive
+        # (and thereby the mapping) until it is released.
         self._ring_tx.close()
         self._ring_rx.close()
         segment_tracker.destroy(self._seg_tx.name)
@@ -894,6 +916,8 @@ class _ShmWorkerChannel(WorkerChannel):
 
     def __init__(self, spec: Dict[str, Any]):
         self._control = spec["control"]
+        self._poller = select.poll()
+        self._poller.register(self._control, select.POLLIN)
         self._seg_tx = _attach_untracked(spec["tx_name"])
         self._seg_rx = _attach_untracked(spec["rx_name"])
         slots, slot_bytes = spec["slots"], spec["slot_bytes"]
@@ -901,12 +925,8 @@ class _ShmWorkerChannel(WorkerChannel):
         self._ring_out = Ring(self._seg_rx.buf, slots, slot_bytes)
         self._in_items = spec["tx_items"]
         self._in_space = spec["tx_space"]
-        self._out_items = spec["rx_items"]
         self._out_space = spec["rx_space"]
         self._pending_retire: Optional[int] = None
-        self.sheds = 0
-        self.sent_ring = 0
-        self.sent_fallback = 0
 
     def _retire_pending(self) -> None:
         if self._pending_retire is not None:
@@ -927,17 +947,8 @@ class _ShmWorkerChannel(WorkerChannel):
                 seq, msg = popped
                 self._pending_retire = seq
                 return msg
-            try:
-                has_control = self._control.poll(0)
-            except OSError:
-                raise ChannelClosed("router control pipe closed") \
-                    from None
-            if has_control:
-                try:
-                    msg = self._control.recv()  # oversized fallback
-                except (EOFError, OSError):
-                    raise ChannelClosed("router control pipe closed") \
-                        from None
+            if _readable(self._poller, 0):
+                msg = _recv_message(self._control)  # oversized fallback
                 self._retire_pending()
                 return msg
             if remaining <= 0:
@@ -946,54 +957,32 @@ class _ShmWorkerChannel(WorkerChannel):
 
     def send(self, msg, shed_if_full: bool = False) -> bool:
         self._retire_pending()
-        size = payload_nbytes(msg)
-        if SLOT_HEADER + size > self._ring_out.slot_bytes:
+        if SLOT_HEADER + payload_nbytes(msg) <= self._ring_out.slot_bytes:
+            while not self._out_space.acquire(
+                    timeout=0 if shed_if_full else 0.1):
+                if shed_if_full:
+                    return False
+                if self._router_gone():
+                    raise ChannelClosed("router gone while ring full")
             try:
-                self._control.send(msg)
-            except (BrokenPipeError, OSError):
-                raise ChannelClosed("router control pipe closed") \
-                    from None
-            self.sent_fallback += 1
-            return True
-        while True:
-            if self._out_space.acquire(timeout=0 if shed_if_full
-                                       else 0.1):
-                break
-            if shed_if_full:
-                self.sheds += 1
-                return False
-            try:
-                has_control = self._control.poll(0)
-            except OSError:
-                raise ChannelClosed("router gone while ring full") \
-                    from None
-            if has_control and self._control_eof():
-                raise ChannelClosed("router gone while ring full")
-        try:
-            self._ring_out.try_push(msg)
-        except SlotOverflow:
-            self._out_space.release()
-            try:
-                self._control.send(msg)
-            except (BrokenPipeError, OSError):
-                raise ChannelClosed("router control pipe closed") \
-                    from None
-            self.sent_fallback += 1
-            return True
-        self.sent_ring += 1
-        self._out_items.release()
+                self._ring_out.try_push(msg)
+            except SlotOverflow:
+                self._out_space.release()
+            else:
+                _send_frame(self._control, DOORBELL)
+                return True
+        _send_frame(self._control, encode_frame(msg))
         return True
 
-    def _control_eof(self) -> bool:
+    def _router_gone(self) -> bool:
+        """EOF on the control socket (peeked: a pending frame stays)."""
         try:
-            self._control.recv()
-            return False  # a late fallback message; worker drops it
-        except (EOFError, OSError):
+            return not self._control.recv(
+                1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return False
+        except OSError:
             return True
-
-    def stats(self) -> Dict[str, int]:
-        return {"sheds": self.sheds, "sent_ring": self.sent_ring,
-                "sent_fallback": self.sent_fallback}
 
     def close(self) -> None:
         self._retire_pending()
@@ -1001,8 +990,7 @@ class _ShmWorkerChannel(WorkerChannel):
         self._ring_out.close()
         for seg in (self._seg_tx, self._seg_rx):
             _quiet_close(seg)
-        with contextlib.suppress(OSError):
-            self._control.close()
+        self._control.close()
 
 
 # ----------------------------------------------------------------------
@@ -1013,7 +1001,8 @@ class Transport:
 
     name = "?"
 
-    def open_router_channel(self, mp_ctx, cfg, wid: int) -> RouterChannel:
+    def open_router_channel(self, mp_ctx, cfg, wid: int,
+                            counters: WireCounters) -> RouterChannel:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -1023,15 +1012,17 @@ class Transport:
 class PipeTransport(Transport):
     name = "pipe"
 
-    def open_router_channel(self, mp_ctx, cfg, wid: int) -> RouterChannel:
-        return _PipeRouterChannel(mp_ctx)
+    def open_router_channel(self, mp_ctx, cfg, wid: int,
+                            counters: WireCounters) -> RouterChannel:
+        return _PipeRouterChannel(counters)
 
 
 class ShmRingTransport(Transport):
     name = "shm"
 
-    def open_router_channel(self, mp_ctx, cfg, wid: int) -> RouterChannel:
-        return _ShmRouterChannel(mp_ctx, wid, cfg.shm_slots,
+    def open_router_channel(self, mp_ctx, cfg, wid: int,
+                            counters: WireCounters) -> RouterChannel:
+        return _ShmRouterChannel(mp_ctx, counters, wid, cfg.shm_slots,
                                  cfg.resolved_slot_bytes())
 
 
@@ -1050,7 +1041,7 @@ def open_worker_channel(spec) -> WorkerChannel:
     """Build the worker-side channel from a ``spawn_spec`` descriptor."""
     kind, args = spec
     if kind == "pipe":
-        return _PipeWorkerChannel(args["conn"])
+        return _PipeWorkerChannel(args["sock"])
     if kind == "shm":
         return _ShmWorkerChannel(args)
     raise ValueError(f"unknown worker channel spec {kind!r}")

@@ -521,11 +521,9 @@ class VlsaService:
                          ops=outcome.size, stalls=outcome.stall_count,
                          cycles=outcome.cycles, start_cycle=start_cycle)
 
-        # Array batches on the numpy backend take slices of the result
-        # arrays; int-pair batches, and all on the bigint backend, read
-        # the columns as lists, built once.
-        arrays = (isinstance(pairs, np.ndarray)
-                  and self.executor.backend == "numpy")
+        # Array batches take slices of the result arrays on either
+        # backend; int-pair batches read the columns as lists, built once.
+        arrays = isinstance(pairs, np.ndarray)
         sums, couts, stalled, latencies = (
             outcome.column(name) if arrays else getattr(outcome, name)
             for name in ("sums", "couts", "stalled", "latencies"))

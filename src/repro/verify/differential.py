@@ -410,8 +410,8 @@ class ClusterImpl(Implementation):
     drive it explicitly (``--impls service:numpy,cluster``).
 
     The *transport* parameter selects the router<->worker wire:
-    ``cluster`` rides the pickle-over-pipe path, ``cluster:shm`` the
-    zero-copy shared-memory rings.  Both are held to the identical
+    ``cluster`` rides binary frames on a socket pair, ``cluster:shm``
+    the zero-copy shared-memory rings.  Both are held to the identical
     bit-for-bit standard, which is what makes the pipe path a live
     differential reference for the ring codec.
     """

@@ -4,12 +4,14 @@ the chaos drill — SIGKILL a random worker mid-load, lose nothing."""
 import asyncio
 import os
 import random
+import re
 import signal
 
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterRouter
 from repro.cluster import protocol
+from repro.service import RequestTimeoutError
 
 WIDTH, WINDOW = 32, 8
 MASK = (1 << WIDTH) - 1
@@ -115,6 +117,39 @@ def test_hang_detection_kills_and_fails_over():
             assert router.tracer.of_kind("worker_hung")
             assert router.supervisor.m_failures.value == 1
             assert router.m_degraded.value == 1
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("transport", ["pipe", "shm"])
+def test_timeout_names_its_wire_batch_worker_and_silence(transport):
+    """A request stuck on a hung worker times out with a message that
+    says where it waited, and leaves no pending future behind."""
+    cfg = fast_cfg(workers=1, transport=transport, hang_timeout=1.0,
+                   restart_backoff_base=60.0, restart_backoff_max=60.0)
+
+    async def main():
+        router = ClusterRouter(cfg)
+        await router.start()
+        await router.wait_ready()
+        handle = router.supervisor.live[0]
+        handle.send((protocol.HANG, 5.0))
+        await asyncio.sleep(0.1)
+        with pytest.raises(RequestTimeoutError) as err:
+            await router.submit_batch(rand_pairs(10), timeout=0.3)
+        (wire_id, batch), = handle.wire.items()
+        text = str(err.value)
+        assert f"request {batch.pendings[0].id}:" in text
+        assert f"wire batch {wire_id} on worker wid {handle.wid}" in text
+        assert f"transport {transport}" in text
+        age = float(re.search(r"([0-9.]+)s since enqueue", text)[1])
+        assert 0.3 <= age < 5.0
+        heard = float(re.search(r"last heard ([0-9.]+)s ago", text)[1])
+        assert 0.1 < heard < 5.0  # silent since it took the HANG
+        assert all(p.future.done() for p in batch.pendings)
+        assert router.m_inflight.value == 0
+        assert router.m_timeouts.value == 1
+        await router.stop(drain_timeout=0.1)
 
     asyncio.run(main())
 

@@ -179,3 +179,35 @@ def test_bigint_pool_ships_array_columns(transport, monkeypatch):
     asyncio.run(main())
     assert len(columns) == 2
     assert all(set(c.values()) == {np.ndarray} for c in columns)
+
+
+def test_bigint_service_slices_array_columns():
+    """At width 96 an array batch's response keeps the micro-batch's
+    result arrays (sliced, never turned into lists), and its reply line
+    is still exactly ``json.dumps`` of the list form."""
+    width = 96
+    pairs = _operands(width)
+    want = _expected(width, pairs)
+    arr = _forms(width, pairs)["array"]
+
+    async def main():
+        svc = VlsaService(width=width, window=WINDOW, backend="bigint",
+                          recovery_cycles=RECOVERY)
+        async with svc:
+            solo = await svc.submit_batch(arr)
+            # Coalesced with a second request: slices of one batch.
+            both = await asyncio.gather(svc.submit_batch(arr),
+                                        svc.submit_batch(arr[:5]))
+        return [solo, *both]
+
+    resps = asyncio.run(main())
+    for resp in resps:
+        for name in ("sums", "couts", "stalled", "latencies"):
+            assert isinstance(resp.column(name), np.ndarray), name
+    line = render_batch_reply(7, resps[0])
+    assert line == json.dumps(
+        {"id": 7, **want, "accept_cycle": resps[0].accept_cycle}
+    ).encode() + b"\n"
+    _assert_reply(resps[0], want)
+    _assert_reply(resps[1], want)
+    _assert_reply(resps[2], {k: v[:5] for k, v in want.items()})
