@@ -251,7 +251,7 @@ class SyncAutotunedExecutor:
 
     def __init__(self, width: int, policy: PolicyEngine,
                  window: Optional[int] = None, family: str = "aca",
-                 recovery_cycles: int = 1, backend: Optional[str] = None,
+                 recovery_cycles: int = 1,
                  decide_every_ops: int = 2048,
                  sample_pairs: int = 1024,
                  profile_pairs: int = 8192,
@@ -259,10 +259,9 @@ class SyncAutotunedExecutor:
                  tenant: str = "default") -> None:
         self.width = width
         self.recovery_cycles = recovery_cycles
-        self._backend = backend
         self.executor = VlsaBatchExecutor(width, window=window,
                                           recovery_cycles=recovery_cycles,
-                                          backend=backend, family=family)
+                                          family=family)
         self.window = self.executor.window
         self.family = family
         self.max_batch_ops = 4096
@@ -272,17 +271,13 @@ class SyncAutotunedExecutor:
             registry=registry, tenant=tenant).attach(
                 self, register_observer=False)
 
-    @property
-    def backend(self) -> str:
-        return self.executor.backend
-
     def reconfigure(self, window: Optional[int] = None,
                     family: Optional[str] = None,
                     max_batch_ops: Optional[int] = None) -> None:
         family = family if family is not None else self.family
         self.executor = VlsaBatchExecutor(
             self.width, window=window, recovery_cycles=self.recovery_cycles,
-            backend=self._backend, family=family)
+            family=family)
         self.window = self.executor.window
         self.family = family
         if max_batch_ops is not None:

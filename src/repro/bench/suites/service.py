@@ -17,6 +17,12 @@ tolerance bands:
 
 A loadgen run is long on its own, so these benchmarks skip inner-loop
 calibration (``calibrate=False``) and take fewer samples.
+
+One more benchmark per family, ``executor_w128_<family>``, times the
+batch executor alone at width 128 (Python-int lanes): one
+:meth:`~repro.service.executor.VlsaBatchExecutor.execute` of a
+4096-pair operand array, as the service hands it over.  Its ns/op is
+``1e9 / ops_per_second``.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ _PRESET_OPS = {"small": 1 << 15, "full": 1 << 20}
 #: fewer samples would make a regression verdict mathematically
 #: impossible for this suite.
 _SAMPLES = {"small": 5, "full": 5}
+
+#: Width and batch size of the wide executor benchmarks.
+_WIDE_WIDTH = 128
+_WIDE_PAIRS = 4096
 
 _HEALTH_BAND = MetricBand("failures_total", "expected_failures_total",
                           rel_tol=0.0)
@@ -65,7 +75,7 @@ def _loadgen_bench(name: str, workload: str, ops: int, samples: int,
 
         return run_loadgen(workload, ops=ops, width=width, window=window,
                            chunk=chunk, concurrency=4,
-                           max_batch_ops=1 << 14, backend="numpy")
+                           max_batch_ops=1 << 14)
 
     return Benchmark(
         name=name, suite="service", payload=run, ops_per_call=ops,
@@ -73,11 +83,39 @@ def _loadgen_bench(name: str, workload: str, ops: int, samples: int,
         samples=samples, derive=_derive,
         bands=tuple(bands) + (_HEALTH_BAND,),
         params={"workload": workload, "ops": ops, "width": width,
-                "window": window, "chunk": chunk, "backend": "numpy"})
+                "window": window, "chunk": chunk})
+
+
+def _executor_bench(family: str) -> Benchmark:
+    """One batch through the executor at width 128, per family."""
+    def setup(family=family):
+        import numpy as np
+
+        from ...service.executor import VlsaBatchExecutor, pairs_array
+
+        rng = np.random.default_rng(_WIDE_WIDTH)
+        words = [int.from_bytes(rng.bytes(_WIDE_WIDTH // 8), "little")
+                 for _ in range(2 * _WIDE_PAIRS)]
+        pairs = pairs_array(list(zip(words[::2], words[1::2])),
+                            _WIDE_WIDTH)
+        return VlsaBatchExecutor(_WIDE_WIDTH, family=family), pairs
+
+    def run(state):
+        executor, pairs = state
+        return executor.execute(pairs)
+
+    return Benchmark(
+        name=f"executor_w{_WIDE_WIDTH}_{family}", suite="service",
+        setup=setup, payload=run, ops_per_call=_WIDE_PAIRS,
+        tags=("executor",),
+        params={"family": family, "width": _WIDE_WIDTH,
+                "pairs": _WIDE_PAIRS})
 
 
 @registry.suite("service")
 def service_suite(preset: str) -> List[Benchmark]:
+    from ...families.base import family_names
+
     ops = _PRESET_OPS[preset]
     side_ops = max(1 << 12, ops // 8)
     samples = _SAMPLES[preset]
@@ -106,4 +144,4 @@ def service_suite(preset: str) -> List[Benchmark]:
         # Biased traffic exercises the workload-dependence column.
         _loadgen_bench("loadgen_biased_w64_win12", "biased", side_ops,
                        samples, window=12, bands=[latency_band]),
-    ]
+    ] + [_executor_bench(family) for family in family_names()]

@@ -159,7 +159,7 @@ def _cmd_loadgen(_ex, args, ctx) -> str:
         workload=args.workload, ops=args.ops, width=args.width,
         window=args.window, chunk=args.chunk,
         concurrency=args.concurrency, queue_capacity=args.queue_capacity,
-        max_batch_ops=args.max_batch, backend=args.service_backend,
+        max_batch_ops=args.max_batch,
         alpha=args.alpha, adversarial_fraction=args.adversarial_fraction,
         target=args.target, workers=args.workers,
         shard_policy=args.shard_policy, transport=args.transport,
@@ -325,8 +325,6 @@ def _add_key_bits(p):
 
 @_flag("loadgen")
 def _add_loadgen(p):
-    from .service.executor import EXECUTOR_BACKENDS
-
     p.add_argument("--workload", choices=_LOADGEN_WORKLOADS,
                    default="uniform",
                    help="operand distribution (default: %(default)s)")
@@ -342,10 +340,6 @@ def _add_loadgen(p):
     p.add_argument("--max-batch", dest="max_batch", type=int, default=8192,
                    help="max additions per coalesced service batch "
                         "(default: %(default)s)")
-    p.add_argument("--service-backend", dest="service_backend",
-                   choices=EXECUTOR_BACKENDS, default=None,
-                   help="service executor backend (default: numpy when "
-                        "the width fits a machine word)")
     p.add_argument("--alpha", type=float, default=0.75,
                    help="per-bit one-probability for the biased workload "
                         "(default: %(default)s)")
@@ -570,10 +564,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      default=8192,
                      help="max additions per coalesced batch "
                           "(default: %(default)s)")
-    srv.add_argument("--service-backend", dest="service_backend",
-                     default=None,
-                     help="executor backend: numpy or bigint "
-                          "(default: automatic)")
     srv.add_argument("--duration", type=float, default=None,
                      help="seconds to serve before exiting "
                           "(default: run until interrupted)")
@@ -781,7 +771,7 @@ def _run_serve(args) -> int:
         service = ClusterRouter(ClusterConfig(
             width=args.width, window=args.window, family=args.family,
             recovery_cycles=args.recovery_cycles,
-            workers=args.workers, backend=args.service_backend,
+            workers=args.workers,
             shard_policy=args.shard_policy,
             transport=args.transport,
             max_batch_ops=args.max_batch,
@@ -791,8 +781,7 @@ def _run_serve(args) -> int:
                               recovery_cycles=args.recovery_cycles,
                               queue_capacity=args.queue_capacity,
                               max_batch_ops=args.max_batch,
-                              backend=args.service_backend, ctx=ctx,
-                              family=args.family)
+                              ctx=ctx, family=args.family)
     print(f"serving {args.family} width={service.width} "
           f"window={service.window} "
           f"backend={service.backend_name} on "

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..families.base import get_family
-from ..service.executor import EXECUTOR_BACKENDS
 
 __all__ = ["ClusterConfig", "SHARD_POLICY_NAMES", "TRANSPORT_NAMES"]
 
@@ -37,8 +36,6 @@ class ClusterConfig:
         family: Registered adder family every worker serves.
         recovery_cycles: Extra cycles when the detector fires.
         workers: Worker processes in the pool.
-        backend: Executor backend per worker (default: numpy when the
-            width fits a machine word).
         shard_policy: ``round_robin`` | ``least_loaded`` | ``hash``
             (operand-hash affinity).
         max_batch_ops: Max additions coalesced into one wire batch.
@@ -81,7 +78,6 @@ class ClusterConfig:
     family: str = "aca"
     recovery_cycles: int = 1
     workers: int = 2
-    backend: Optional[str] = None
     shard_policy: str = "round_robin"
     max_batch_ops: int = 8192
     worker_queue_ops: int = 65536
@@ -106,11 +102,6 @@ class ClusterConfig:
         self.window = fam.primary_value(self.width, params)
         if self.workers < 1:
             raise ValueError("a cluster needs at least one worker")
-        if self.backend is None:
-            self.backend = "numpy" if self.width <= 64 else "bigint"
-        if self.backend not in EXECUTOR_BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; "
-                             f"expected one of {EXECUTOR_BACKENDS}")
         if self.shard_policy not in SHARD_POLICY_NAMES:
             raise ValueError(f"unknown shard policy "
                              f"{self.shard_policy!r}; expected one of "
@@ -175,6 +166,5 @@ class ClusterConfig:
             "window": self.window,
             "family": self.family,
             "recovery_cycles": self.recovery_cycles,
-            "backend": self.backend,
             "heartbeat_interval": self.heartbeat_interval,
         }

@@ -10,8 +10,8 @@ supervisor, worker and the tests all speak from the same sheet.
 Router -> worker:
 
 * ``(BATCH, msg_id, payload)`` — one coalesced wire batch.  *payload*
-  is a ``(n, 2)`` uint64 ndarray on the numpy backend, else a list of
-  ``(a, b)`` int tuples (arbitrary-width bigint path).
+  is an ``(n, 2)`` lane array: ``uint64`` at widths up to 64,
+  ``dtype=object`` Python ints above.
 * ``(SHUTDOWN,)`` — finish in-hand work, ship a final snapshot, exit 0.
 * ``(CONFIG, cfg)`` — live reconfiguration (autotune): *cfg* is a
   partial :meth:`~repro.cluster.config.ClusterConfig.worker_dict`; the

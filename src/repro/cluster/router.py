@@ -260,7 +260,7 @@ class ClusterRouter:
 
     @property
     def backend_name(self) -> str:
-        return f"cluster:{self.cfg.workers}x{self.cfg.backend}"
+        return f"cluster:{self.cfg.workers}x{self.cfg.transport}"
 
     @property
     def cycle(self) -> int:
@@ -330,7 +330,7 @@ class ClusterRouter:
         await self.supervisor.start()
         self.tracer.emit("cluster_start", workers=self.cfg.workers,
                          width=self.width, window=self.window,
-                         backend=self.cfg.backend,
+                         transport=self.cfg.transport,
                          policy=self.cfg.shard_policy,
                          start_method=self.cfg.resolve_start_method())
         return self
@@ -357,7 +357,7 @@ class ClusterRouter:
             await asyncio.sleep(0.005)
         # Retire final metric states before the processes go away.
         for handle in self.supervisor.live:
-            handle.send((protocol.SHUTDOWN,))
+            handle.shutdown()
         grace = time.monotonic() + max(0.5,
                                        4 * self.cfg.heartbeat_interval)
         while time.monotonic() < grace and any(

@@ -52,6 +52,7 @@ class WorkerHandle:
         self.channel: Optional[RouterChannel] = None
         self.alive = False
         self.eof = False
+        self.shutdown_sent = False
         self.bye = False  # worker acknowledged SHUTDOWN (clean exit)
         self.started_at = 0.0
         self.last_msg = 0.0
@@ -74,6 +75,13 @@ class WorkerHandle:
     def send(self, msg) -> None:
         """Ship *msg* on the channel (never blocks the loop)."""
         self.channel.send(msg)
+
+    def shutdown(self) -> None:
+        """Send SHUTDOWN, once: a second one can reach a socket the
+        worker has closed, and the failed write drops its unread BYE."""
+        if not self.shutdown_sent:
+            self.shutdown_sent = True
+            self.send((protocol.SHUTDOWN,))
 
     # -- lifecycle (called by the supervisor only) ----------------------
     async def start(self, ctx, cfg: ClusterConfig, loop,
@@ -200,7 +208,7 @@ class WorkerSupervisor:
             task.cancel()
         self._restart_tasks.clear()
         for handle in self.live:
-            handle.send((protocol.SHUTDOWN,))
+            handle.shutdown()
         deadline = time.monotonic() + max(1.0,
                                           4 * self.cfg.heartbeat_interval)
         while time.monotonic() < deadline and any(

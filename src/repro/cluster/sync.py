@@ -101,7 +101,7 @@ _SHARED_SLOTS = 2
 
 def _key(cfg: ClusterConfig) -> Tuple:
     return (cfg.width, cfg.window, cfg.recovery_cycles, cfg.workers,
-            cfg.backend, cfg.shard_policy, cfg.family, cfg.transport)
+            cfg.shard_policy, cfg.family, cfg.transport)
 
 
 def shared_cluster(cfg: Optional[ClusterConfig] = None,

@@ -45,9 +45,10 @@ failover path.  The consumer reads at its private cursor and retires
 slots strictly in order by bumping ``consumed``, which is what gives
 the producer back-pressure.  Waits are real blocking waits, never
 busy-polling: the worker blocks on semaphores (``tx_items`` for work,
-``rx_space`` for room to reply); the router's loop wakes on the
-worker's doorbell, and a full router→worker ring parks the message and
-retries it after each received message and on a short timer.
+one token per ring slot or oversized frame, ``rx_space`` for room to
+reply); the router's loop wakes on the worker's doorbell, and a full
+router→worker ring parks the message and retries it after each
+received message and on a short timer.
 
 Segment lifecycle
 -----------------
@@ -862,7 +863,9 @@ class _ShmRouterChannel(RouterChannel):
                 self._counters.sent(msg)
                 return True
         # Oversized for one slot: the control socket is the
-        # always-correct slow lane.
+        # always-correct slow lane.  Its ``tx_items`` token goes first
+        # (see _ShmWorkerChannel).
+        self._tx_items.release()
         self._wire.write(encode_frame(msg))
         self._counters.pipe_fallbacks.inc()
         self._counters.sent(msg)
@@ -910,14 +913,17 @@ class _ShmWorkerChannel(WorkerChannel):
     ``recv``/``send`` — because by then the executor has consumed the
     operands.  That costs one slot of effective capacity and buys a
     worker loop that never touches lease bookkeeping.
+
+    Every ``tx_items`` token stands for one message: a ring slot, or an
+    oversized frame on the control socket, whose token the router
+    releases before writing it.  So a token that finds the ring empty
+    reads the next frame, and a frame never waits without a token.
     """
 
     transport_name = "shm"
 
     def __init__(self, spec: Dict[str, Any]):
         self._control = spec["control"]
-        self._poller = select.poll()
-        self._poller.register(self._control, select.POLLIN)
         self._seg_tx = _attach_untracked(spec["tx_name"])
         self._seg_rx = _attach_untracked(spec["rx_name"])
         slots, slot_bytes = spec["slots"], spec["slot_bytes"]
@@ -942,15 +948,13 @@ class _ShmWorkerChannel(WorkerChannel):
                     timeout=max(0.0, min(0.05, remaining))):
                 self._retire_pending()
                 popped = self._ring_in.pop()
-                if popped is None:  # counter/sem skew after chaos
-                    continue
+                if popped is None:  # the token of an oversized frame
+                    return _recv_message(self._control)
                 seq, msg = popped
                 self._pending_retire = seq
                 return msg
-            if _readable(self._poller, 0):
-                msg = _recv_message(self._control)  # oversized fallback
-                self._retire_pending()
-                return msg
+            if self._router_gone():
+                raise ChannelClosed("router socket closed")
             if remaining <= 0:
                 self._retire_pending()
                 return None

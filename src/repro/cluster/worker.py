@@ -6,9 +6,8 @@ single-process service runs), a private
 :class:`~repro.service.metrics.MetricsRegistry`, and a worker-local
 virtual cycle clock; it reads wire batches off its transport channel
 (pipe or shared-memory ring — see :mod:`repro.cluster.transport`),
-executes them, and replies with array-native results on either backend
-(``uint64`` sums and carries at widths up to 64, ``dtype=object`` lanes
-above).
+executes them, and replies with array-native results (``uint64`` sums
+and carries at widths up to 64, ``dtype=object`` lanes above).
 
 The worker is deliberately synchronous and single-threaded: the paper's
 datapath is a serial accelerator, and a worker models exactly one of
@@ -82,7 +81,6 @@ def worker_main(worker_id: int, channel: WorkerChannel,
     """
     executor = VlsaBatchExecutor(cfg["width"], window=cfg["window"],
                                  recovery_cycles=cfg["recovery_cycles"],
-                                 backend=cfg["backend"],
                                  family=cfg.get("family", "aca"))
     registry = MetricsRegistry()
     m_ops = registry.counter(
@@ -157,7 +155,6 @@ def worker_main(worker_id: int, channel: WorkerChannel,
             executor = VlsaBatchExecutor(
                 cfg["width"], window=cfg["window"],
                 recovery_cycles=cfg["recovery_cycles"],
-                backend=cfg["backend"],
                 family=cfg.get("family", "aca"))
             m_reconfigs.inc()
             continue
@@ -170,21 +167,13 @@ def worker_main(worker_id: int, channel: WorkerChannel,
             continue  # unknown kinds are ignored, not fatal
         _, msg_id, payload = msg
 
-        if executor.backend == "numpy":
-            arrays = executor.execute_arrays(
-                executor.coerce_pairs_array(payload))
-            n, stalls = arrays.size, arrays.stall_count
-            result = {"sums": arrays.sums, "couts": arrays.couts,
-                      "stalled": arrays.stalled,
-                      "spec_errors": arrays.spec_errors,
-                      "cycles": arrays.cycles}
-        else:
-            outcome = executor.execute(payload)
-            n, stalls = outcome.size, outcome.stall_count
-            result = {name: outcome.column(name) for name in
-                      ("sums", "couts", "stalled", "spec_errors")}
-            result["cycles"] = outcome.cycles
-        result["start_cycle"] = cycle
+        arrays = executor.execute_arrays(
+            executor.coerce_pairs_array(payload))
+        n, stalls = arrays.size, arrays.stall_count
+        result = {"sums": arrays.sums, "couts": arrays.couts,
+                  "stalled": arrays.stalled,
+                  "spec_errors": arrays.spec_errors,
+                  "cycles": arrays.cycles, "start_cycle": cycle}
         cycle += result["cycles"]
         m_ops.inc(n)
         m_stalls.inc(stalls)

@@ -20,11 +20,13 @@ anchored at bit 0 (the window at bit 0 sees the real carry-in).  With
 per-pair callers: apps, processor), ``uint64`` lanes at widths up to 64
 and ``dtype=object`` lanes above (through
 :meth:`~repro.families.base.SpeculativeModel.run_arrays`: the Monte
-Carlo sampler, the cycle-accurate VLSA machine, the service's bigint
-backend and the verifier's functional row).  :func:`aca_numpy_kernel`
-is the same rule on uint64 lanes (the serving, cluster and verify hot
-path).  The differential verifier's oracle (:mod:`repro.verify.oracle`)
-recomputes everything from the definition without it, and the test
+Carlo sampler, the cycle-accurate VLSA machine and the verifier's
+functional row; the service executor and the cluster workers call
+:meth:`~repro.families.base.SpeculativeModel.evaluate` on the same
+lanes, one pass of the rule).  :func:`aca_numpy_kernel` is the same
+rule on uint64 lanes (the verifier's ``kernel`` row).  The differential
+verifier's oracle (:mod:`repro.verify.oracle`) recomputes everything
+from the definition without it, and the test
 suite cross-checks the rule against the gate-level circuits and the
 carry-state engine of :mod:`repro.analysis.error_model`.
 

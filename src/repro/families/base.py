@@ -13,8 +13,8 @@ across every layer of the repo.  Each family binds together:
   uniform contract of :class:`SpeculativeModel`: the family writes its
   speculate/detect rule once (:meth:`SpeculativeModel.rule`) over the
   lane types of :mod:`repro.families.words`;
-* ``numpy_kernel`` — the same rule on uint64 lanes (the serving hot
-  path) at widths up to 64;
+* ``numpy_kernel`` — the same rule on uint64 lanes at widths up to 64
+  (the verifier's ``kernel`` row);
 * ``speculation_cuts`` / ``flag_event`` — the cuts whose carries the
   family predicts and what makes its detector fire, declared once; the
   carry-state engine of :mod:`repro.analysis.error_model` derives the
@@ -193,8 +193,8 @@ def uint64_kernel(model: SpeculativeModel
     """*model*'s rule as a batch kernel ``kernel(a, b) -> KernelBatch``
     on uint64 lanes (widths up to 64).
 
-    It calls :meth:`SpeculativeModel.evaluate`, not the wrappers, so the
-    serving path runs the rule in one pass.
+    It calls :meth:`SpeculativeModel.evaluate`, not the wrappers, so it
+    runs the rule in one pass, as the service executor does.
     """
     if model.width > 64:
         raise ValueError("numpy kernels support widths up to 64 bits")

@@ -11,9 +11,10 @@ analysis suggests it should be used — as a shared accelerator whose
   addition, plus recovery cycles when the detector fires — exactly
   :class:`~repro.arch.VlsaMachine` semantics), and timeout / retry /
   cancellation handling.
-* :class:`VlsaBatchExecutor` — the batch datapath: a vectorised numpy
-  kernel for widths up to 64 bits, a bigint fallback for everything
-  else, both cross-checked against the functional ACA model.
+* :class:`VlsaBatchExecutor` — the batch datapath: the family's
+  speculate/detect rule run once per batch on uint64 lanes at widths up
+  to 64 and Python-int object lanes above, cross-checked against the
+  functional model's three-pass reference.
 * :class:`MetricsRegistry` — counters, gauges with peaks, histograms
   with p50/p95/p99; JSON and Prometheus-text export.
 * :class:`Tracer` — structured trace events, mirrored into the run's
@@ -42,7 +43,7 @@ from .._lazy import lazy_exports
 # Each name loads its submodule on first use: a cluster worker needs the
 # executor and metrics, not the TCP edge or the load generator.
 _LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".executor": ("EXECUTOR_BACKENDS", "BatchOutcome", "VlsaBatchExecutor"),
+    ".executor": ("BatchOutcome", "VlsaBatchExecutor"),
     ".loadgen": ("WORKLOADS", "LoadgenReport", "make_workload",
                  "run_loadgen"),
     ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
@@ -58,7 +59,6 @@ __all__ = [
     "BatchOutcome",
     "BatchResponse",
     "Counter",
-    "EXECUTOR_BACKENDS",
     "Gauge",
     "Histogram",
     "LoadgenReport",

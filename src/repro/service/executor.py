@@ -1,19 +1,14 @@
 """Batched VLSA evaluation backing the service's micro-batcher.
 
-One coalesced batch of operand pairs is evaluated in a single call,
-on one of two backends:
-
-* ``numpy`` — the family's own ``numpy_kernel`` for widths up to 64
-  bits (the throughput path: exact sums, detector flags and
-  speculative-error flags for a whole batch in a handful of array ops;
-  the same kernel the cluster workers and the verifier run);
-* ``bigint`` — one :meth:`~repro.families.base.SpeculativeModel.
-  run_arrays` call of the family's functional model (for the ACA,
-  :class:`~repro.families.aca.AcaModel`) on the batch: uint64 lanes at
-  widths up to 64, Python-int object lanes above.  The fallback for
-  arbitrary widths, and a second path to the same rule through the
-  model's ``add``/``flags_error``/``exact`` that the tests and the
-  verifier cross-check the numpy kernel against.
+One coalesced batch of operand pairs is evaluated in a single call on
+one path at every width: the pairs become
+:func:`~repro.families.words.lanes` (``uint64`` at widths up to 64,
+``dtype=object`` Python ints above) and the family's functional model
+runs its rule on them once
+(:meth:`~repro.families.base.SpeculativeModel.evaluate`): exact sums,
+detector flags and speculative-error flags for the whole batch in a
+handful of word operations.  The cluster workers run the same path; the
+verifier cross-checks it against the model's three-pass ``run_arrays``.
 
 Latency semantics are exactly those of
 :class:`~repro.arch.vlsa_machine.VlsaMachine`: the VLSA always returns
@@ -39,12 +34,8 @@ from ..families.base import get_family
 from ..families.words import lanes
 
 __all__ = ["BatchOutcome", "BatchArrays", "Pairs", "ResultColumn",
-           "ResultColumns", "VlsaBatchExecutor", "EXECUTOR_BACKENDS",
-           "count_true", "pairs_array"]
-
-#: Executor backend names.
-EXECUTOR_BACKENDS = ("numpy", "bigint")
-
+           "ResultColumns", "VlsaBatchExecutor", "count_true",
+           "pairs_array"]
 
 #: Operand pairs as callers hand them in: an ``(n, 2)`` array or a
 #: sequence of ``(a, b)`` integer pairs.
@@ -55,18 +46,19 @@ _SHAPE_ERROR = "expected (n, 2) operand pairs"
 
 
 def pairs_array(pairs: Pairs, width: int) -> np.ndarray:
-    """*pairs* as an ``(n, 2)`` array: uint64 at widths up to 64 (the
-    numpy path's form), Python ints above.
+    """*pairs* as an ``(n, 2)`` array of lanes: uint64 at widths up to
+    64, Python ints above.
 
-    A uint64 array passes through as is.  Anything else becomes
-    :func:`~repro.families.words.lanes`, masked to *width* bits, so one
-    malformed pair (negative, or ``>= 2**64``) never raises out of a
-    batch.
+    A uint64 array at widths up to 64 passes through as is (the rule
+    masks it).  Anything else becomes :func:`~repro.families.words.
+    lanes`, masked to *width* bits, so one malformed pair (negative, or
+    ``>= 2**64``) never raises out of a batch.
 
     Raises:
         ValueError: *pairs* is not ``(n, 2)``-shaped.
     """
-    if not (isinstance(pairs, np.ndarray) and pairs.dtype == np.uint64):
+    if not (width <= 64 and isinstance(pairs, np.ndarray)
+            and pairs.dtype == np.uint64):
         try:
             pairs = lanes(pairs, width)
         except (OverflowError, TypeError, ValueError):
@@ -192,12 +184,11 @@ class BatchArrays:
     Same values as :class:`BatchOutcome`, kept as numpy arrays so a
     worker process can ship them over a pipe as buffer copies instead
     of a million pickled Python ints.  ``to_outcome`` wraps the same
-    arrays (no copy, no lists); its columns read bit-identical to the
-    bigint backend's.
+    arrays (no copy, no lists).
     """
 
-    sums: np.ndarray       # uint64
-    couts: np.ndarray      # uint64 (0/1)
+    sums: np.ndarray       # lanes: uint64, or object above 64 bits
+    couts: np.ndarray      # lanes (0/1)
     stalled: np.ndarray    # bool
     spec_errors: np.ndarray  # bool
     cycles: int
@@ -233,17 +224,15 @@ class VlsaBatchExecutor:
         window: The family's primary parameter (for ACA, the
             speculation window; default: the family's own choice).
         recovery_cycles: Cycles added when the detector fires.
-        backend: ``"numpy"``, ``"bigint"``, or ``None`` for automatic
-            (numpy when the width fits a machine word).
         ctx: Optional run context; batches bump its ``service_ops`` /
             ``service_stalls`` counters and the ``service_execute``
             phase timer.
         family: Registered adder family (default the paper's
-            ``"aca"``); the numpy backend runs its ``numpy_kernel``.
+            ``"aca"``); batches run its functional model's rule.
     """
 
     def __init__(self, width: int, window: Optional[int] = None,
-                 recovery_cycles: int = 1, backend: Optional[str] = None,
+                 recovery_cycles: int = 1,
                  ctx: Optional[RunContext] = None, family: str = "aca"):
         if width <= 0:
             raise ValueError("width must be positive")
@@ -252,84 +241,50 @@ class VlsaBatchExecutor:
         fam = get_family(family)
         params = fam.resolve_params(width, window=window)
         window = fam.primary_value(width, params)
-        if backend is None:
-            backend = "numpy" if width <= 64 else "bigint"
-        if backend not in EXECUTOR_BACKENDS:
-            raise ValueError(f"unknown executor backend {backend!r}; "
-                             f"expected one of {EXECUTOR_BACKENDS}")
-        if backend == "numpy" and width > 64:
-            raise ValueError("numpy executor supports widths up to 64 bits"
-                             " — use the bigint fallback")
         self.width = width
         self.window = window
         self.family = family
         self.recovery_cycles = recovery_cycles
-        self.backend = backend
         self.ctx = ctx
         # Functional reference model (shared with VlsaMachine).
         self.model = functional_model(family, width=width, window=window)
-        self._kernel = None
-        if backend == "numpy":
-            self._kernel = fam.numpy_kernel(width, **params)
-            if self._kernel is None:
-                raise ValueError(
-                    f"family {family!r} has no numpy kernel at width "
-                    f"{width} — use the bigint backend")
 
     # ------------------------------------------------------------------
     def execute(self, pairs: Pairs) -> BatchOutcome:
         """Evaluate every ``(a, b)`` pair in *pairs* as one batch.
 
-        An ``(n, 2)`` uint64 array runs the numpy path with no Python
-        object built; its outcome's columns stay arrays.
+        An ``(n, 2)`` uint64 array runs with no Python object built at
+        widths up to 64; the outcome's columns stay arrays.
         """
         if self.ctx is not None:
             with self.ctx.phase("service_execute"):
-                outcome = self._dispatch(pairs)
+                outcome = self._execute(pairs)
             self.ctx.add("service_ops", outcome.size)
             self.ctx.add("service_stalls", outcome.stall_count)
             self.ctx.add("service_batches")
             return outcome
-        return self._dispatch(pairs)
+        return self._execute(pairs)
 
-    def _dispatch(self, pairs: Pairs) -> BatchOutcome:
+    def _execute(self, pairs: Pairs) -> BatchOutcome:
         if len(pairs) == 0:
             return BatchOutcome([], [], [], [], [], 0)
-        if self.backend == "numpy":
-            return self._execute_numpy(pairs)
-        return self._execute_bigint(pairs)
+        return self.execute_arrays(self.coerce_pairs_array(pairs)
+                                   ).to_outcome()
 
-    # -- numpy fast path ------------------------------------------------
     def coerce_pairs_array(self, pairs: Pairs) -> np.ndarray:
-        """``(n, 2)`` uint64 operand array; see :func:`pairs_array`."""
+        """``(n, 2)`` operand lanes; see :func:`pairs_array`."""
         return pairs_array(pairs, self.width)
 
     def execute_arrays(self, arr: np.ndarray) -> BatchArrays:
-        """Array-in/array-out numpy kernel (cluster worker hot path).
+        """Array-in/array-out batch (the cluster worker's hot path).
 
-        *arr* is the ``(n, 2)`` uint64 array from
-        :meth:`coerce_pairs_array`.  Only valid on the numpy backend.
+        *arr* is the ``(n, 2)`` lane array from
+        :meth:`coerce_pairs_array`.
         """
-        if self.backend != "numpy":
-            raise ValueError("execute_arrays requires the numpy backend")
-        batch = self._kernel(arr[:, 0], arr[:, 1])
+        batch = self.model.evaluate(arr[:, 0], arr[:, 1])
         stall_count = int(np.count_nonzero(batch.flags))
         return BatchArrays(
             sums=batch.exact_sums, couts=batch.exact_couts,
             stalled=batch.flags, spec_errors=batch.spec_errors,
             cycles=arr.shape[0] + self.recovery_cycles * stall_count,
             recovery_cycles=self.recovery_cycles)
-
-    def _execute_numpy(self, pairs: Pairs) -> BatchOutcome:
-        return self.execute_arrays(self.coerce_pairs_array(pairs)
-                                   ).to_outcome()
-
-    # -- bigint fallback ------------------------------------------------
-    def _execute_bigint(self, pairs: Pairs) -> BatchOutcome:
-        ops = pairs_array(pairs, self.width)
-        batch = self.model.run_arrays(ops[:, 0], ops[:, 1])
-        stalled = batch.flags
-        latencies = np.where(stalled, 1 + self.recovery_cycles, 1)
-        return BatchOutcome(batch.exact_sums, batch.exact_couts, stalled,
-                            stalled & batch.spec_errors, latencies,
-                            int(latencies.sum()))

@@ -488,7 +488,7 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
                 width: int = 64, window: Optional[int] = None,
                 chunk: int = 1024, concurrency: int = 4,
                 queue_capacity: int = 64, max_batch_ops: int = 8192,
-                recovery_cycles: int = 1, backend: Optional[str] = None,
+                recovery_cycles: int = 1,
                 alpha: float = 0.75, adversarial_fraction: float = 0.1,
                 timeout: Optional[float] = 30.0, retries: int = 8,
                 target: str = "service", workers: int = 2,
@@ -542,7 +542,7 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
         cfg = ClusterConfig(
             width=width, window=window,
             recovery_cycles=recovery_cycles, workers=workers,
-            backend=backend, shard_policy=shard_policy,
+            shard_policy=shard_policy,
             transport=transport, max_batch_ops=max_batch_ops,
             worker_queue_ops=max(queue_capacity, 1) * max(chunk, 1))
         service = ClusterRouter(cfg, ctx=ctx, registry=registry)
@@ -551,8 +551,7 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
                               recovery_cycles=recovery_cycles,
                               queue_capacity=queue_capacity,
                               max_batch_ops=max_batch_ops,
-                              backend=backend, ctx=ctx,
-                              registry=registry)
+                              ctx=ctx, registry=registry)
     else:
         raise ValueError(f"unknown loadgen target {target!r}; "
                          f"expected 'service', 'cluster' or 'tcp'")

@@ -15,7 +15,7 @@ service:
 * **Dynamic micro-batcher.**  A single consumer task drains whatever is
   queued (up to ``max_batch_ops`` additions) and evaluates it as one
   coalesced batch on the :class:`~repro.service.executor.VlsaBatchExecutor`
-  (numpy kernel for throughput, bigint fallback for arbitrary widths).
+  (the family's rule on uint64 lanes, or Python-int lanes above 64 bits).
   Under light load batches are small and latency is minimal; under heavy
   load batches grow toward the cap and throughput dominates — no tuning
   knob needs turning.
@@ -105,14 +105,12 @@ class BatchResponse(ResultColumns):
     """Outcome of a client-side batch submitted as one request.
 
     Per-addition results are parallel columns (a million-op load test
-    should not allocate a million dataclasses): on the numpy backend,
-    and from a cluster on either backend, they are numpy arrays, slices
-    of the batch's result arrays; on the in-process bigint backend,
-    lists.  ``sums``, ``couts``, ``stalled`` and
-    ``latencies`` read as lists either way, built on first read (see
-    :class:`~repro.service.executor.ResultColumn`); :meth:`column`
-    gives a column as stored, which is what the TCP edge renders its
-    reply from.  Aggregate accounting is precomputed.
+    should not allocate a million dataclasses): numpy arrays, slices of
+    the batch's result arrays (lists for an empty batch).  ``sums``,
+    ``couts``, ``stalled`` and ``latencies`` read as lists, built on
+    first read (see :class:`~repro.service.executor.ResultColumn`);
+    :meth:`column` gives a column as stored, which is what the TCP edge
+    renders its reply from.  Aggregate accounting is precomputed.
     """
 
     sums = ResultColumn()
@@ -137,7 +135,7 @@ class BatchResponse(ResultColumns):
 class _Pending:
     """One admitted queue entry (a scalar add or a client batch)."""
 
-    pairs: Pairs  # an (n, 2) uint64 array (numpy batches) or int pairs
+    pairs: Pairs  # an (n, 2) lane array (batches) or int pairs (scalars)
     future: "asyncio.Future"
     scalar: bool
     enqueued_at: float = 0.0
@@ -163,8 +161,6 @@ class VlsaService:
         queue_capacity: Max requests waiting for the batcher (Q); further
             submissions are rejected with :class:`ServiceOverloadedError`.
         max_batch_ops: Max additions coalesced into one executor batch.
-        backend: Executor backend (``"numpy"``/``"bigint"``/``None`` =
-            automatic).
         ctx: Optional run context (counters, phase timers, trace events).
         registry: Metrics registry to record into (default: a fresh one).
 
@@ -176,7 +172,7 @@ class VlsaService:
 
     def __init__(self, width: int = 64, window: Optional[int] = None,
                  recovery_cycles: int = 1, queue_capacity: int = 1024,
-                 max_batch_ops: int = 4096, backend: Optional[str] = None,
+                 max_batch_ops: int = 4096,
                  ctx: Optional[RunContext] = None,
                  registry: Optional[MetricsRegistry] = None,
                  family: str = "aca"):
@@ -186,8 +182,7 @@ class VlsaService:
             raise ValueError("max_batch_ops must be at least 1")
         self.executor = VlsaBatchExecutor(width, window=window,
                                           recovery_cycles=recovery_cycles,
-                                          backend=backend, ctx=ctx,
-                                          family=family)
+                                          ctx=ctx, family=family)
         self.width = self.executor.width
         self.window = self.executor.window
         self.family = family
@@ -291,7 +286,7 @@ class VlsaService:
             self._batch_loop(), name="vlsa-service-batcher")
         self.tracer.emit("service_start", width=self.width,
                          window=self.window,
-                         backend=self.executor.backend,
+                         backend=self.backend_name,
                          queue_capacity=self.queue_capacity,
                          max_batch_ops=self.max_batch_ops)
         return self
@@ -419,11 +414,11 @@ class VlsaService:
         evaluated and resolved as a unit (it may still be coalesced with
         other pending requests into a larger executor batch).  *pairs*
         is an iterable of ``(a, b)`` pairs or an ``(n, 2)`` array.  It
-        is admitted as one operand array on either backend
+        is admitted as one operand array
         (:func:`~repro.service.executor.pairs_array`: an ``(n, 2)``
-        uint64 array as is, anything else masked to the width, Python
-        ints above 64 bits).  On the numpy backend the response's
-        columns are arrays.
+        uint64 array as is at widths up to 64, anything else masked to
+        the width, Python ints above 64 bits).  The response's columns
+        are arrays.
 
         Raises:
             ValueError: *pairs* is not ``(n, 2)``-shaped (rejected here,
@@ -521,11 +516,9 @@ class VlsaService:
                          ops=outcome.size, stalls=outcome.stall_count,
                          cycles=outcome.cycles, start_cycle=start_cycle)
 
-        # Array batches take slices of the result arrays on either
-        # backend; int-pair batches read the columns as lists, built once.
-        arrays = isinstance(pairs, np.ndarray)
+        # Responses take slices of the result arrays.
         sums, couts, stalled, latencies = (
-            outcome.column(name) if arrays else getattr(outcome, name)
+            outcome.column(name)
             for name in ("sums", "couts", "stalled", "latencies"))
         now = loop.time()
         hi = 0
@@ -597,15 +590,12 @@ class VlsaService:
         the applied configuration.
         """
         family = family if family is not None else self.family
-        backend = self.executor.backend
-        if backend.startswith("cluster"):
-            raise ServiceError("reconfigure the cluster via ClusterRouter")
         old = {"window": self.window, "family": self.family,
                "max_batch_ops": self.max_batch_ops}
         self.executor = VlsaBatchExecutor(
             self.width, window=window,
             recovery_cycles=self.recovery_cycles,
-            backend=backend, ctx=self.ctx, family=family)
+            ctx=self.ctx, family=family)
         self.window = self.executor.window
         self.family = family
         if max_batch_ops is not None:
@@ -634,8 +624,9 @@ class VlsaService:
 
     @property
     def backend_name(self) -> str:
-        """Execution-backend label (clusters report ``cluster:NxB``)."""
-        return self.executor.backend
+        """Where batches execute: ``local`` (clusters report
+        ``cluster:{N}x{transport}``)."""
+        return "local"
 
     def describe(self) -> dict:
         """The ``info`` payload the TCP server hands to clients."""

@@ -14,8 +14,8 @@ fall into two groups:
   vectorised numpy kernel);
 * ``exact`` — produce the corrected sum plus the detector/stall flag and
   per-op latency (:class:`~repro.arch.vlsa_machine.VlsaMachine`, the
-  service's :class:`~repro.service.executor.VlsaBatchExecutor` under
-  both its backends, the gate-level recovery datapath).
+  service's :class:`~repro.service.executor.VlsaBatchExecutor`, the
+  gate-level recovery datapath).
 
 Which adder is being verified is a *family* choice
 (:mod:`repro.families`): ``family="aca"`` (the default) drives the
@@ -375,17 +375,17 @@ class MachineImpl(Implementation):
 
 
 class ExecutorImpl(Implementation):
-    """The service's micro-batch executor under one backend."""
+    """The service's micro-batch executor."""
 
+    name = "service:numpy"
     family = "exact"
 
-    def __init__(self, width: int, window: int, backend: str,
-                 recovery_cycles: int = 1, family: str = "aca"):
-        self.name = f"service:{backend}"
+    def __init__(self, width: int, window: int, recovery_cycles: int = 1,
+                 family: str = "aca"):
         self.width = width
         self.executor = VlsaBatchExecutor(width, window=window,
                                           recovery_cycles=recovery_cycles,
-                                          backend=backend, family=family)
+                                          family=family)
 
     def run(self, pairs: Pairs) -> ImplResult:
         out = self.executor.execute(_chunk(pairs).operands(self.width))
@@ -511,10 +511,7 @@ def _ensure_builtin() -> None:
         "kernel": KernelImpl,
         "recovery": RecoveryImpl,
         "machine": MachineImpl,
-        "service:numpy": lambda w, win, rc, family="aca":
-            ExecutorImpl(w, win, "numpy", rc, family=family),
-        "service:bigint": lambda w, win, rc, family="aca":
-            ExecutorImpl(w, win, "bigint", rc, family=family),
+        "service:numpy": ExecutorImpl,
     }
     _FACTORIES.update(builtin)
     # Only these names: anything registered before the built-ins loaded
@@ -547,8 +544,9 @@ def default_implementations(width: int, family: str = "aca") -> List[str]:
     _ensure_builtin()
     names = list(_BUILTIN)
     if width > 64:
-        # Machine-word kernels by design; bigint paths cover wide cores.
-        names = [n for n in names if n not in ("service:numpy", "kernel")]
+        # A machine-word kernel by design; the other rows cover wide
+        # cores.
+        names = [n for n in names if n != "kernel"]
     return names
 
 

@@ -2,7 +2,10 @@
 degraded mode, and cluster-wide metrics aggregation."""
 
 import asyncio
+import collections
 import random
+import statistics
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +17,7 @@ from repro.cluster import (
     ClusterUnhealthyError,
 )
 from repro.cluster import protocol
+from repro.cluster.supervisor import WorkerHandle
 from repro.service import ServiceOverloadedError
 from repro.service.executor import VlsaBatchExecutor
 
@@ -154,6 +158,31 @@ def test_metrics_aggregation_and_conservation():
     run(main())
 
 
+def test_stop_sends_each_worker_one_shutdown(monkeypatch):
+    """A second SHUTDOWN can reach a worker that has already sent BYE and
+    closed its socket; the failed write drops the unread BYE, and the
+    clean exit is counted as a worker failure."""
+    sent = collections.Counter()
+    send = WorkerHandle.send
+
+    def spy(self, msg):
+        if msg[0] == protocol.SHUTDOWN:
+            sent[self.wid] += 1
+        return send(self, msg)
+
+    monkeypatch.setattr(WorkerHandle, "send", spy)
+
+    async def main():
+        async with ClusterRouter(fast_cfg()) as router:
+            await router.wait_ready()
+            await router.submit_batch(rand_pairs(100))
+        return router
+
+    router = run(main())
+    assert sent == {0: 1, 1: 1}
+    assert router.supervisor.m_failures.value == 0
+
+
 def test_degraded_mode_serves_exact_sums():
     cfg = fast_cfg(workers=1, restart_backoff_base=60.0,
                    restart_backoff_max=60.0)
@@ -261,6 +290,28 @@ def test_shm_oversized_batch_takes_pipe_fallback():
     run(main())
 
 
+def test_shm_oversized_batch_is_read_without_a_wait_slice():
+    """The worker must wake for an oversized (fallback-frame) batch as
+    promptly as for a ring slot, not on its next 50 ms wait slice."""
+    cfg = ClusterConfig(width=WIDTH, window=WINDOW, workers=1,
+                        transport="shm", shm_slot_bytes=32768)
+    pairs = rand_pairs(4000, seed=34)
+
+    async def main():
+        async with ClusterRouter(cfg) as router:
+            await router.wait_ready()
+            walls = []
+            for _ in range(15):
+                t0 = time.perf_counter()
+                await router.submit_batch(pairs)
+                walls.append(time.perf_counter() - t0)
+            mj = router.metrics_json()
+            assert mj["transport_pipe_fallback_total"]["value"] >= 15
+            return statistics.median(walls)
+
+    assert run(main()) < 0.010
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ClusterConfig(workers=0)
@@ -274,10 +325,7 @@ def test_config_validation():
         ClusterConfig(shard_policy="random")
     with pytest.raises(ValueError):
         ClusterConfig(degraded_mode="panic")
-    with pytest.raises(ValueError):
-        ClusterConfig(backend="quantum")
     cfg = ClusterConfig(width=128)
-    assert cfg.backend == "bigint"
     assert cfg.window <= 128
 
 

@@ -74,7 +74,7 @@ def test_serve_signal_drains_and_exits_clean(tmp_path, workers, sig):
         if workers:
             assert info["backend"].startswith(f"cluster:{workers}x")
         else:
-            assert info["backend"] == "numpy"
+            assert info["backend"] == "local"
         proc.send_signal(sig)
         out, err = proc.communicate(timeout=90)
     finally:

@@ -318,8 +318,7 @@ class _DyingChannel:
 
 def test_worker_emits_structured_death_trace(capsys):
     cfg = {"width": 32, "window": 8, "recovery_cycles": 1,
-           "backend": "numpy", "family": "aca",
-           "heartbeat_interval": 10.0}
+           "family": "aca", "heartbeat_interval": 10.0}
     channel = _DyingChannel()
     worker_main(5, channel, cfg)  # returns instead of raising
     assert channel.closed
@@ -347,8 +346,7 @@ def test_worker_heartbeats_before_its_first_recv(capsys):
     # Readiness must not wait for an idle heartbeat interval (10 s here):
     # the heartbeat is sent before the worker first reads its channel.
     cfg = {"width": 32, "window": 8, "recovery_cycles": 1,
-           "backend": "numpy", "family": "aca",
-           "heartbeat_interval": 10.0}
+           "family": "aca", "heartbeat_interval": 10.0}
     channel = _DyingChannel()
     worker_main(2, channel, cfg)
     assert [msg[0] for msg in channel.sent] == [protocol.HEARTBEAT]
@@ -357,8 +355,7 @@ def test_worker_heartbeats_before_its_first_recv(capsys):
 
 def test_worker_death_trace_when_readiness_send_fails(capsys):
     cfg = {"width": 32, "window": 8, "recovery_cycles": 1,
-           "backend": "numpy", "family": "aca",
-           "heartbeat_interval": 10.0}
+           "family": "aca", "heartbeat_interval": 10.0}
     channel = _DyingChannel(sends=0)
     worker_main(3, channel, cfg)  # returns instead of raising
     assert channel.closed
@@ -375,8 +372,7 @@ def test_worker_death_trace_when_heartbeat_after_result_fails(capsys):
     # The router takes the result, then vanishes before the heartbeat
     # that follows it (interval 0: every result is followed by one).
     cfg = {"width": 32, "window": 8, "recovery_cycles": 1,
-           "backend": "numpy", "family": "aca",
-           "heartbeat_interval": 0.0}
+           "family": "aca", "heartbeat_interval": 0.0}
     channel = _DyingChannel(sends=2)
     worker_main(4, channel, cfg)  # returns instead of raising
     assert channel.closed
@@ -392,8 +388,7 @@ def test_worker_death_trace_when_idle_heartbeat_fails(capsys):
     # An idle recv timeout triggers a heartbeat; its failure is a send
     # failure, not a recv one.
     cfg = {"width": 32, "window": 8, "recovery_cycles": 1,
-           "backend": "numpy", "family": "aca",
-           "heartbeat_interval": 0.0}
+           "family": "aca", "heartbeat_interval": 0.0}
     channel = _DyingChannel(sends=1, inbox=(None,))
     worker_main(6, channel, cfg)  # returns instead of raising
     assert channel.closed

@@ -11,6 +11,7 @@ import asyncio
 import multiprocessing
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -291,6 +292,39 @@ def test_shm_worker_round_trip_doorbell_and_heartbeat_shedding():
         return got
 
     assert asyncio.run(main()) == [7, 8, 0]
+
+
+def test_shm_worker_wakes_for_an_oversized_frame():
+    """A batch too large for a slot wakes the worker at once, as a ring
+    slot does, and each frame uses up exactly one ``tx_items`` token."""
+
+    async def main():
+        channel = _shm_channel()
+        worker = open_worker_channel(channel.spawn_spec())
+        await channel.start_io(asyncio.get_running_loop(),
+                               lambda m: None, lambda: None)
+        big = _batch([(i, i + 1) for i in range(1000)], msg_id=1)
+        small = _batch([(1, 2)], msg_id=2)
+        channel.send(big)
+        t0 = time.monotonic()
+        _same(worker.recv(1.0), big)
+        woke = time.monotonic() - t0
+        # The slot sent after the frame may be read first; either way
+        # both arrive and no token or frame is left over.
+        channel.send(big)
+        channel.send(small)
+        got = sorted(worker.recv(1.0)[1] for _ in range(2))
+        leftover = worker.recv(0.1)
+        fallbacks = channel._counters.pipe_fallbacks.value
+        worker.close()
+        channel.close()
+        return woke, got, leftover, fallbacks
+
+    woke, got, leftover, fallbacks = asyncio.run(main())
+    assert woke < 0.02
+    assert got == [1, 2]
+    assert leftover is None
+    assert fallbacks == 2
 
 
 def test_pipe_worker_channel_speaks_frames():

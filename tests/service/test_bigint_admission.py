@@ -1,12 +1,13 @@
-"""Bigint-backend admission: one operand array per batch.
+"""Big-int operand admission: one operand array per batch.
 
 ``VlsaService.submit_batch`` and ``ClusterRouter.submit_batch`` admit a
-batch as one ``(n, 2)`` operand array on the bigint backend too.  The
-replies must be what the per-pair model says, whatever the operands
-arrive as: a list of pairs, a ``uint64`` or ``dtype=object`` array,
-negative values, values at or above ``2^64`` (and ``2^width``).  They
-are checked as the lists the response reads as and as the TCP edge's
-reply line, which is rendered from the columns as stored.
+batch as one ``(n, 2)`` operand array, of uint64 lanes at width 64 and
+of Python-int lanes above.  The replies must be what the per-pair model
+says, whatever the operands arrive as: a list of pairs, a ``uint64`` or
+``dtype=object`` array, negative values, values at or above ``2^64``
+(and ``2^width``).  They are checked as the lists the response reads as
+and as the TCP edge's reply line, which is rendered from the columns as
+stored.
 """
 
 import asyncio
@@ -93,7 +94,7 @@ def test_bigint_service_replies(width):
     want = _expected(width, pairs)
 
     async def main():
-        svc = VlsaService(width=width, window=WINDOW, backend="bigint",
+        svc = VlsaService(width=width, window=WINDOW,
                           recovery_cycles=RECOVERY)
         async with svc:
             for form in _forms(width, pairs).values():
@@ -110,7 +111,7 @@ def test_bigint_service_replies(width):
 
 
 def _cfg(width, **kw):
-    return ClusterConfig(width=width, window=WINDOW, backend="bigint",
+    return ClusterConfig(width=width, window=WINDOW,
                          recovery_cycles=RECOVERY, workers=1,
                          heartbeat_interval=0.05, **kw)
 
@@ -165,7 +166,7 @@ def test_bigint_pool_ships_array_columns(transport, monkeypatch):
     monkeypatch.setattr(ClusterRouter, "_on_message", spy)
 
     async def main():
-        svc = VlsaService(width=width, window=WINDOW, backend="bigint",
+        svc = VlsaService(width=width, window=WINDOW,
                           recovery_cycles=RECOVERY)
         async with svc:
             want = [await svc.submit_batch(pairs),
@@ -191,7 +192,7 @@ def test_bigint_service_slices_array_columns():
     arr = _forms(width, pairs)["array"]
 
     async def main():
-        svc = VlsaService(width=width, window=WINDOW, backend="bigint",
+        svc = VlsaService(width=width, window=WINDOW,
                           recovery_cycles=RECOVERY)
         async with svc:
             solo = await svc.submit_batch(arr)

@@ -170,9 +170,9 @@ def test_everything_else_falls_back(line):
 @pytest.mark.parametrize("width,recovery_cycles", [(64, 1), (64, 9),
                                                    (80, 1), (80, 12)])
 def test_batch_reply_matches_json_dumps(req_id, width, recovery_cycles):
-    """The renderer agrees with ``json.dumps`` for any id, on the numpy
-    (array columns) and bigint (list columns) backends, with one- and
-    two-digit latencies."""
+    """The renderer agrees with ``json.dumps`` for any id, on uint64 and
+    Python-int (object) lane columns, with one- and two-digit
+    latencies."""
     mask = (1 << width) - 1
     pairs = [(1, 2), (mask, 1), (5, mask ^ 5), (0, 0)]
     line = json.dumps({"id": req_id, "pairs": pairs}).encode() + b"\n"

@@ -1,8 +1,11 @@
-"""Batch executor: numpy kernel vs bigint fallback vs VlsaMachine."""
+"""Batch executor: the family rule on lanes vs the functional model's
+three-pass reference vs VlsaMachine."""
 
+import numpy as np
 import pytest
 
 from repro.arch import VlsaMachine
+from repro.engine.functional import functional_model
 from repro.families.base import family_names
 from repro.mc.fastsim import detector_flag
 from repro.service import VlsaBatchExecutor
@@ -24,25 +27,36 @@ def _propagate_pairs(rng, width, count):
     return pairs
 
 
-def _run_both(family, width, window, pairs):
-    """Each family's numpy and bigint outcomes for *pairs*."""
-    return [VlsaBatchExecutor(width, window=window, backend=backend,
-                              family=family).execute(pairs)
-            for backend in ("numpy", "bigint")]
+def _assert_matches_reference(family, width, window, pairs,
+                              recovery_cycles=1):
+    """The executor's outcome for *pairs* equals the one the functional
+    model's three-pass ``run_arrays`` implies; returns the outcome."""
+    out = VlsaBatchExecutor(width, window=window,
+                            recovery_cycles=recovery_cycles,
+                            family=family).execute(pairs)
+    ref = functional_model(family, width=width, window=window).run_arrays(
+        [a for a, _ in pairs], [b for _, b in pairs])
+    latencies = np.where(ref.flags, 1 + recovery_cycles, 1)
+    assert out.sums == ref.exact_sums.tolist(), family
+    assert out.couts == ref.exact_couts.tolist(), family
+    assert out.stalled == ref.flags.tolist(), family
+    assert out.spec_errors == (ref.flags & ref.spec_errors).tolist(), family
+    assert out.latencies == latencies.tolist(), family
+    assert out.cycles == int(latencies.sum()), family
+    return out
 
 
 @pytest.mark.parametrize("width,window", [(8, 2), (16, 4), (32, 8),
-                                          (63, 10), (64, 12), (16, 16)])
+                                          (63, 10), (64, 12), (16, 16),
+                                          (65, 12), (96, 14), (128, 16)])
 def test_numpy_matches_bigint(rng, width, window):
+    """The executor (the verifier's ``service:numpy`` row: one pass of
+    the rule, uint64 lanes up to 64 bits, Python ints above) against the
+    functional model's ``run_arrays`` (``add``/``flags_error``/``exact``
+    in three passes), for every family, all-propagate pairs included."""
     pairs = _pairs(rng, width, 400) + _propagate_pairs(rng, width, 50)
     for family in family_names():
-        np_out, bi_out = _run_both(family, width, window, pairs)
-        assert np_out.sums == bi_out.sums, family
-        assert np_out.couts == bi_out.couts, family
-        assert np_out.stalled == bi_out.stalled, family
-        assert np_out.spec_errors == bi_out.spec_errors, family
-        assert np_out.latencies == bi_out.latencies, family
-        assert np_out.cycles == bi_out.cycles, family
+        _assert_matches_reference(family, width, window, pairs)
 
 
 def test_sums_always_exact(rng):
@@ -88,11 +102,11 @@ def test_spec_errors_subset_of_stalls(rng):
 
 
 def test_wide_bigint_fallback(rng):
-    """Widths beyond a machine word run on the bigint path."""
+    """Widths beyond a machine word run on Python-int (object) lanes."""
     executor = VlsaBatchExecutor(128, window=8)
-    assert executor.backend == "bigint"
     pairs = _pairs(rng, 128, 50)
     out = executor.execute(pairs)
+    assert out.column("sums").dtype == object
     mask = (1 << 128) - 1
     for (a, b), s in zip(pairs, out.sums):
         assert s == (a + b) & mask
@@ -109,47 +123,37 @@ def test_configuration_validation():
         VlsaBatchExecutor(0)
     with pytest.raises(ValueError):
         VlsaBatchExecutor(64, recovery_cycles=0)
-    with pytest.raises(ValueError):
-        VlsaBatchExecutor(64, backend="sharded")
-    with pytest.raises(ValueError):
-        VlsaBatchExecutor(128, backend="numpy")
 
 
 def test_window_equal_width_matches_reference_detector(rng):
     """window == width: speculation is exact, but the ACA detector
-    still fires on an all-propagate word — both backends must agree."""
+    still fires on an all-propagate word — the executor must agree with
+    the reference."""
     width = 8
     pairs = (_pairs(rng, width, 200) + _propagate_pairs(rng, width, 20)
              + [(0, 255), (0x0F, 0xF0), (255, 255)])
     for family in family_names():
-        np_out, bi_out = _run_both(family, width, width, pairs)
-        assert np_out.stalled == bi_out.stalled, family
-        assert np_out.spec_errors == bi_out.spec_errors, family
-        assert np_out.latencies == bi_out.latencies, family
-        assert np_out.cycles == bi_out.cycles, family
+        out = _assert_matches_reference(family, width, width, pairs)
         # The bit-0-anchored window covers every bit, so speculation is
         # never actually wrong at window == width.
-        assert np_out.spec_error_count == 0, family
+        assert out.spec_error_count == 0, family
         if family == "aca":
             # (0, 255) and (0x0F, 0xF0) propagate across the whole word.
-            assert np_out.stalled[-3:] == [True, True, False]
+            assert out.stalled[-3:] == [True, True, False]
 
 
 def test_out_of_range_operands_masked_consistently():
-    """Negative / >= 2^64 operands must not raise out of the numpy
-    kernel; both backends mask to the operand width."""
-    width = 16
-    mask = (1 << width) - 1
+    """Negative / >= 2^64 operands must not raise out of a batch; uint64
+    and Python-int lanes both mask to the operand width."""
     pairs = [(1 << 200, -1), ((1 << 64) + 3, 4), (5, 7)]
-    np_out = VlsaBatchExecutor(width, window=4,
-                               backend="numpy").execute(pairs)
-    bi_out = VlsaBatchExecutor(width, window=4,
-                               backend="bigint").execute(pairs)
-    assert np_out.sums == bi_out.sums
-    assert np_out.couts == bi_out.couts
-    assert np_out.stalled == bi_out.stalled
-    assert np_out.sums == [((a & mask) + (b & mask)) & mask
-                           for a, b in pairs]
+    for width in (16, 96):
+        mask = (1 << width) - 1
+        out = VlsaBatchExecutor(width, window=4).execute(pairs)
+        assert out.sums == [((a & mask) + (b & mask)) & mask
+                            for a, b in pairs]
+        masked = [(a & mask, b & mask) for a, b in pairs]
+        ref = VlsaBatchExecutor(width, window=4).execute(masked)
+        assert out == ref
 
 
 def test_executor_counters_flow_into_context():

@@ -58,10 +58,10 @@ def test_mixed_workload_analytic_blend():
     assert report.stall_rate == pytest.approx(0.25, rel=0.2)
 
 
-def test_bigint_backend_loadgen():
+def test_wide_width_loadgen():
     report = run_loadgen("uniform", ops=2000, width=96, chunk=256,
-                         backend="bigint", ctx=RunContext(seed=6))
-    assert report.backend == "bigint"
+                         ctx=RunContext(seed=6))
+    assert report.backend == "local"
     assert report.ops == 2000
 
 

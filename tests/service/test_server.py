@@ -50,7 +50,7 @@ def test_info_metrics_and_prometheus_commands():
     _, info, metrics, prom = asyncio.run(main())
     assert info["width"] == 32
     assert info["window"] == 8
-    assert info["backend"] == "numpy"
+    assert info["backend"] == "local"
     assert metrics["metrics"]["ops_total"]["value"] == 1
     assert metrics["metrics"]["connections_total"]["value"] == 1
     assert "vlsa_ops_total 1" in prom["prometheus"]

@@ -176,7 +176,7 @@ def test_malformed_operands_do_not_kill_the_batcher():
     OverflowError inside the numpy batch and permanently wedge the
     micro-batcher.  Operands are masked; the service keeps serving."""
     async def main():
-        async with VlsaService(width=64, backend="numpy") as svc:
+        async with VlsaService(width=64) as svc:
             mask = (1 << 64) - 1
             resp = await svc.submit(1 << 300, -1, timeout=1.0)
             assert resp.sum_out == ((1 << 300) + (-1 & mask)) & mask
@@ -197,14 +197,16 @@ MISSHAPEN = {
 }
 
 
-@pytest.mark.parametrize("backend", ["numpy", "bigint"])
+# The ids name the lane type the width puts the batch in: uint64 numpy
+# lanes, or Python big-int lanes.
+@pytest.mark.parametrize("width", [64, 128], ids=["numpy", "bigint"])
 @pytest.mark.parametrize("bad", MISSHAPEN.values(), ids=list(MISSHAPEN))
-def test_misshapen_batch_rejected_at_admission(backend, bad):
+def test_misshapen_batch_rejected_at_admission(width, bad):
     """Regression: a misshapen batch used to be admitted, then raise
     inside the coalesced micro-batch and fail every request from other
     callers batched with it."""
     async def main():
-        async with VlsaService(width=64, backend=backend) as svc:
+        async with VlsaService(width=width) as svc:
             good = [(1, 2), (3, 4)]
             results = await asyncio.gather(
                 svc.submit_batch(good, timeout=1.0),
@@ -222,19 +224,16 @@ def test_misshapen_batch_rejected_at_admission(backend, bad):
 
 def test_batch_columns_stay_arrays_until_read():
     """An (n, 2) uint64 array is admitted as is and the response's
-    columns are arrays on both backends; the list attributes read back
-    the same values."""
+    columns are arrays; the list attributes read back the same values."""
     pairs = np.array([[1, 2], [(1 << 64) - 1, 1], [5, (1 << 64) - 6]],
                      dtype=np.uint64)
 
-    async def main(backend):
-        async with VlsaService(width=64, window=4, recovery_cycles=2,
-                               backend=backend) as svc:
+    async def main():
+        async with VlsaService(width=64, window=4,
+                               recovery_cycles=2) as svc:
             return await svc.submit_batch(pairs, timeout=1.0)
-    fast, slow = run(main("numpy")), run(main("bigint"))
+    fast = run(main())
     assert isinstance(fast.column("sums"), np.ndarray)
-    assert isinstance(slow.column("sums"), np.ndarray)
-    assert fast == slow
     assert fast.sums == [3, 0, (1 << 64) - 1]
     assert fast.couts == [0, 1, 0]
     assert fast.stalled == [False, True, True]
@@ -243,24 +242,23 @@ def test_batch_columns_stay_arrays_until_read():
 
 
 def test_scalars_and_array_batches_share_a_micro_batch():
-    """Scalars coalesced with array batches give the same answers and
-    accounting on both backends, including operands at or above 2**63
-    (which numpy would turn into floats if joined as plain ints)."""
+    """Scalars coalesced with array batches get the right answers and
+    accounting, including operands at or above 2**63 (which numpy would
+    turn into floats if joined as plain ints)."""
     top = (1 << 64) - 1
     array = np.array([[top, 1], [1 << 63, 1 << 63], [5, top ^ 5]],
                      dtype=np.uint64)
 
-    async def main(backend):
-        async with VlsaService(width=64, window=4, recovery_cycles=2,
-                               backend=backend) as svc:
+    async def main():
+        async with VlsaService(width=64, window=4,
+                               recovery_cycles=2) as svc:
             results = await asyncio.gather(
                 svc.submit(top, top), svc.submit_batch(array),
                 svc.submit(1 << 63, 1), svc.submit_batch(array),
                 svc.submit(2, 3))
             return svc, results
-    (fast_svc, fast), (slow_svc, slow) = run(main("numpy")), run(main("bigint"))
+    fast_svc, fast = run(main())
     assert fast_svc.m_batches.value == 1
-    assert fast == slow
     first, batch, mid, _, last = fast
     assert (first.sum_out, first.cout) == (top - 1, 1)
     assert type(first.sum_out) is int and type(first.stalled) is bool
@@ -268,7 +266,8 @@ def test_scalars_and_array_batches_share_a_micro_batch():
     assert (mid.sum_out, last.sum_out) == ((1 << 63) + 1, 5)
     accepts = [r.accept_cycle for r in fast]
     assert accepts == sorted(accepts)
-    assert fast_svc._cycle == slow_svc._cycle
+    assert fast_svc._cycle == sum(r.cycles if hasattr(r, "cycles")
+                                  else r.latency_cycles for r in fast)
 
 
 def test_executor_exception_fails_batch_but_not_service():

@@ -194,7 +194,7 @@ def test_elementwise_mutant_yields_shrunk_reproducer(mutant_registry):
 def test_registry_lists_builtins_and_rejects_unknown():
     names = available_implementations()
     for expected in ("functional", "interpreter", "machine",
-                     "service:bigint", "engine:bigint"):
+                     "service:numpy", "engine:bigint"):
         assert expected in names
     with pytest.raises(KeyError, match="no implementation registered"):
         make_implementation("nonsense", WIDTH, WINDOW)
@@ -208,9 +208,12 @@ def test_mutants_never_leak_into_defaults(mutant_registry):
     assert "mutant:leak" not in default_implementations(WIDTH)
 
 
-def test_wide_widths_drop_the_machine_word_executor():
-    assert "service:numpy" in default_implementations(64)
-    assert "service:numpy" not in default_implementations(128)
+def test_wide_widths_drop_only_the_machine_word_kernel():
+    assert "kernel" in default_implementations(64)
+    wide = default_implementations(128)
+    assert "kernel" not in wide
+    assert set(default_implementations(64)) - set(wide) == {"kernel"}
+    assert "service:numpy" in wide
 
 
 def test_verification_error_carries_the_report(mutant_registry):
@@ -264,7 +267,7 @@ def test_narrow_window_fault_in_shared_model_is_caught(monkeypatch):
 def test_silent_detector_fault_in_shared_model_is_caught(monkeypatch):
     rows = _rows_with_mismatches(monkeypatch, "flags_error",
                                  lambda self, a, b: False)
-    assert {"functional", "machine", "service:bigint"} <= rows
+    assert {"functional", "machine"} <= rows
 
 
 _ACA_ADD = AcaModel.add
@@ -277,7 +280,7 @@ def _narrow_add(self, a, b, cin=0):
 @pytest.mark.parametrize("attr, fault, expected", [
     ("add", _narrow_add, {"functional", "machine"}),
     ("flags_error", lambda self, a, b: False,
-     {"functional", "machine", "service:bigint"}),
+     {"functional", "machine"}),
 ], ids=["narrow-window", "silent-detector"])
 def test_model_faults_caught_at_benchmarked_width(monkeypatch, attr, fault,
                                                    expected):
@@ -305,7 +308,7 @@ def test_block_model_faults_caught_at_benchmarked_width(
                                   shrink=False).run(vectors=2000, seed=3)
     assert not report.ok
     rows = {c.impl for c in report.coverage if c.mismatches}
-    assert {"functional", "machine", "service:bigint"} <= rows
+    assert {"functional", "machine"} <= rows
 
 
 class DropLastMutant(_ExactBase):
