@@ -14,7 +14,9 @@ shared-schema ``results/BENCH_<suite>.json``.  ``gate`` is ``run`` +
 ``compare`` + a pass/fail exit code and a markdown summary
 (``results/bench_summary.md``) for CI artifacts; ``--trend`` appends a
 compact JSON line per suite to a trajectory file the nightly job
-accumulates.
+accumulates.  A benchmark whose payload raises is recorded with its
+exception text and the run goes on; ``run`` and ``gate`` then exit 1
+and the gate names it with verdict ``error``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import traceback
 from typing import Any, Dict, List, Optional
 
 from ..reporting import results_dir, save_artifact
@@ -60,15 +63,25 @@ def _runner_config(args) -> RunnerConfig:
 
 
 def _run_suites(names: List[str], preset: str, config: RunnerConfig,
-                registry: BenchmarkRegistry) -> Dict[str, str]:
-    paths: Dict[str, str] = {}
+                registry: BenchmarkRegistry) -> List[str]:
+    """Run and write every suite; returns the benchmarks that raised."""
+    errored: List[str] = []
     for name in names:
         benches = registry.build(name, preset)
         print(f"[bench] suite {name}: {len(benches)} benchmarks "
               f"({preset} preset)", file=sys.stderr)
         results = []
+        errors: Dict[str, str] = {}
         for bench in benches:
-            res = run_benchmark(bench, config)
+            try:
+                res = run_benchmark(bench, config)
+            except Exception as exc:  # one bench's fault, not the run's
+                traceback.print_exc(file=sys.stderr)
+                errors[bench.name] = f"{type(exc).__name__}: {exc}"
+                errored.append(bench.full_name)
+                print(f"[bench]   {bench.full_name:<36} ERROR: "
+                      f"{errors[bench.name]}", file=sys.stderr)
+                continue
             rate = res.ops_per_second
             print(f"[bench]   {bench.full_name:<36} "
                   f"{rate:>14,.0f} ops/s  "
@@ -79,10 +92,10 @@ def _run_suites(names: List[str], preset: str, config: RunnerConfig,
                 print(f"[bench]     BAND VIOLATION: {violation}",
                       file=sys.stderr)
             results.append(res)
-        payload = build_payload(name, preset, results, config)
-        paths[name] = write_suite_result(payload)
-        print(f"[bench] wrote {paths[name]}", file=sys.stderr)
-    return paths
+        payload = build_payload(name, preset, results, config, errors)
+        path = write_suite_result(payload)
+        print(f"[bench] wrote {path}", file=sys.stderr)
+    return errored
 
 
 def _append_trend(trend_path: str, names: List[str]) -> None:
@@ -111,13 +124,17 @@ def _compare_suites(names: List[str], args) -> List:
         try:
             base = load_suite_result(bpath)
         except FileNotFoundError:
-            if getattr(args, "allow_missing_baseline", True):
+            if not getattr(args, "allow_missing_baseline", True):
+                raise SystemExit(
+                    f"suite {name}: no baseline at {bpath} (run "
+                    f"'bench promote --suite {name}' on the reference "
+                    f"host)")
+            if not current.get("errors"):
                 print(f"[bench] suite {name}: no baseline at {bpath}; "
                       f"skipping comparison", file=sys.stderr)
                 continue
-            raise SystemExit(
-                f"suite {name}: no baseline at {bpath} (run "
-                f"'bench promote --suite {name}' on the reference host)")
+            # No baseline, but errored benches still fail the gate.
+            base = {"suite": name, "benchmarks": []}
         comparisons.append(compare_payloads(
             base, current, threshold=args.threshold, alpha=args.alpha))
     return comparisons
@@ -149,10 +166,11 @@ def run_bench_command(args,
         return 0
 
     if verb == "run":
-        _run_suites(names, args.preset, _runner_config(args), registry)
+        errored = _run_suites(names, args.preset, _runner_config(args),
+                              registry)
         if args.trend:
             _append_trend(args.trend, names)
-        return 0
+        return 1 if errored else 0
 
     if verb == "promote":
         for name in names:
@@ -181,6 +199,9 @@ def run_bench_command(args,
                       file=sys.stderr)
             for name in comp.band_failures:
                 print(f"[bench] BAND VIOLATION: {comp.suite}/{name}",
+                      file=sys.stderr)
+            for name in comp.errored:
+                print(f"[bench] ERROR: {comp.suite}/{name}",
                       file=sys.stderr)
         return 1 if failed else 0
 

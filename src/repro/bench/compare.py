@@ -6,12 +6,14 @@ judged against a known-good trajectory point.  The comparator walks
 the benchmarks both files share and classifies each one with
 :func:`repro.bench.stats.classify`; benchmarks present on only one
 side are reported as ``new`` / ``missing`` rather than failing, so
-adding a benchmark never breaks the gate.
+adding a benchmark never breaks the gate.  A benchmark whose payload
+raised in the current run is reported as ``error`` with its exception
+text.
 
 The gate's contract: exit non-zero iff at least one benchmark is
-``regressed`` (or a paper-metric tolerance band was violated in the
-current run), and always emit a markdown summary table a human can
-read in a CI artifact without rerunning anything.
+``regressed`` or ``error`` (or a paper-metric tolerance band was
+violated in the current run), and always emit a markdown summary table
+a human can read in a CI artifact without rerunning anything.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ __all__ = [
 #: Verdicts for benchmarks present on only one side.
 VERDICT_NEW = "new"
 VERDICT_MISSING = "missing"
+#: Verdict for a benchmark whose payload raised in the current run.
+VERDICT_ERROR = "error"
 
 
 def baseline_path(suite: str, base_dir: Optional[str] = None) -> str:
@@ -53,10 +57,11 @@ class BenchVerdict:
     verdict: str
     comparison: Optional[Comparison] = None
     band_violations: List[str] = field(default_factory=list)
+    error: Optional[str] = None
 
     @property
     def failing(self) -> bool:
-        return (self.verdict == VERDICT_REGRESSED
+        return (self.verdict in (VERDICT_REGRESSED, VERDICT_ERROR)
                 or bool(self.band_violations))
 
     def as_dict(self) -> Dict[str, Any]:
@@ -65,6 +70,8 @@ class BenchVerdict:
             out.update(self.comparison.as_dict())
         if self.band_violations:
             out["band_violations"] = list(self.band_violations)
+        if self.error is not None:
+            out["error"] = self.error
         return out
 
 
@@ -89,6 +96,10 @@ class SuiteComparison:
         return [r.name for r in self.rows if r.band_violations]
 
     @property
+    def errored(self) -> List[str]:
+        return [r.name for r in self.rows if r.verdict == VERDICT_ERROR]
+
+    @property
     def ok(self) -> bool:
         return not any(r.failing for r in self.rows)
 
@@ -108,6 +119,7 @@ class SuiteComparison:
             "ok": self.ok,
             "regressed": self.regressed,
             "band_failures": self.band_failures,
+            "errored": self.errored,
             "cross_host": self.cross_host,
             "cross_preset": self.cross_preset,
             "rows": [r.as_dict() for r in self.rows],
@@ -139,8 +151,12 @@ def compare_payloads(baseline: Dict[str, Any], current: Dict[str, Any],
         rows.append(BenchVerdict(name=name, verdict=comp.verdict,
                                  comparison=comp,
                                  band_violations=violations))
+    errors = current.get("errors", {})
+    for name, text in errors.items():
+        rows.append(BenchVerdict(name=name, verdict=VERDICT_ERROR,
+                                 error=text))
     for name in base_by_name:
-        if name not in cur_by_name:
+        if name not in cur_by_name and name not in errors:
             rows.append(BenchVerdict(name=name, verdict=VERDICT_MISSING))
     rows.sort(key=lambda r: r.name)
     return SuiteComparison(suite=current["suite"], rows=rows,
@@ -215,6 +231,10 @@ def render_markdown(comparisons: List[SuiteComparison],
                 mark = "❓"
             band = ("; ".join(row.band_violations)
                     if row.band_violations else "ok")
+            if row.error is not None:
+                # One table cell: no newlines, escaped pipes.
+                mark = "💥"
+                band = " ".join(row.error.split()).replace("|", "\\|")
             if c is None:
                 lines.append(f"| `{row.name}` | {mark} {row.verdict} "
                              f"| — | — | — | — | {band} |")
@@ -232,5 +252,8 @@ def render_markdown(comparisons: List[SuiteComparison],
         if comp.band_failures:
             lines.append("Paper-metric band violations: "
                          f"{', '.join(comp.band_failures)}")
+            lines.append("")
+        if comp.errored:
+            lines.append(f"Errored: {', '.join(comp.errored)}")
             lines.append("")
     return "\n".join(lines)

@@ -9,7 +9,8 @@ any earlier one::
       "preset": "small",
       "host": { ... host_manifest() ... },
       "runner": { ... RunnerConfig ... },
-      "benchmarks": [ { ... BenchmarkResult.as_dict() ... }, ... ]
+      "benchmarks": [ { ... BenchmarkResult.as_dict() ... }, ... ],
+      "errors": { "<bench name>": "<exception text>", ... }
     }
 
 and :func:`validate_payload` enforces it — both in the test suite and
@@ -17,6 +18,10 @@ defensively whenever a baseline is loaded, so a hand-edited or
 truncated baseline fails loudly instead of producing a nonsense
 verdict.  Validation is a plain-python structural walk (no jsonschema
 dependency).
+
+``errors`` holds the benchmarks whose payload raised; they have no
+entry in ``benchmarks`` (which may then be empty) and gate as
+``error``.  Files written before it existed lack the key.
 """
 
 from __future__ import annotations
@@ -72,8 +77,12 @@ def result_path(suite: str, base_dir: Optional[str] = None) -> str:
 
 
 def build_payload(suite: str, preset: str, results: List[BenchmarkResult],
-                  config: RunnerConfig) -> Dict[str, Any]:
-    """Assemble the shared result envelope for one suite run."""
+                  config: RunnerConfig,
+                  errors: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
+    """Assemble the shared result envelope for one suite run.
+
+    *errors* maps each benchmark that raised to its exception text.
+    """
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": suite,
@@ -82,6 +91,7 @@ def build_payload(suite: str, preset: str, results: List[BenchmarkResult],
         "runner": config.as_dict(),
         "benchmarks": [r.as_dict(seed=config.seed + i)
                        for i, r in enumerate(results)],
+        "errors": dict(errors or {}),
     }
 
 
@@ -154,10 +164,15 @@ def validate_payload(payload: Any) -> None:
     for key in _RUNNER_KEYS:
         _expect(key in runner, f"runner config missing {key!r}")
 
+    errors = payload.get("errors", {})
+    _expect(isinstance(errors, dict)
+            and all(isinstance(k, str) and isinstance(v, str)
+                    for k, v in errors.items()),
+            "errors must map benchmark names to exception text")
     benches = payload.get("benchmarks")
-    _expect(isinstance(benches, list) and benches,
+    _expect(isinstance(benches, list) and (benches or errors),
             "benchmarks must be a non-empty list")
-    seen = set()
+    seen = set(errors)
     for i, b in enumerate(benches):
         where = f"benchmarks[{i}]"
         _expect(isinstance(b, dict), f"{where} must be an object")

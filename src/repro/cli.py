@@ -162,8 +162,7 @@ def _cmd_loadgen(_ex, args, ctx) -> str:
         max_batch_ops=args.max_batch,
         alpha=args.alpha, adversarial_fraction=args.adversarial_fraction,
         target=args.target, workers=args.workers,
-        shard_policy=args.shard_policy, transport=args.transport,
-        connect=connect, ctx=ctx)
+        shard_policy=args.shard_policy, connect=connect, ctx=ctx)
     if not args.no_save:
         path = save_json("loadgen_metrics.json", report.as_dict())
         print(f"[metrics: {path}]", file=sys.stderr)
@@ -360,11 +359,6 @@ def _add_loadgen(p):
                    choices=("round_robin", "least_loaded", "hash"),
                    default="round_robin",
                    help="cluster shard policy (default: %(default)s)")
-    p.add_argument("--transport", choices=("pipe", "shm"),
-                   default="pipe",
-                   help="cluster wire: binary frames on a socket pair "
-                        "or zero-copy shared-memory rings "
-                        "(default: %(default)s)")
     p.add_argument("--connect", metavar="HOST:PORT", default=None,
                    help="drive an external already-running server "
                         "(--target tcp only; default: self-host one)")
@@ -576,12 +570,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="round_robin",
                      help="cluster shard policy, --workers > 0 only "
                           "(default: %(default)s)")
-    srv.add_argument("--transport", choices=("pipe", "shm"),
-                     default="pipe",
-                     help="router<->worker transport, --workers > 0 "
-                          "only: binary frames on a socket pair or "
-                          "zero-copy shared-memory rings "
-                          "(default: %(default)s)")
     srv.add_argument("--listen", default=None, metavar="HOST:PORT",
                      help="bind address as one flag; overrides "
                           "--host/--port")
@@ -773,7 +761,6 @@ def _run_serve(args) -> int:
             recovery_cycles=args.recovery_cycles,
             workers=args.workers,
             shard_policy=args.shard_policy,
-            transport=args.transport,
             max_batch_ops=args.max_batch,
             worker_queue_ops=args.queue_capacity * args.max_batch), ctx=ctx)
     else:

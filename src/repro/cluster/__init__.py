@@ -7,7 +7,7 @@ degraded exact-addition fallback, and cluster-wide metrics aggregation.
 See :mod:`repro.cluster.router` for the data path,
 :mod:`repro.cluster.supervisor` for the control path, and
 :mod:`repro.cluster.transport` for the wire (binary frames on a socket
-pair or zero-copy shared-memory rings).
+pair per worker).
 """
 
 from .._lazy import lazy_exports
@@ -15,28 +15,20 @@ from .._lazy import lazy_exports
 # Each name loads its submodule on first use, so a spawned worker, which
 # imports only ``supervisor`` and ``worker``, never loads the router.
 _LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".config": ("SHARD_POLICY_NAMES", "TRANSPORT_NAMES", "ClusterConfig"),
+    ".config": ("SHARD_POLICY_NAMES", "ClusterConfig"),
     ".router": ("SHARD_POLICIES", "ClusterRouter", "ClusterUnhealthyError",
                 "register_shard_policy"),
     ".supervisor": ("WorkerHandle", "WorkerSupervisor"),
     ".sync": ("SyncCluster", "close_shared_cluster", "shared_cluster"),
-    ".transport": ("PipeTransport", "Ring", "ShmRingTransport", "Transport",
-                   "make_transport"),
 })
 
 __all__ = [
     "ClusterConfig",
     "ClusterRouter",
     "ClusterUnhealthyError",
-    "PipeTransport",
-    "Ring",
     "SHARD_POLICIES",
     "SHARD_POLICY_NAMES",
-    "ShmRingTransport",
     "SyncCluster",
-    "Transport",
-    "TRANSPORT_NAMES",
-    "make_transport",
     "WorkerHandle",
     "WorkerSupervisor",
     "close_shared_cluster",

@@ -16,13 +16,10 @@ from typing import Any, Dict, Optional
 
 from ..families.base import get_family
 
-__all__ = ["ClusterConfig", "SHARD_POLICY_NAMES", "TRANSPORT_NAMES"]
+__all__ = ["ClusterConfig", "SHARD_POLICY_NAMES"]
 
 #: Shard-policy vocabulary (implemented in :mod:`repro.cluster.router`).
 SHARD_POLICY_NAMES = ("round_robin", "least_loaded", "hash")
-
-#: Transport vocabulary (implemented in :mod:`repro.cluster.transport`).
-TRANSPORT_NAMES = ("pipe", "shm")
 
 
 @dataclass
@@ -63,14 +60,6 @@ class ClusterConfig:
             ``REPRO_MP_START`` env var, else ``spawn`` — fork is faster
             to boot but copies the router's event loop and every open
             socket into each worker).
-        transport: Router↔worker wire: ``"pipe"`` (binary frames on a
-            socket pair — the portable transport and the differential
-            reference) or ``"shm"`` (zero-copy shared-memory ring
-            buffers; see :mod:`repro.cluster.transport`).
-        shm_slots: Ring depth per direction per worker (shm only).
-        shm_slot_bytes: Slot payload capacity in bytes (shm only;
-            default: sized so a ``max_batch_ops`` result fits one
-            slot, rounded up to 4 KiB).
     """
 
     width: int = 64
@@ -90,9 +79,6 @@ class ClusterConfig:
     redirect_limit: int = 3
     degraded_mode: str = "exact"
     start_method: Optional[str] = None
-    transport: str = "pipe"
-    shm_slots: int = 8
-    shm_slot_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.width <= 0:
@@ -112,21 +98,6 @@ class ClusterConfig:
             raise ValueError("wire_inflight must be at least 1")
         if self.degraded_mode not in ("exact", "error"):
             raise ValueError("degraded_mode must be 'exact' or 'error'")
-        if self.transport not in TRANSPORT_NAMES:
-            raise ValueError(f"unknown transport {self.transport!r}; "
-                             f"expected one of {TRANSPORT_NAMES}")
-        if self.shm_slots < 2:
-            raise ValueError("shm_slots must be at least 2 "
-                             "(one in flight, one being filled)")
-        if self.shm_slot_bytes is not None and self.shm_slot_bytes < 4096:
-            raise ValueError("shm_slot_bytes must be at least 4096")
-
-    def resolved_slot_bytes(self) -> int:
-        """Effective shm slot size (explicit, or sized to the batch cap)."""
-        if self.shm_slot_bytes is not None:
-            return self.shm_slot_bytes
-        from .transport import default_slot_bytes
-        return default_slot_bytes(self.max_batch_ops)
 
     def reconfigure(self, window: Optional[int] = None,
                     family: Optional[str] = None,

@@ -1,9 +1,9 @@
 """Wire protocol between the cluster router and its worker processes.
 
-Messages are plain tuples ``(kind, *payload)``.  On either transport
-each travels as one binary frame (:func:`repro.cluster.transport.
-encode_into`): a ``uint64`` BATCH or RESULT as raw array bytes, every
-other message pickled into the frame.  Keeping the vocabulary in one
+Messages are plain tuples ``(kind, *payload)``.  Each travels as one
+binary frame (:func:`repro.cluster.transport.encode_frame`): a
+``uint64`` BATCH or RESULT as raw array bytes, every other message
+pickled into the frame.  Keeping the vocabulary in one
 module — with constructors and a tiny validator — means the router,
 supervisor, worker and the tests all speak from the same sheet.
 

@@ -243,8 +243,6 @@ class ClusterRouter:
         wire = self.supervisor.wire_counters
         self.m_tx_bytes, self.m_rx_bytes = wire.tx_bytes, wire.rx_bytes
         self.m_tx_msgs, self.m_rx_msgs = wire.tx_msgs, wire.rx_msgs
-        self.m_pipe_fallback = wire.pipe_fallbacks
-        self.m_ring_stalls = wire.ring_full_stalls
 
     # -- analytic model / descriptors -----------------------------------
     @property
@@ -260,7 +258,7 @@ class ClusterRouter:
 
     @property
     def backend_name(self) -> str:
-        return f"cluster:{self.cfg.workers}x{self.cfg.transport}"
+        return f"cluster:{self.cfg.workers}"
 
     @property
     def cycle(self) -> int:
@@ -315,7 +313,6 @@ class ClusterRouter:
                 "recovery_cycles": self.recovery_cycles,
                 "backend": self.backend_name,
                 "workers": self.cfg.workers,
-                "transport": self.cfg.transport,
                 "shard_policy": self.cfg.shard_policy,
                 "worker_queue_ops": self.cfg.worker_queue_ops,
                 "max_batch_ops": self.max_batch_ops,
@@ -330,7 +327,6 @@ class ClusterRouter:
         await self.supervisor.start()
         self.tracer.emit("cluster_start", workers=self.cfg.workers,
                          width=self.width, window=self.window,
-                         transport=self.cfg.transport,
                          policy=self.cfg.shard_policy,
                          start_method=self.cfg.resolve_start_method())
         return self
@@ -463,8 +459,7 @@ class ClusterRouter:
                  else f"worker last heard {now - handle.last_msg:.3f}s ago")
         age = asyncio.get_running_loop().time() - pending.enqueued_at
         return (f"request {pending.id}: no response within {timeout}s "
-                f"({where} on worker wid {pending.wid}, "
-                f"transport {self.cfg.transport}, {age:.3f}s since "
+                f"({where} on worker wid {pending.wid}, {age:.3f}s since "
                 f"enqueue, {heard})")
 
     async def submit(self, a: int, b: int, timeout: Optional[float] = None,
@@ -554,8 +549,8 @@ class ClusterRouter:
         sums, couts = result["sums"], result["couts"]
         stalled, spec = result["stalled"], result["spec_errors"]
         cycles, start_cycle = result["cycles"], result["start_cycle"]
-        # Ring results are views into their slot, which is reused once
-        # this returns; the responses keep copies.
+        # Binary results are read-only views into the received chunk;
+        # the responses keep writable copies that do not pin it.
         sums, couts, stalled = sums.copy(), couts.copy(), stalled.copy()
         n = wb.ops
         stall_count = int(np.count_nonzero(stalled))
@@ -699,7 +694,6 @@ class ClusterRouter:
 
     def merged_registry(self) -> MetricsRegistry:
         """Router + retired + live worker registries, merged fresh."""
-        self.supervisor.sample_occupancy()
         merged = MetricsRegistry(namespace=self.registry.namespace)
         merged.merge_snapshot(self.registry.state())
         merged.merge_snapshot(self._retired.state())

@@ -4,13 +4,10 @@ The :class:`WorkerSupervisor` owns every OS-level concern of the pool so
 the router can stay a pure asyncio front end:
 
 * **Spawn.**  Each slot gets a fresh process (``spawn`` start method by
-  default) and a transport channel (:mod:`repro.cluster.transport`:
-  binary frames over a socket pair, or zero-copy shared-memory rings)
-  that reads and writes on the router's event loop: a full wire
-  buffers rather than blocking the loop, and each arriving message is
-  handled in place, with no thread hand-off.  Shared-memory segments
-  are created at spawn and destroyed deterministically on worker
-  death, restart and shutdown via the transport's segment tracker.
+  default) and a channel (:mod:`repro.cluster.transport`: binary
+  frames over a socket pair) that reads and writes on the router's
+  event loop: a full wire buffers rather than blocking the loop, and
+  each arriving message is handled in place, with no thread hand-off.
 * **Liveness.**  Three independent detectors: the channel sees socket
   EOF the instant a crashed worker's last buffered replies drain (so
   no delivered result is ever thrown away), the monitor tick checks
@@ -37,7 +34,7 @@ from ..service.metrics import MetricsRegistry
 from ..service.tracing import Tracer
 from . import protocol
 from .config import ClusterConfig
-from .transport import RouterChannel, Transport, WireCounters, make_transport
+from .transport import PipeRouterChannel, RouterChannel, WireCounters
 
 __all__ = ["WorkerHandle", "WorkerSupervisor"]
 
@@ -85,28 +82,22 @@ class WorkerHandle:
 
     # -- lifecycle (called by the supervisor only) ----------------------
     async def start(self, ctx, cfg: ClusterConfig, loop,
-                    transport: Transport, counters: WireCounters,
+                    counters: WireCounters,
                     on_message: Callable, on_eof: Callable) -> None:
-        self.channel = transport.open_router_channel(ctx, cfg, self.wid,
-                                                     counters)
+        self.channel = PipeRouterChannel(counters)
         self.proc = ctx.Process(
             target=_spawn_target, name=f"vlsa-worker-{self.slot}",
             args=(self.wid, self.channel.spawn_spec(), cfg.worker_dict()),
             daemon=True)
         self.proc.start()
-        self.channel.after_spawn()  # drop child-side handles
+        self.channel.after_spawn()  # drop the child's socket end
         self.alive = True
         self.started_at = self.last_msg = time.monotonic()
         await self.channel.start_io(loop, lambda msg: on_message(self, msg),
                                     lambda: on_eof(self))
 
     def close(self, kill: bool = False, join_timeout: float = 0.5) -> None:
-        """Stop the process and the channel (``kill=True`` skips SIGTERM).
-
-        The process dies first so the channel teardown (which for shm
-        destroys the shared segments) can never unmap memory a live
-        worker is still writing.
-        """
+        """Stop the process and the channel (``kill=True`` skips SIGTERM)."""
         self.alive = False
         if self.proc is not None and self.proc.is_alive():
             if kill:
@@ -121,13 +112,13 @@ class WorkerHandle:
             self.channel.close()
 
 
-def _spawn_target(wid: int, spawn_spec, cfg: Dict[str, Any]) -> None:
+def _spawn_target(wid: int, sock, cfg: Dict[str, Any]) -> None:
     # Imported lazily in the child so a ``spawn`` start pays the repro
     # import exactly once, inside the worker.
-    from .transport import open_worker_channel
+    from .transport import WorkerChannel
     from .worker import worker_main
 
-    worker_main(wid, open_worker_channel(spawn_spec), cfg)
+    worker_main(wid, WorkerChannel(sock), cfg)
 
 
 class WorkerSupervisor:
@@ -150,7 +141,6 @@ class WorkerSupervisor:
         self.tracer = tracer
         self._on_message = on_message
         self._on_failover = on_failover
-        self.transport = make_transport(cfg.transport)
         self.wire_counters = WireCounters(registry)
         self._slots: List[Optional[WorkerHandle]] = [None] * cfg.workers
         self._failures = [0] * cfg.workers
@@ -168,12 +158,6 @@ class WorkerSupervisor:
             "heartbeats_total", "worker heartbeats received")
         self.g_live = registry.gauge(
             "workers_live", "worker processes currently serving")
-        self.g_ring_tx = registry.gauge(
-            "ring_tx_occupancy_slots",
-            "router->worker ring slots published but not retired")
-        self.g_ring_rx = registry.gauge(
-            "ring_rx_occupancy_slots",
-            "worker->router ring slots published but not retired")
 
     # ------------------------------------------------------------------
     @property
@@ -217,18 +201,7 @@ class WorkerSupervisor:
         for handle in self._slots:
             if handle is not None:
                 handle.close()
-        self.transport.close()
         self.g_live.set(0)
-
-    def sample_occupancy(self) -> None:
-        """Set the ring occupancy gauges: sums over the live pool."""
-        tx = rx = 0
-        for handle in self.live:
-            t, r = handle.channel.occupancy()
-            tx += t
-            rx += r
-        self.g_ring_tx.set(tx)
-        self.g_ring_rx.set(rx)
 
     # ------------------------------------------------------------------
     async def _spawn(self, slot: int) -> None:
@@ -236,7 +209,7 @@ class WorkerSupervisor:
         self._next_wid += 1
         try:
             await handle.start(self._mp_ctx, self.cfg, self._loop,
-                               self.transport, self.wire_counters,
+                               self.wire_counters,
                                self._handle_message, self._handle_eof)
         except BaseException:  # e.g. stop() cancelled a restart
             handle.close(kill=True)
@@ -317,7 +290,6 @@ class WorkerSupervisor:
         interval = self.cfg.heartbeat_interval
         while True:
             await asyncio.sleep(interval)
-            self.sample_occupancy()
             now = time.monotonic()
             for handle in self.live:
                 if handle.bye and not handle.load_ops:

@@ -7,13 +7,12 @@ and exposes blocking ``add`` / ``add_batch`` calls bridged with
 ``asyncio.run_coroutine_threadsafe``.
 
 Because a cluster spawns OS processes (~half a second each with the
-``spawn`` start method), :func:`shared_cluster` keeps a small LRU
-cache: repeated requests for the same configuration reuse one running
-pool — two slots, so the verifier can hold the pipe and shm transports
-live side by side — and whatever is live at interpreter exit is torn
-down by an ``atexit`` hook.  The verifier's eight in-process implementations
-stay as cheap as ever; only the cluster adapter pays the boot cost, and
-only once per configuration.
+``spawn`` start method), :func:`shared_cluster` keeps one running pool
+cached: repeated requests for the same configuration reuse it, and
+whatever is live at interpreter exit is torn down by an ``atexit``
+hook.  The verifier's seven built-in implementations stay in-process
+and cheap; only the cluster adapter pays the boot cost, and only once
+per configuration.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from __future__ import annotations
 import asyncio
 import atexit
 import threading
-from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .config import ClusterConfig
 from .router import ClusterRouter
@@ -92,47 +90,46 @@ class SyncCluster:
 # Shared pool cache (process-wide, for the verifier)
 # ----------------------------------------------------------------------
 _shared_lock = threading.Lock()
-_shared: "OrderedDict[Tuple, SyncCluster]" = OrderedDict()
-#: Verifying the pipe and shm transports against each other needs two
-#: live pools at once; anything beyond that is an idle pool hoarding
-#: worker processes, so the least recently used one is torn down.
-_SHARED_SLOTS = 2
+#: The one cached pool, with its configuration key.  A request for
+#: another configuration tears it down first, so no idle pool hoards
+#: worker processes.
+_shared: Optional[Tuple[Tuple, SyncCluster]] = None
 
 
 def _key(cfg: ClusterConfig) -> Tuple:
     return (cfg.width, cfg.window, cfg.recovery_cycles, cfg.workers,
-            cfg.shard_policy, cfg.family, cfg.transport)
+            cfg.shard_policy, cfg.family)
 
 
 def shared_cluster(cfg: Optional[ClusterConfig] = None,
                    **cfg_kwargs) -> SyncCluster:
     """A process-wide cached :class:`SyncCluster` for *cfg*.
 
-    Up to ``_SHARED_SLOTS`` configurations stay warm — the differential
-    verifier interleaves the pipe and shm transports chunk by chunk, so
-    a single slot would reboot a pool per chunk.  A request beyond the
-    cap tears the least recently used pool down first.
+    The pool stays warm across calls with the same configuration; a
+    call with another one closes it and boots a new pool.
     """
+    global _shared
     cfg = cfg if cfg is not None else ClusterConfig(**cfg_kwargs)
     key = _key(cfg)
     with _shared_lock:
-        cluster = _shared.get(key)
-        if cluster is not None:
-            _shared.move_to_end(key)
-            return cluster
-        while len(_shared) >= _SHARED_SLOTS:
-            _, oldest = _shared.popitem(last=False)
-            oldest.close()
+        if _shared is not None:
+            if _shared[0] == key:
+                return _shared[1]
+            _, stale = _shared
+            _shared = None
+            stale.close()
         cluster = SyncCluster(cfg)
-        _shared[key] = cluster
+        _shared = (key, cluster)
         return cluster
 
 
 def close_shared_cluster() -> None:
-    """Tear down every cached cluster (idempotent; also runs at exit)."""
+    """Tear down the cached cluster (idempotent; also runs at exit)."""
+    global _shared
     with _shared_lock:
-        while _shared:
-            _, cluster = _shared.popitem(last=False)
+        if _shared is not None:
+            _, cluster = _shared
+            _shared = None
             cluster.close()
 
 

@@ -4,10 +4,10 @@
 :class:`~repro.service.executor.VlsaBatchExecutor` (the same kernels the
 single-process service runs), a private
 :class:`~repro.service.metrics.MetricsRegistry`, and a worker-local
-virtual cycle clock; it reads wire batches off its transport channel
-(pipe or shared-memory ring — see :mod:`repro.cluster.transport`),
-executes them, and replies with array-native results (``uint64`` sums
-and carries at widths up to 64, ``dtype=object`` lanes above).
+virtual cycle clock; it reads wire batches off its socket channel
+(see :mod:`repro.cluster.transport`), executes them, and replies with
+array-native results (``uint64`` sums and carries at widths up to 64,
+``dtype=object`` lanes above).
 
 The worker is deliberately synchronous and single-threaded: the paper's
 datapath is a serial accelerator, and a worker models exactly one of
@@ -16,9 +16,7 @@ as soon as the executor is built (it is the readiness signal the
 router's ``wait_ready`` waits for); later ones ride the gaps —
 ``channel.recv(interval)`` doubles as the idle timer — and every
 heartbeat ships the full metrics state so the router's cluster-wide
-aggregation is never staler than one interval.  Heartbeats are the one
-message class a full shm ring may shed (they are idempotent and the
-next one carries strictly newer state); results always block for space.
+aggregation is never staler than one interval.
 
 When the router vanishes the worker does **not** exit silently: it
 prints one structured ``VLSA_WORKER_TRACE`` JSON line to stderr first,
@@ -45,7 +43,7 @@ DEATH_TRACE_MARKER = "VLSA_WORKER_TRACE"
 
 
 def _death_trace(reason: str, worker_id: int,
-                 registry: MetricsRegistry, channel: WorkerChannel) -> None:
+                 registry: MetricsRegistry) -> None:
     """Emit a structured death event before exiting.
 
     The channel to the router is gone by definition here, so stderr is
@@ -62,7 +60,6 @@ def _death_trace(reason: str, worker_id: int,
         "reason": reason,
         "worker_id": worker_id,
         "pid": os.getpid(),
-        "transport": channel.transport_name,
         "ops_total": _val("worker_ops_total"),
         "batches_total": _val("worker_batches_total"),
     }
@@ -76,7 +73,7 @@ def worker_main(worker_id: int, channel: WorkerChannel,
 
     Args:
         worker_id: Slot index, echoed in heartbeats.
-        channel: The worker-side transport endpoint.
+        channel: The worker's end of its socket pair.
         cfg: :meth:`~repro.cluster.config.ClusterConfig.worker_dict`.
     """
     executor = VlsaBatchExecutor(cfg["width"], window=cfg["window"],
@@ -91,9 +88,6 @@ def worker_main(worker_id: int, channel: WorkerChannel,
         "worker_batches_total", "wire batches executed")
     m_reconfigs = registry.counter(
         "worker_reconfigs_total", "live configuration swaps applied")
-    m_sheds = registry.counter(
-        "worker_heartbeat_sheds_total",
-        "heartbeats dropped because the outbound ring was full")
     m_cycles = registry.gauge(
         "worker_cycles", "virtual cycles on this worker's accelerator")
     h_batch = registry.histogram(
@@ -111,12 +105,9 @@ def worker_main(worker_id: int, channel: WorkerChannel,
         close the channel and return False."""
         nonlocal last_beat
         try:
-            if not channel.send(protocol.heartbeat_msg(worker_id,
-                                                       registry.state()),
-                                shed_if_full=True):
-                m_sheds.inc()
+            channel.send(protocol.heartbeat_msg(worker_id, registry.state()))
         except ChannelClosed:
-            _death_trace(reason, worker_id, registry, channel)
+            _death_trace(reason, worker_id, registry)
             channel.close()
             return False
         last_beat = time.monotonic()
@@ -131,7 +122,7 @@ def worker_main(worker_id: int, channel: WorkerChannel,
         try:
             msg = channel.recv(interval)
         except ChannelClosed:
-            _death_trace("recv", worker_id, registry, channel)
+            _death_trace("recv", worker_id, registry)
             channel.close()
             return  # router went away; nothing left to serve
         if msg is None:
@@ -143,7 +134,7 @@ def worker_main(worker_id: int, channel: WorkerChannel,
             try:
                 channel.send(protocol.bye_msg(worker_id, registry.state()))
             except ChannelClosed:
-                _death_trace("bye_send", worker_id, registry, channel)
+                _death_trace("bye_send", worker_id, registry)
             channel.close()
             return
         if kind == protocol.CONFIG:
@@ -187,7 +178,7 @@ def worker_main(worker_id: int, channel: WorkerChannel,
         except ChannelClosed:
             # The silent-exit bug this replaces: dying here without a
             # trace made supervisor restarts unattributable.
-            _death_trace("result_send", worker_id, registry, channel)
+            _death_trace("result_send", worker_id, registry)
             channel.close()
             return
         if (time.monotonic() - last_beat >= interval

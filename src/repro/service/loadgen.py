@@ -493,7 +493,6 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
                 timeout: Optional[float] = 30.0, retries: int = 8,
                 target: str = "service", workers: int = 2,
                 shard_policy: str = "round_robin",
-                transport: str = "pipe",
                 connect: Optional[Tuple[str, int]] = None,
                 ctx: Optional[RunContext] = None,
                 registry: Optional[MetricsRegistry] = None
@@ -512,8 +511,6 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
         workers, shard_policy: Cluster pool size / shard policy
             (cluster-backed targets only; ``workers=0`` under
             ``target="tcp"`` self-hosts a plain in-process service).
-        transport: Cluster wire — ``"pipe"`` or ``"shm"``
-            (cluster-backed targets only).
         connect: ``(host, port)`` of an external server
             (``target="tcp"`` only); the report is then built from the
             clients' own vantage point plus an ``info`` probe.
@@ -542,8 +539,7 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
         cfg = ClusterConfig(
             width=width, window=window,
             recovery_cycles=recovery_cycles, workers=workers,
-            shard_policy=shard_policy,
-            transport=transport, max_batch_ops=max_batch_ops,
+            shard_policy=shard_policy, max_batch_ops=max_batch_ops,
             worker_queue_ops=max(queue_capacity, 1) * max(chunk, 1))
         service = ClusterRouter(cfg, ctx=ctx, registry=registry)
     elif target == "service" or serve_tcp:
@@ -627,7 +623,6 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
             "target": target,
             "workers": workers,
             "shard_policy": shard_policy,
-            "transport": transport,
             "worker_restarts": service.supervisor.m_restarts.value,
             "worker_failures": service.supervisor.m_failures.value,
             "degraded_requests": service.m_degraded.value,
@@ -636,8 +631,6 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
             "failed_requests": service.m_failed.value,
             "transport_tx_bytes": service.m_tx_bytes.value,
             "transport_rx_bytes": service.m_rx_bytes.value,
-            "transport_pipe_fallbacks": service.m_pipe_fallback.value,
-            "transport_ring_full_stalls": service.m_ring_stalls.value,
         })
     if ctx is not None:
         ctx.add("loadgen_ops", served)

@@ -625,7 +625,7 @@ class VlsaService:
     @property
     def backend_name(self) -> str:
         """Where batches execute: ``local`` (clusters report
-        ``cluster:{N}x{transport}``)."""
+        ``cluster:{N}``)."""
         return "local"
 
     def describe(self) -> dict:

@@ -400,7 +400,7 @@ class ClusterImpl(Implementation):
     """The multi-process serving cluster, end to end.
 
     Batches travel the full production path — admission, sharding, the
-    pipe wire protocol, a real worker process, result slicing — and the
+    socket-pair frame wire, a real worker process, result slicing — and the
     verifier holds the answers to the same bit-identical standard as the
     in-process executor.  Pools are expensive to boot, so instances
     share one process-wide cached cluster per configuration
@@ -408,36 +408,28 @@ class ClusterImpl(Implementation):
     interpreter exit.  Because it spawns OS processes, ``cluster`` is
     registered but *not* part of :func:`default_implementations` —
     drive it explicitly (``--impls service:numpy,cluster``).
-
-    The *transport* parameter selects the router<->worker wire:
-    ``cluster`` rides binary frames on a socket pair, ``cluster:shm``
-    the zero-copy shared-memory rings.  Both are held to the identical
-    bit-for-bit standard, which is what makes the pipe path a live
-    differential reference for the ring codec.
     """
 
+    name = "cluster"
     family = "exact"
 
     def __init__(self, width: int, window: int, recovery_cycles: int = 1,
-                 family: str = "aca", workers: Optional[int] = None,
-                 transport: str = "pipe"):
+                 family: str = "aca", workers: Optional[int] = None):
         import os
 
         from ..cluster import ClusterConfig
         from ..cluster.sync import shared_cluster
 
-        self.name = ("cluster" if transport == "pipe"
-                     else f"cluster:{transport}")
+        self.width = width
         if workers is None:
             workers = int(os.environ.get("REPRO_CLUSTER_VERIFY_WORKERS",
                                          "2"))
         self.cluster = shared_cluster(ClusterConfig(
             width=width, window=window, recovery_cycles=recovery_cycles,
-            workers=workers, heartbeat_interval=0.1, family=family,
-            transport=transport))
+            workers=workers, heartbeat_interval=0.1, family=family))
 
     def run(self, pairs: Pairs) -> ImplResult:
-        out = self.cluster.add_batch(list(pairs))
+        out = self.cluster.add_batch(_chunk(pairs).operands(self.width))
         return ImplResult(sums=out.column("sums"), couts=out.column("couts"),
                           flags=out.column("stalled"),
                           latencies=out.column("latencies"))
@@ -522,10 +514,6 @@ def _ensure_builtin() -> None:
     # `repro verify` run does not pay for it; CI and the cluster tests
     # opt in with explicit impl lists.
     register_implementation("cluster", ClusterImpl)
-    register_implementation(
-        "cluster:shm",
-        lambda w, win, rc, family="aca":
-            ClusterImpl(w, win, rc, family=family, transport="shm"))
     # Likewise not built in: the autotuned path reconfigures itself
     # mid-stream, so its flags are schedule-dependent — it exists to
     # prove sums/couts stay bit-identical across reconfigurations and

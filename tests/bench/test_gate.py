@@ -132,3 +132,40 @@ def test_bench_list_names_all_builtin_suites(capsys):
     for suite in ("engine", "service", "verify", "cluster"):
         assert suite in out
     assert "loadgen_uniform_w64" in out
+
+
+def test_raising_payload_fails_the_gate_and_the_run_goes_on(toy, capsys):
+    # A second suite whose one bench starts raising after its baseline
+    # is promoted: the gate must still give every suite its rows, mark
+    # that bench ``error`` with the exception text, and exit 1.
+    raising = {"on": False}
+
+    def flaky_suite(preset):
+        def payload(_state):
+            if raising["on"]:
+                raise RuntimeError("payload blew up")
+            time.sleep(_BASE_S)
+
+        return [Benchmark(name="flaky", suite="toy_flaky", payload=payload,
+                          ops_per_call=1, samples=12, calibrate=False)]
+
+    registry.add_suite("toy_flaky", flaky_suite)
+    try:
+        both = ["--suite", "toy,toy_flaky", *_GATE_ARGS]
+        assert main(["bench", "run", *both]) == 0
+        assert main(["bench", "promote", "--suite", "toy,toy_flaky"]) == 0
+        raising["on"] = True
+        capsys.readouterr()
+        assert main(["bench", "gate", *both]) == 1
+        err = capsys.readouterr().err
+        summary = _summary(toy)
+        assert "FAIL" in summary
+        assert "| `probe_a` |" in summary and "| `probe_b` |" in summary
+        assert ("| `flaky` | 💥 error | — | — | — | — | "
+                "RuntimeError: payload blew up |") in summary
+        assert "[bench] ERROR: toy_flaky/flaky" in err
+        assert "| `probe_a` | 🔴" not in summary
+        # The plain run records the error too, and exits 1.
+        assert main(["bench", "run", *both]) == 1
+    finally:
+        registry.remove_suite("toy_flaky")

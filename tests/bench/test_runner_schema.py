@@ -136,12 +136,21 @@ def test_build_payload_validates():
     (lambda p: p["benchmarks"][0].update(ops_per_call=0), "ops_per_call"),
     (lambda p: p["host"].pop("clock"), "clock"),
     (lambda p: p["benchmarks"][0].update(suite="other"), "suite"),
+    (lambda p: p.update(errors={"boom": 1}), "errors"),
+    (lambda p: p.update(errors={p["benchmarks"][0]["name"]: "x"}),
+     "duplicate"),
 ])
 def test_schema_rejects_malformed_payloads(mutate, fragment):
     payload = toy_payload()
     mutate(payload)
     with pytest.raises(SchemaError, match=fragment):
         validate_payload(payload)
+
+
+def test_errored_benches_may_leave_benchmarks_empty():
+    payload = toy_payload()
+    payload.update(benchmarks=[], errors={"boom": "RuntimeError: x"})
+    validate_payload(payload)
 
 
 def test_schema_rejects_duplicate_benchmark_names():

@@ -19,7 +19,7 @@ def _cluster_report(workload, ops, **kw):
 def test_cluster_target_uniform_full_accounting():
     report = _cluster_report("uniform", 6000)
     assert report.ops == 6000
-    assert report.backend.startswith("cluster:2x")
+    assert report.backend == "cluster:2"
     assert report.params["target"] == "cluster"
     assert report.params["workers"] == 2
     # A healthy run touches none of the failure paths.
@@ -38,7 +38,7 @@ def test_cluster_target_uniform_full_accounting():
 def test_cluster_target_other_workloads(workload):
     report = _cluster_report(workload, 2000)
     assert report.ops == 2000
-    assert report.backend.startswith("cluster:2x")
+    assert report.backend == "cluster:2"
     assert report.mean_latency_cycles >= 1.0
     if workload == "adversarial":
         assert report.stall_rate == 1.0
@@ -49,18 +49,6 @@ def test_cluster_target_shard_policies():
         report = _cluster_report("uniform", 2000, shard_policy=policy)
         assert report.ops == 2000
         assert report.params["shard_policy"] == policy
-
-
-def test_cluster_target_shm_transport_accounting():
-    report = _cluster_report("uniform", 4000, transport="shm")
-    assert report.ops == 4000
-    assert report.params["transport"] == "shm"
-    assert report.params["worker_failures"] == 0
-    # Copy-bytes counters prove the rings actually carried the load.
-    assert report.params["transport_tx_bytes"] >= 16 * 4000
-    assert report.params["transport_rx_bytes"] >= 18 * 4000
-    assert report.params["transport_pipe_fallbacks"] == 0
-    assert report.params["transport_ring_full_stalls"] == 0
 
 
 def test_unknown_target_rejected():

@@ -67,15 +67,14 @@ def test_router_reconfigure_propagates_to_live_workers():
     run(main())
 
 
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_reconfigured_cluster_stays_bit_exact(transport):
+def test_reconfigured_cluster_stays_bit_exact():
     rng = random.Random(11)
     pairs = [(rng.getrandbits(WIDTH), rng.getrandbits(WIDTH))
              for _ in range(800)]
     want = VlsaBatchExecutor(WIDTH, window=WIDTH).execute(pairs)
 
     async def main():
-        async with ClusterRouter(fast_cfg(transport=transport)) as router:
+        async with ClusterRouter(fast_cfg()) as router:
             await router.wait_ready()
             first = await router.submit_batch(pairs[:400])
             router.reconfigure(window=12, family="aca")

@@ -72,7 +72,7 @@ def test_serve_signal_drains_and_exits_clean(tmp_path, workers, sig):
     try:
         info = _roundtrip(port)
         if workers:
-            assert info["backend"].startswith(f"cluster:{workers}x")
+            assert info["backend"] == f"cluster:{workers}"
         else:
             assert info["backend"] == "local"
         proc.send_signal(sig)

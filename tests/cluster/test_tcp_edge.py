@@ -1,5 +1,5 @@
 """The TCP edge: the JSON-lines batch verb, the self-hosted loadgen
-``tcp`` target over both transports, and the external-connect mode."""
+``tcp`` target, and the external-connect mode."""
 
 import asyncio
 import json
@@ -123,13 +123,13 @@ def test_largest_bulk_request_fits_and_takes_the_hot_path():
 
 def test_batch_verb_over_cluster_front():
     """The server accepts a ClusterRouter as its service: the batch
-    verb drives the full wire path, shm transport underneath."""
+    verb drives the full wire path."""
     pairs = [(i, MASK - i) for i in range(300)]
     want = VlsaBatchExecutor(WIDTH, window=WINDOW).execute(pairs)
 
     async def main():
         router = ClusterRouter(ClusterConfig(
-            width=WIDTH, window=WINDOW, workers=1, transport="shm",
+            width=WIDTH, window=WINDOW, workers=1,
             heartbeat_interval=0.1))
         async with VlsaServer(router, port=0) as server:
             host, port = server.address
@@ -139,30 +139,25 @@ def test_batch_verb_over_cluster_front():
             assert reply["sums"] == want.sums
             assert reply["couts"] == want.couts
             info = await _rpc(reader, writer, {"cmd": "info"})
-            assert info["transport"] == "shm"
-            assert info["backend"].startswith("cluster:1x")
+            assert info["backend"] == "cluster:1"
             writer.close()
 
     asyncio.run(main())
 
 
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_loadgen_tcp_target_self_hosted(transport):
+def test_loadgen_tcp_target_self_hosted():
     report = run_loadgen(
         "uniform", ops=3000, target="tcp", workers=2,
-        transport=transport, width=WIDTH, window=WINDOW,
+        width=WIDTH, window=WINDOW,
         chunk=256, concurrency=4, ctx=RunContext(seed=11))
     assert report.ops == 3000
     assert report.params["target"] == "tcp"
     assert report.params["edge"] == "self-hosted"
-    assert report.params["transport"] == transport
-    assert report.backend.startswith("cluster:2x")
+    assert report.backend == "cluster:2"
     assert report.rejected == 0 and report.timeouts == 0
     assert report.params["worker_failures"] == 0
     assert report.params["transport_tx_bytes"] > 0
     assert report.params["transport_rx_bytes"] > 0
-    if transport == "shm":
-        assert report.params["transport_pipe_fallbacks"] == 0
 
 
 def test_loadgen_external_connect_mode():
@@ -170,7 +165,7 @@ def test_loadgen_external_connect_mode():
 
     async def main():
         router = ClusterRouter(ClusterConfig(
-            width=WIDTH, window=WINDOW, workers=1, transport="shm",
+            width=WIDTH, window=WINDOW, workers=1,
             heartbeat_interval=0.1))
         async with VlsaServer(router, port=0) as server:
             host, port = server.address
@@ -181,8 +176,8 @@ def test_loadgen_external_connect_mode():
             assert report.ops == 2000
             assert report.params["edge"] == "external"
             assert report.params["connect"] == f"{host}:{port}"
-            assert report.params["server_info"]["transport"] == "shm"
-            assert report.backend.startswith("cluster:1x")
+            assert report.params["server_info"]["backend"] == "cluster:1"
+            assert report.backend == "cluster:1"
             assert report.rejected == 0 and report.timeouts == 0
 
     asyncio.run(main())

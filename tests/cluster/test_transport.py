@@ -1,55 +1,31 @@
-"""Transport torture tests: the ring codec, back-pressure, slot
-lifecycle, segment hygiene, the worker death trace and the worker's
+"""Frame codec round trips, the worker death trace and the worker's
 readiness heartbeat.
 
 Everything here but the last readiness test runs in-process against
-plain buffers or real ``/dev/shm`` segments — no worker processes — so
-the SPSC ring invariants (publish-after-write, in-order retirement,
-occupancy reconciliation) are checked at full speed and the failure
-messages point at the exact primitive that broke.
+plain buffers — no worker processes — so the codec's invariants are
+checked at full speed and the failure messages point at the exact
+primitive that broke.
 """
 
 import asyncio
-import io
 import json
-import pickle
 import time
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterRouter, protocol
 from repro.cluster.transport import (
+    FRAME_HEADER,
     RESULT_TRAILER,
-    RING_HEADER,
-    SEGMENT_PREFIX,
-    SLOT_HEADER,
-    Ring,
-    SlotOverflow,
-    TransportError,
-    batch_capacity_ops,
-    decode_from,
-    default_slot_bytes,
-    encode_into,
-    open_worker_channel,
+    decode_frame,
+    encode_frame,
     payload_nbytes,
-    result_capacity_ops,
-    segment_tracker,
 )
 from repro.cluster.worker import DEATH_TRACE_MARKER, worker_main
 
 U64 = st.integers(0, (1 << 64) - 1)
-
-
-def make_slot(slot_bytes=4096):
-    return memoryview(bytearray(slot_bytes))
-
-
-def make_ring(slots=4, slot_bytes=1024):
-    buf = bytearray(Ring.size_for(slots, slot_bytes))
-    return Ring(buf, slots, slot_bytes, create=True)
 
 
 def batch_msg(pairs):
@@ -65,10 +41,9 @@ def batch_msg(pairs):
 @settings(max_examples=60, deadline=None)
 def test_batch_roundtrip_bit_identical(pairs, msg_id):
     arr = np.asarray(pairs, dtype=np.uint64).reshape(len(pairs), 2)
-    mv = make_slot()
-    used = encode_into((protocol.BATCH, msg_id, arr), mv)
-    assert used == SLOT_HEADER + arr.nbytes
-    kind, got_id, got = decode_from(mv)
+    frame = encode_frame((protocol.BATCH, msg_id, arr))
+    assert len(frame) == FRAME_HEADER + arr.nbytes
+    kind, got_id, got = decode_frame(memoryview(frame))
     assert kind == protocol.BATCH and got_id == msg_id
     assert got.dtype == np.uint64 and got.shape == (len(pairs), 2)
     assert np.array_equal(got, arr)
@@ -88,9 +63,10 @@ def test_result_roundtrip_bit_identical(n, msg_id, cycles, data):
         "cycles": cycles, "start_cycle": 3,
         "counters": protocol.light_counters(n, 1, 2, cycles),
     }
-    mv = make_slot()
-    encode_into((protocol.RESULT, msg_id, result), mv)
-    kind, got_id, got = decode_from(mv)
+    msg = (protocol.RESULT, msg_id, result)
+    frame = encode_frame(msg)
+    assert len(frame) == FRAME_HEADER + payload_nbytes(msg)
+    kind, got_id, got = decode_frame(memoryview(frame))
     assert kind == protocol.RESULT and got_id == msg_id
     assert np.array_equal(got["sums"], result["sums"])
     assert np.array_equal(got["couts"], result["couts"])
@@ -101,45 +77,13 @@ def test_result_roundtrip_bit_identical(n, msg_id, cycles, data):
 
 
 def test_decoded_arrays_are_views_not_copies():
-    """Zero-copy is the whole point: decode must alias the slot."""
-    mv = make_slot()
-    encode_into(batch_msg([(1, 2), (3, 4)]), mv)
-    _, _, arr = decode_from(mv)
-    # Mutating the slot buffer shows through the decoded array.
-    mv[SLOT_HEADER] = 0xFF
+    """Decode aliases the frame: the router copies only what it keeps."""
+    frame = encode_frame(batch_msg([(1, 2), (3, 4)]))
+    _, _, arr = decode_frame(memoryview(frame))
+    # Mutating the frame buffer shows through the decoded array.
+    frame[FRAME_HEADER] = 0xFF
     assert arr[0, 0] != 1
     assert arr.base is not None  # frombuffer view, not a materialised copy
-
-
-def test_max_slot_boundary_exact_fit_and_overflow():
-    slot_bytes = 1024
-    cap = batch_capacity_ops(slot_bytes)
-    mv = make_slot(slot_bytes)
-    fits = batch_msg([(i, i) for i in range(cap)])
-    assert encode_into(fits, mv) == SLOT_HEADER + cap * 16
-    with pytest.raises(SlotOverflow):
-        encode_into(batch_msg([(i, i) for i in range(cap + 1)]), mv)
-
-    rcap = result_capacity_ops(slot_bytes)
-    n = rcap + 1
-    too_big = {"sums": np.zeros(n, np.uint64),
-               "couts": np.zeros(n, np.uint64),
-               "stalled": np.zeros(n, bool),
-               "spec_errors": np.zeros(n, bool),
-               "cycles": 1, "start_cycle": 0, "counters": None}
-    with pytest.raises(SlotOverflow):
-        encode_into((protocol.RESULT, 1, too_big), mv)
-
-
-def test_pickled_fallback_roundtrip_and_overflow():
-    mv = make_slot(512)
-    beat = protocol.heartbeat_msg(3, {"worker_ops_total": {
-        "kind": "counter", "help": "", "state": {"value": 9}}})
-    encode_into(beat, mv)
-    assert decode_from(mv) == beat
-    huge = protocol.heartbeat_msg(3, {"blob": "x" * 4096})
-    with pytest.raises(SlotOverflow):
-        encode_into(huge, mv)
 
 
 def test_payload_nbytes_accounting():
@@ -150,127 +94,6 @@ def test_payload_nbytes_accounting():
     assert (payload_nbytes((protocol.RESULT, 1, result))
             == 10 * 18 + RESULT_TRAILER)
     assert payload_nbytes((protocol.SHUTDOWN,)) == 0
-
-
-def test_default_slot_bytes_floor_and_capacity():
-    assert default_slot_bytes(1) == 32768  # control-traffic floor
-    for ops in (256, 2048, 8192, 1 << 14):
-        size = default_slot_bytes(ops)
-        assert size % 4096 == 0
-        assert batch_capacity_ops(size) >= ops
-        assert result_capacity_ops(size) >= ops
-
-
-# ----------------------------------------------------------------------
-# Ring invariants
-# ----------------------------------------------------------------------
-def test_ring_fifo_and_in_order_retire():
-    ring = make_ring(slots=4)
-    for i in range(3):
-        assert ring.try_push(batch_msg([(i, i)]))
-    assert ring.occupancy == 3
-    seqs = []
-    for i in range(3):
-        seq, (_, _, arr) = ring.pop()
-        assert arr[0, 0] == i  # FIFO
-        seqs.append(seq)
-    assert seqs == [0, 1, 2]
-    with pytest.raises(TransportError):
-        ring.retire(2)  # strictly in order
-    for seq in seqs:
-        ring.retire(seq)
-    assert ring.occupancy == 0
-
-
-def test_ring_full_blocks_without_corrupting_inflight_slots():
-    """The slow-consumer drill: a full ring refuses new work and the
-    refused pushes leave every in-flight slot bit-identical."""
-    ring = make_ring(slots=2)
-    assert ring.try_push(batch_msg([(11, 12)]))
-    assert ring.try_push(batch_msg([(21, 22)]))
-    snapshot = bytes(ring._mv)
-    # Repeated refusals: all False, nothing published.
-    assert not ring.try_push(batch_msg([(31, 32)]))
-    assert not ring.try_push(protocol.heartbeat_msg(0, {}))
-    assert ring.occupancy == 2
-    assert bytes(ring._mv) == snapshot  # nothing in flight was touched
-    # Retire one slot; the producer proceeds and FIFO order holds.
-    seq, (_, _, first) = ring.pop()
-    assert first[0, 0] == 11
-    ring.retire(seq)
-    assert ring.try_push(batch_msg([(31, 32)]))
-    _, (_, _, second) = ring.pop()
-    assert second[0, 0] == 21
-
-
-@given(ops=st.lists(st.booleans(), min_size=1, max_size=200))
-@settings(max_examples=40, deadline=None)
-def test_ring_occupancy_reconciles_under_any_interleaving(ops):
-    """occupancy == submitted - retired, under arbitrary push/retire
-    interleavings (True = try push, False = try pop+retire)."""
-    ring = make_ring(slots=3, slot_bytes=256)
-    pushed = retired = 0
-    for do_push in ops:
-        if do_push:
-            if ring.try_push(batch_msg([(pushed, pushed)])):
-                pushed += 1
-        else:
-            popped = ring.pop()
-            if popped is not None:
-                ring.retire(popped[0])
-                retired += 1
-    assert ring.occupancy == pushed - retired
-    assert ring.produced == pushed and ring.consumed == retired
-    assert 0 <= ring.occupancy <= ring.slots
-
-
-def test_torn_write_is_never_published():
-    """A producer killed mid-slot-write must be invisible: the payload
-    bytes land but ``produced`` never bumps, so the consumer sees
-    nothing and the slot is reused cleanly by the next push."""
-    ring = make_ring(slots=2)
-    # Simulate the torn write: encode directly into the slot buffer
-    # without the publish step (this is exactly where SIGKILL lands).
-    encode_into(batch_msg([(666, 666)]), ring._slot(0))
-    assert ring.pop() is None
-    assert ring.occupancy == 0
-    # A real (published) push then overwrites the torn bytes.
-    assert ring.try_push(batch_msg([(1, 2)]))
-    seq, (_, _, arr) = ring.pop()
-    assert arr[0, 0] == 1
-
-
-# ----------------------------------------------------------------------
-# Segment lifecycle
-# ----------------------------------------------------------------------
-def shm_entries():
-    import os
-
-    try:
-        return [n for n in os.listdir("/dev/shm")
-                if n.startswith(SEGMENT_PREFIX)]
-    except FileNotFoundError:  # non-Linux: fall back to tracker view
-        return segment_tracker.live_names()
-
-
-def test_segment_tracker_create_destroy_sweep():
-    before = set(shm_entries())
-    name = f"{SEGMENT_PREFIX}_test_{id(object()):x}"
-    segment_tracker.create(name, 4096)
-    assert name in segment_tracker.live_names()
-    assert set(shm_entries()) - before == {name}
-    segment_tracker.destroy(name)
-    segment_tracker.destroy(name)  # idempotent
-    assert set(shm_entries()) == before
-    # sweep() catches what a crashed test would leave behind.
-    segment_tracker.create(name + "_b", 4096)
-    assert segment_tracker.sweep() >= 1
-    assert set(shm_entries()) == before
-
-
-def test_worker_channel_spec_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        open_worker_channel(("carrier-pigeon", {}))
 
 
 # ----------------------------------------------------------------------
@@ -289,8 +112,6 @@ class _DyingChannel:
     later send raises.
     """
 
-    transport_name = "stub"
-
     def __init__(self, sends=1, inbox=(_ONE_BATCH,)):
         from repro.cluster.transport import ChannelClosed
 
@@ -305,11 +126,11 @@ class _DyingChannel:
             return self.inbox.pop(0)
         raise self._closed_exc("router gone")
 
-    def send(self, msg, shed_if_full=False):
+    def send(self, msg):
         if self._sends > 0:
             self._sends -= 1
             self.sent.append(msg)
-            return True
+            return
         raise self._closed_exc("router gone")
 
     def close(self):
@@ -330,7 +151,6 @@ def test_worker_emits_structured_death_trace(capsys):
     assert record["event"] == "worker_channel_closed"
     assert record["reason"] == "result_send"
     assert record["worker_id"] == 5
-    assert record["transport"] == "stub"
     assert record["ops_total"] == 2  # the batch that was executed
     assert record["batches_total"] == 1
 

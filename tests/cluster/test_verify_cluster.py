@@ -28,15 +28,11 @@ def _cluster_pool():
 def test_cluster_is_registered():
     impls = available_implementations()
     assert "cluster" in impls
-    assert "cluster:shm" in impls
 
 
 def test_cluster_fuzz_matches_service_numpy():
-    """Both transports verified in one run: the pipe path doubles as
-    the differential reference for the shm ring codec."""
     verifier = DifferentialVerifier(
-        width=16, window=4,
-        impls=["service:numpy", "cluster", "cluster:shm"])
+        width=16, window=4, impls=["service:numpy", "cluster"])
     report = verifier.run(
         vectors=1500, seed=0xBEEF,
         streams=["uniform", "adversarial", "boundary"])
@@ -49,7 +45,7 @@ def test_cluster_fuzz_matches_service_numpy():
 
 def test_cluster_exhaustive_tiny_width():
     report = run_exhaustive(
-        widths=[3], impls=["service:numpy", "cluster", "cluster:shm"])
+        widths=[3], impls=["service:numpy", "cluster"])
     assert report.ok, report.render()
     assert report.mismatch_count == 0
     # Complete cells carry the analytic expected counts and match them.

@@ -147,10 +147,9 @@ def test_bigint_router_replies(width):
     asyncio.run(main())
 
 
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_bigint_pool_ships_array_columns(transport, monkeypatch):
+def test_bigint_pool_ships_array_columns(monkeypatch):
     """Above 64 bits a worker's RESULT columns are arrays (``dtype=object``
-    lanes), pickled on either transport, and the replies are the
+    lanes), pickled into their frame, and the replies are the
     service's."""
     width = 96
     pairs = _operands(width)
@@ -171,7 +170,7 @@ def test_bigint_pool_ships_array_columns(transport, monkeypatch):
         async with svc:
             want = [await svc.submit_batch(pairs),
                     await svc.submit(-1, 1 << 64)]
-        async with ClusterRouter(_cfg(width, transport=transport)) as router:
+        async with ClusterRouter(_cfg(width)) as router:
             await router.wait_ready()
             got = [await router.submit_batch(pairs),
                    await router.submit(-1, 1 << 64)]
