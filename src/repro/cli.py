@@ -161,8 +161,8 @@ def _cmd_loadgen(_ex, args, ctx) -> str:
         concurrency=args.concurrency, queue_capacity=args.queue_capacity,
         max_batch_ops=args.max_batch,
         alpha=args.alpha, adversarial_fraction=args.adversarial_fraction,
-        target=args.target, workers=args.workers,
-        shard_policy=args.shard_policy, connect=connect, ctx=ctx)
+        target=args.target, workers=args.workers, connect=connect,
+        ctx=ctx)
     if not args.no_save:
         path = save_json("loadgen_metrics.json", report.as_dict())
         print(f"[metrics: {path}]", file=sys.stderr)
@@ -355,10 +355,6 @@ def _add_loadgen(p):
                    help="cluster worker processes, --target cluster/tcp "
                         "(default: %(default)s; 0 with --target tcp "
                         "self-hosts a plain in-process service)")
-    p.add_argument("--shard-policy", dest="shard_policy",
-                   choices=("round_robin", "least_loaded", "hash"),
-                   default="round_robin",
-                   help="cluster shard policy (default: %(default)s)")
     p.add_argument("--connect", metavar="HOST:PORT", default=None,
                    help="drive an external already-running server "
                         "(--target tcp only; default: self-host one)")
@@ -565,11 +561,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="worker processes for a multi-process cluster; "
                           "0 = single in-process service "
                           "(default: %(default)s)")
-    srv.add_argument("--shard-policy", dest="shard_policy",
-                     choices=("round_robin", "least_loaded", "hash"),
-                     default="round_robin",
-                     help="cluster shard policy, --workers > 0 only "
-                          "(default: %(default)s)")
     srv.add_argument("--listen", default=None, metavar="HOST:PORT",
                      help="bind address as one flag; overrides "
                           "--host/--port")
@@ -760,7 +751,6 @@ def _run_serve(args) -> int:
             width=args.width, window=args.window, family=args.family,
             recovery_cycles=args.recovery_cycles,
             workers=args.workers,
-            shard_policy=args.shard_policy,
             max_batch_ops=args.max_batch,
             worker_queue_ops=args.queue_capacity * args.max_batch), ctx=ctx)
     else:

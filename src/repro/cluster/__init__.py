@@ -15,9 +15,8 @@ from .._lazy import lazy_exports
 # Each name loads its submodule on first use, so a spawned worker, which
 # imports only ``supervisor`` and ``worker``, never loads the router.
 _LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".config": ("SHARD_POLICY_NAMES", "ClusterConfig"),
-    ".router": ("SHARD_POLICIES", "ClusterRouter", "ClusterUnhealthyError",
-                "register_shard_policy"),
+    ".config": ("ClusterConfig",),
+    ".router": ("ClusterRouter",),
     ".supervisor": ("WorkerHandle", "WorkerSupervisor"),
     ".sync": ("SyncCluster", "close_shared_cluster", "shared_cluster"),
 })
@@ -25,13 +24,9 @@ _LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "ClusterConfig",
     "ClusterRouter",
-    "ClusterUnhealthyError",
-    "SHARD_POLICIES",
-    "SHARD_POLICY_NAMES",
     "SyncCluster",
     "WorkerHandle",
     "WorkerSupervisor",
     "close_shared_cluster",
-    "register_shard_policy",
     "shared_cluster",
 ]

@@ -16,10 +16,7 @@ from typing import Any, Dict, Optional
 
 from ..families.base import get_family
 
-__all__ = ["ClusterConfig", "SHARD_POLICY_NAMES"]
-
-#: Shard-policy vocabulary (implemented in :mod:`repro.cluster.router`).
-SHARD_POLICY_NAMES = ("round_robin", "least_loaded", "hash")
+__all__ = ["ClusterConfig"]
 
 
 @dataclass
@@ -33,12 +30,10 @@ class ClusterConfig:
         family: Registered adder family every worker serves.
         recovery_cycles: Extra cycles when the detector fires.
         workers: Worker processes in the pool.
-        shard_policy: ``round_robin`` | ``least_loaded`` | ``hash``
-            (operand-hash affinity).
         max_batch_ops: Max additions coalesced into one wire batch.
         worker_queue_ops: Bound on additions backlogged per worker
             (queued + on the wire); beyond it submissions are rejected
-            — the PR 2 backpressure-by-rejection semantics.
+            — backpressure by rejection.
         wire_inflight: Wire batches a worker may have outstanding
             (pipelining depth: the worker computes batch k while the
             router packs batch k+1).
@@ -53,9 +48,6 @@ class ClusterConfig:
             once and dies keeps escalating its backoff.
         redirect_limit: Times one request may be redirected to another
             worker after failures before it errors out.
-        degraded_mode: ``"exact"`` serves in-process exact (carry-
-            complete, non-speculative) additions while zero workers are
-            live; ``"error"`` fails submissions instead.
         start_method: multiprocessing start method (default: the
             ``REPRO_MP_START`` env var, else ``spawn`` — fork is faster
             to boot but copies the router's event loop and every open
@@ -67,7 +59,6 @@ class ClusterConfig:
     family: str = "aca"
     recovery_cycles: int = 1
     workers: int = 2
-    shard_policy: str = "round_robin"
     max_batch_ops: int = 8192
     worker_queue_ops: int = 65536
     wire_inflight: int = 2
@@ -77,7 +68,6 @@ class ClusterConfig:
     restart_backoff_max: float = 5.0
     healthy_after: float = 1.0
     redirect_limit: int = 3
-    degraded_mode: str = "exact"
     start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -88,16 +78,10 @@ class ClusterConfig:
         self.window = fam.primary_value(self.width, params)
         if self.workers < 1:
             raise ValueError("a cluster needs at least one worker")
-        if self.shard_policy not in SHARD_POLICY_NAMES:
-            raise ValueError(f"unknown shard policy "
-                             f"{self.shard_policy!r}; expected one of "
-                             f"{SHARD_POLICY_NAMES}")
         if self.max_batch_ops < 1 or self.worker_queue_ops < 1:
             raise ValueError("batch/queue bounds must be positive")
         if self.wire_inflight < 1:
             raise ValueError("wire_inflight must be at least 1")
-        if self.degraded_mode not in ("exact", "error"):
-            raise ValueError("degraded_mode must be 'exact' or 'error'")
 
     def reconfigure(self, window: Optional[int] = None,
                     family: Optional[str] = None,

@@ -98,7 +98,7 @@ _shared: Optional[Tuple[Tuple, SyncCluster]] = None
 
 def _key(cfg: ClusterConfig) -> Tuple:
     return (cfg.width, cfg.window, cfg.recovery_cycles, cfg.workers,
-            cfg.shard_policy, cfg.family)
+            cfg.family)
 
 
 def shared_cluster(cfg: Optional[ClusterConfig] = None,

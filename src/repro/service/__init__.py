@@ -4,6 +4,10 @@ The serving layer treats the variable-latency adder the way the paper's
 analysis suggests it should be used — as a shared accelerator whose
 *average* service time wins even though its worst case loses:
 
+* :class:`VlsaFrontEnd` — the request contract (admission with retry,
+  timeout and cancellation, the shared metrics, batch resolution) that
+  :class:`VlsaService` and :class:`~repro.cluster.ClusterRouter` both
+  subclass.
 * :class:`VlsaService` — bounded admission queue (backpressure by
   rejection, never unbounded buffering), a dynamic micro-batcher that
   coalesces pending requests into single executor batches, per-request
@@ -50,7 +54,8 @@ _LAZY, __getattr__, __dir__ = lazy_exports(__name__, {
     ".server": ("VlsaServer", "serve_tcp"),
     ".service": ("AddResponse", "BatchResponse", "RequestTimeoutError",
                  "ServiceClosedError", "ServiceError",
-                 "ServiceOverloadedError", "VlsaService"),
+                 "ServiceOverloadedError", "VlsaFrontEnd",
+                 "VlsaService"),
     ".tracing": ("TraceEvent", "Tracer"),
 })
 
@@ -70,6 +75,7 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "VlsaBatchExecutor",
+    "VlsaFrontEnd",
     "VlsaServer",
     "VlsaService",
     "WORKLOADS",

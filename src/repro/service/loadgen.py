@@ -59,7 +59,9 @@ WORKLOADS = ("uniform", "biased", "adversarial", "attack", "mixed",
 # full-width chains are maximally correlated by design.
 DRIFT_ADVERSARIAL_P = 1.0 - 0.5 ** 3
 
-PairChunk = List[Tuple[int, int]]
+#: One chunk of operand pairs: an ``(n, 2)`` lane array, ``uint64`` at
+#: widths up to 64 and ``dtype=object`` Python ints above.
+PairChunk = np.ndarray
 
 
 def _uniform_words(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -72,22 +74,20 @@ def _chunk_uniform(rng: np.random.Generator, width: int,
     mask = (1 << width) - 1
     if width <= 64:
         word_mask = np.uint64(mask)
-        a = (_uniform_words(rng, n) & word_mask).tolist()
-        b = (_uniform_words(rng, n) & word_mask).tolist()
-        return list(zip(a, b))
+        a = _uniform_words(rng, n) & word_mask
+        b = _uniform_words(rng, n) & word_mask
+        return np.stack([a, b], axis=1)
     words = (width + 63) // 64
-    a_parts = [p.tolist() for p in
-               (_uniform_words(rng, n) for _ in range(words))]
-    b_parts = [p.tolist() for p in
-               (_uniform_words(rng, n) for _ in range(words))]
 
-    def glue(parts, i):
-        value = 0
-        for w, part in enumerate(parts):
-            value |= part[i] << (64 * w)
+    def glue() -> np.ndarray:
+        # Little-endian 64-bit limbs, drawn in order, as Python ints.
+        value = np.zeros(n, dtype=object)
+        for w in range(words):
+            value |= _uniform_words(rng, n).astype(object) << (64 * w)
         return value & mask
 
-    return [(glue(a_parts, i), glue(b_parts, i)) for i in range(n)]
+    a = glue()
+    return np.stack([a, glue()], axis=1)
 
 
 def _bias_combine(rng: np.random.Generator, n: int,
@@ -173,8 +173,8 @@ def make_workload(name: str, width: int, window: int, ops: int,
                 n = min(chunk, ops - done)
                 a_words, _ = _bias_combine(rng, n, alpha)
                 b_words, _ = _bias_combine(rng, n, alpha)
-                yield list(zip((a_words & word_mask).tolist(),
-                               (b_words & word_mask).tolist()))
+                yield np.stack([a_words & word_mask, b_words & word_mask],
+                               axis=1)
                 done += n
         if width > 64:
             raise ValueError("biased workload supports widths up to 64")
@@ -187,16 +187,14 @@ def make_workload(name: str, width: int, window: int, ops: int,
     if name == "adversarial":
         def gen_adv() -> Iterator[PairChunk]:
             mask = (1 << width) - 1
+            dtype = np.uint64 if width <= 64 else object
             done = 0
             while done < ops:
                 n = min(chunk, ops - done)
-                out: PairChunk = []
-                for _ in range(n):
-                    # 0111…1 + 1: a full-width propagate chain fed by a
-                    # generate at bit 0 — detector fires, recovery runs.
-                    noise = int(rng.integers(0, 4))
-                    out.append(((mask >> 1) ^ noise, 1 | noise))
-                yield out
+                # 0111…1 + 1: a full-width propagate chain fed by a
+                # generate at bit 0 — detector fires, recovery runs.
+                noise = rng.integers(0, 4, size=n).astype(dtype)
+                yield np.stack([(mask >> 1) ^ noise, 1 | noise], axis=1)
                 done += n
         return Workload(name, width, gen_adv(), 1.0)
 
@@ -212,9 +210,7 @@ def make_workload(name: str, width: int, window: int, ops: int,
             while done < ops:
                 n = min(chunk, ops - done)
                 pairs = _chunk_uniform(rng, width, n)
-                hits = rng.random(n) < frac
-                pairs = [((mask >> 1, 1) if hits[i] else pairs[i])
-                         for i in range(n)]
+                pairs[rng.random(n) < frac] = (mask >> 1, 1)
                 yield pairs
                 done += n
         return Workload(name, width, gen_mixed(), analytic,
@@ -252,7 +248,7 @@ def make_workload(name: str, width: int, window: int, ops: int,
                     p_mask |= _uniform_words(rng, n)
                 a_words = _uniform_words(rng, n) & word_mask
                 b_words = (a_words ^ p_mask) & word_mask
-                yield list(zip(a_words.tolist(), b_words.tolist()))
+                yield np.stack([a_words, b_words], axis=1)
                 done += n
 
         def gen_drift() -> Iterator[PairChunk]:
@@ -297,12 +293,12 @@ def _capture_attack_pairs(ops: int,
 
     Runs :func:`repro.apps.attack.run_attack` on a small corpus with a
     recording adder; repeats (with fresh keys) until *ops* pairs are
-    captured.
+    captured.  Returns them as an ``(ops, 2)`` uint64 array.
     """
     from ..apps.attack import run_attack
     from ..apps.blockcipher import ArxCipher, exact_adder
 
-    captured: PairChunk = []
+    captured: List[Tuple[int, int]] = []
     while len(captured) < ops:
         key = int(rng.integers(0, 1 << 16))
         cipher = ArxCipher(key, rounds=4)
@@ -318,7 +314,7 @@ def _capture_attack_pairs(ops: int,
                       (key + 7) & 0xFFFF]
         run_attack(ciphertext, key, candidates, adder=recording_adder,
                    rounds=4)
-    return captured[:ops]
+    return np.array(captured[:ops], dtype=np.uint64).reshape(-1, 2)
 
 
 @dataclass
@@ -426,9 +422,8 @@ async def _drive_tcp(host: str, port: int, workload: Workload,
                         chunk = next(chunk_iter)
                     except StopIteration:
                         return
-                request = (json.dumps(
-                    {"pairs": [[int(a), int(b)] for a, b in chunk]})
-                    .encode() + b"\n")
+                request = (json.dumps({"pairs": chunk.tolist()}).encode()
+                           + b"\n")
                 for attempt in range(retries + 1):
                     t0 = time.perf_counter()
                     writer.write(request)
@@ -492,7 +487,6 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
                 alpha: float = 0.75, adversarial_fraction: float = 0.1,
                 timeout: Optional[float] = 30.0, retries: int = 8,
                 target: str = "service", workers: int = 2,
-                shard_policy: str = "round_robin",
                 connect: Optional[Tuple[str, int]] = None,
                 ctx: Optional[RunContext] = None,
                 registry: Optional[MetricsRegistry] = None
@@ -508,9 +502,9 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
             :class:`~repro.service.server.VlsaServer`: self-hosted over
             a cluster/service when *connect* is None, else an external
             already-running server at ``connect=(host, port)``).
-        workers, shard_policy: Cluster pool size / shard policy
-            (cluster-backed targets only; ``workers=0`` under
-            ``target="tcp"`` self-hosts a plain in-process service).
+        workers: Cluster pool size (cluster-backed targets only;
+            ``workers=0`` under ``target="tcp"`` self-hosts a plain
+            in-process service).
         connect: ``(host, port)`` of an external server
             (``target="tcp"`` only); the report is then built from the
             clients' own vantage point plus an ``info`` probe.
@@ -533,13 +527,14 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
             adversarial_fraction=adversarial_fraction, timeout=timeout,
             retries=retries, connect=connect, ctx=ctx)
     serve_tcp = target == "tcp"
-    if target == "cluster" or (serve_tcp and workers > 0):
+    is_cluster = target == "cluster" or (serve_tcp and workers > 0)
+    if is_cluster:
         from ..cluster import ClusterConfig, ClusterRouter
 
         cfg = ClusterConfig(
             width=width, window=window,
             recovery_cycles=recovery_cycles, workers=workers,
-            shard_policy=shard_policy, max_batch_ops=max_batch_ops,
+            max_batch_ops=max_batch_ops,
             worker_queue_ops=max(queue_capacity, 1) * max(chunk, 1))
         service = ClusterRouter(cfg, ctx=ctx, registry=registry)
     elif target == "service" or serve_tcp:
@@ -551,7 +546,6 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
     else:
         raise ValueError(f"unknown loadgen target {target!r}; "
                          f"expected 'service', 'cluster' or 'tcp'")
-    is_cluster = hasattr(service, "supervisor")
     wl = make_workload(workload, service.width, service.window, ops,
                        chunk=chunk, alpha=alpha,
                        adversarial_fraction=adversarial_fraction, ctx=ctx,
@@ -573,8 +567,7 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
                                  tcp_stats)
                 return time.perf_counter() - t0
         async with service:
-            if is_cluster:
-                await service.wait_ready()
+            await service.wait_ready()
             t0 = time.perf_counter()
             await _drive(service, wl, concurrency, timeout, retries)
             return time.perf_counter() - t0
@@ -622,7 +615,6 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
         report.params.update({
             "target": target,
             "workers": workers,
-            "shard_policy": shard_policy,
             "worker_restarts": service.supervisor.m_restarts.value,
             "worker_failures": service.supervisor.m_failures.value,
             "degraded_requests": service.m_degraded.value,

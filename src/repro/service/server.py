@@ -1,7 +1,9 @@
 """TCP front-end: newline-delimited JSON over asyncio streams.
 
-A thin network face for :class:`~repro.service.VlsaService`, stdlib
-plus numpy.  One JSON object per line in, one per line out:
+A thin network face for a :class:`~repro.service.service.VlsaFrontEnd`
+(an in-process :class:`~repro.service.VlsaService` or a
+:class:`~repro.cluster.ClusterRouter`), stdlib plus numpy.  One JSON
+object per line in, one per line out:
 
 * ``{"a": 123, "b": 456}`` (optional ``"id"``, echoed back) →
   ``{"id": ..., "sum": 579, "cout": 0, "stalled": false,
@@ -17,6 +19,10 @@ plus numpy.  One JSON object per line in, one per line out:
 * malformed input / overload / timeout → ``{"id": ..., "error": "..."}``
   with a machine-readable ``code``; a line over :data:`LINE_LIMIT`
   (64 KiB) gets ``code: "too_large"`` and its connection is closed.
+  A failed submission is answered by the type of its exception
+  (``overloaded``, ``timeout``, ``closed``, any other serving-layer
+  error ``unavailable``, anything else ``internal``) and the
+  connection stays open.
 
 The batch verb has a hot path.  A line written exactly as
 ``json.dumps({"id": <int>, "pairs": [[a, b], ...]})`` writes it, with
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import re
 from typing import Any, Optional, Tuple
 
@@ -55,12 +62,15 @@ from .service import (
     BatchResponse,
     RequestTimeoutError,
     ServiceClosedError,
+    ServiceError,
     ServiceOverloadedError,
-    VlsaService,
+    VlsaFrontEnd,
 )
 
 __all__ = ["VlsaServer", "serve_tcp", "install_uvloop", "LINE_LIMIT",
            "parse_pairs_line", "render_batch_reply"]
+
+log = logging.getLogger(__name__)
 
 #: Longest request line the edge reads, in bytes (asyncio's stream
 #: limit).  A 1024-pair request of 64-bit operands (~46 KB) fits.
@@ -165,6 +175,26 @@ def _reply(obj: dict) -> bytes:
     return json.dumps(obj).encode() + b"\n"
 
 
+#: Reply codes of failed submissions, by exception type; the first
+#: match wins.
+_ERROR_CODES = ((ServiceOverloadedError, "overloaded"),
+                (RequestTimeoutError, "timeout"),
+                (ServiceClosedError, "closed"),
+                (ServiceError, "unavailable"))
+
+
+def _error_reply(req_id: Any, exc: Exception) -> bytes:
+    """The reply to a submission that raised *exc*, coded by its type;
+    an unexpected exception is ``internal`` and logged with its
+    traceback."""
+    code = next((code for cls, code in _ERROR_CODES
+                 if isinstance(exc, cls)), "internal")
+    if code == "internal":
+        log.error("request %r failed", req_id, exc_info=exc)
+    return _reply({"id": req_id, "error": str(exc) or repr(exc),
+                   "code": code})
+
+
 def install_uvloop() -> bool:
     """Adopt uvloop's event-loop policy when available.
 
@@ -181,19 +211,18 @@ def install_uvloop() -> bool:
 
 
 class VlsaServer:
-    """Serves a :class:`VlsaService` over TCP as JSON lines.
-
-    Any object with the service's submission surface works — in
-    particular a :class:`~repro.cluster.ClusterRouter`, which makes
-    this the cluster's network front end too.
+    """Serves a :class:`~repro.service.service.VlsaFrontEnd` over TCP as
+    JSON lines: a :class:`VlsaService`, or a
+    :class:`~repro.cluster.ClusterRouter`, which makes this the
+    cluster's network front end too.
 
     Args:
-        service: The (started or not-yet-started) service to expose.
+        service: The (started or not-yet-started) front end to expose.
         host, port: Bind address (``port=0`` picks a free port).
         request_timeout: Per-request deadline passed to ``submit``.
     """
 
-    def __init__(self, service: VlsaService, host: str = "127.0.0.1",
+    def __init__(self, service: VlsaFrontEnd, host: str = "127.0.0.1",
                  port: int = 0, request_timeout: Optional[float] = 30.0):
         self.service = service
         self.host = host
@@ -213,9 +242,7 @@ class VlsaServer:
     async def start(self) -> "VlsaServer":
         """Start the service (if needed) and begin listening."""
         await self.service.start()
-        wait_ready = getattr(self.service, "wait_ready", None)
-        if wait_ready is not None:  # cluster fronts wait for the pool
-            await wait_ready()
+        await self.service.wait_ready()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port, limit=LINE_LIMIT)
         self.port = self.address[1]
@@ -327,14 +354,8 @@ class VlsaServer:
         try:
             resp = await self.service.submit(
                 a, b, timeout=self.request_timeout)
-        except ServiceOverloadedError as exc:
-            return _reply({"id": req_id, "error": str(exc),
-                           "code": "overloaded"})
-        except RequestTimeoutError as exc:
-            return _reply({"id": req_id, "error": str(exc),
-                           "code": "timeout"})
-        except ServiceClosedError as exc:
-            return _reply({"id": req_id, "error": str(exc), "code": "closed"})
+        except Exception as exc:
+            return _error_reply(req_id, exc)
         return _reply({"id": req_id, "sum": resp.sum_out, "cout": resp.cout,
                        "stalled": resp.stalled,
                        "latency_cycles": resp.latency_cycles,
@@ -345,18 +366,12 @@ class VlsaServer:
         try:
             resp = await self.service.submit_batch(
                 pairs, timeout=self.request_timeout)
-        except ServiceOverloadedError as exc:
-            return _reply({"id": req_id, "error": str(exc),
-                           "code": "overloaded"})
-        except RequestTimeoutError as exc:
-            return _reply({"id": req_id, "error": str(exc),
-                           "code": "timeout"})
-        except ServiceClosedError as exc:
-            return _reply({"id": req_id, "error": str(exc), "code": "closed"})
+        except Exception as exc:
+            return _error_reply(req_id, exc)
         return render_batch_reply(req_id, resp)
 
 
-async def serve_tcp(service: VlsaService, host: str = "127.0.0.1",
+async def serve_tcp(service: VlsaFrontEnd, host: str = "127.0.0.1",
                     port: int = 0,
                     duration: Optional[float] = None) -> VlsaServer:
     """Run a :class:`VlsaServer` until *duration* elapses (or forever).

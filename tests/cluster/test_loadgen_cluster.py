@@ -44,13 +44,6 @@ def test_cluster_target_other_workloads(workload):
         assert report.stall_rate == 1.0
 
 
-def test_cluster_target_shard_policies():
-    for policy in ("least_loaded", "hash"):
-        report = _cluster_report("uniform", 2000, shard_policy=policy)
-        assert report.ops == 2000
-        assert report.params["shard_policy"] == policy
-
-
 def test_unknown_target_rejected():
     with pytest.raises(ValueError):
         run_loadgen("uniform", ops=10, target="mainframe")

@@ -1,5 +1,8 @@
 """Load generator: workloads, analytic agreement, reporting."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -97,7 +100,59 @@ def test_workload_streams_are_seeded():
     def chunks(seed):
         rng = np.random.default_rng(seed)
         wl = make_workload("uniform", 64, 18, 512, chunk=256, rng=rng)
-        return [pair for chunk in wl.chunks for pair in chunk]
+        return [pair for chunk in wl.chunks for pair in chunk.tolist()]
 
     assert chunks(0) == chunks(0)
     assert chunks(0) != chunks(1)
+
+
+#: SHA-256 prefixes of each stream's chunks as JSON (1000 ops in chunks
+#: of 300, window 8), recorded from the generators that built Python
+#: pairs: the array streams must replay the same pairs in the same
+#: chunks for every seed.
+STREAM_DIGESTS = {
+    "uniform-64-0": "7f597b89ae3ef7fe",
+    "uniform-64-1": "9c687fbe729c35df",
+    "uniform-64-2": "d00680226ea178ef",
+    "biased-64-0": "9de58391caa153b6",
+    "biased-64-1": "6a02ef9afae16dd9",
+    "biased-64-2": "d58e8715e5e2ca9d",
+    "adversarial-64-0": "73f09cd639659b90",
+    "adversarial-64-1": "7918c3cc7243afa1",
+    "adversarial-64-2": "3a2d66940d729ee9",
+    "mixed-64-0": "ed8eff243179f9a7",
+    "mixed-64-1": "9020c792ce438de3",
+    "mixed-64-2": "fc458844d244b230",
+    "drift-64-0": "a3481b5bbe894777",
+    "drift-64-1": "ff8b59d911d81219",
+    "drift-64-2": "d91406c93c674aa5",
+    "attack-32-0": "7d9e3e58ae5be466",
+    "attack-32-1": "969ee35e0b69ac6f",
+    "attack-32-2": "b9f2d0c1c26fc483",
+    "uniform-96-0": "1266d5e60eaa5bae",
+    "uniform-96-1": "0b48ecff794d9e92",
+    "uniform-96-2": "17620841104a9c67",
+    "adversarial-96-0": "2e91abaa26129be4",
+    "adversarial-96-1": "990c1ed34dfcd09e",
+    "adversarial-96-2": "26eb11bc86d4a451",
+    "mixed-96-0": "0fba64979128c7b6",
+    "mixed-96-1": "3a297f3af1fac951",
+    "mixed-96-2": "8e37531edf280505",
+}
+
+
+@pytest.mark.parametrize("name,width", sorted({
+    tuple(key.rsplit("-", 2)[:2]) for key in STREAM_DIGESTS}))
+def test_workload_streams_yield_arrays_of_the_recorded_pairs(name, width):
+    width = int(width)
+    for seed in range(3):
+        wl = make_workload(name, width, 8, 1000, chunk=300,
+                           rng=np.random.default_rng(seed))
+        chunks = list(wl.chunks)
+        for chunk in chunks:
+            assert isinstance(chunk, np.ndarray)
+            assert chunk.dtype == (np.uint64 if width <= 64 else object)
+            assert chunk.ndim == 2 and chunk.shape[1] == 2
+        text = json.dumps([chunk.tolist() for chunk in chunks])
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == STREAM_DIGESTS[f"{name}-{width}-{seed}"]

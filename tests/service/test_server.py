@@ -3,7 +3,7 @@
 import asyncio
 import json
 
-from repro.service import VlsaServer, VlsaService
+from repro.service import ServiceError, VlsaServer, VlsaService
 
 
 async def _roundtrip(server, messages):
@@ -143,3 +143,53 @@ def test_multiple_connections_share_the_service():
     assert rb[0]["sum"] == 7
     assert metrics["ops_total"]["value"] == 2
     assert metrics["connections_total"]["value"] == 3
+
+
+class _UnavailableService(VlsaService):
+    """Every submission fails the way a request that exhausted its
+    cluster redirects does: with a plain :class:`ServiceError`."""
+
+    async def submit(self, a, b, **kwargs):
+        raise ServiceError("request redirected 3 times without an answer")
+
+    async def submit_batch(self, pairs, **kwargs):
+        raise ServiceError("request redirected 3 times without an answer")
+
+
+def test_plain_service_error_is_unavailable_and_connection_stays():
+    async def main():
+        async with VlsaServer(_UnavailableService(width=64),
+                              port=0) as server:
+            return await _roundtrip(server, [
+                {"id": 1, "a": 1, "b": 2},
+                {"id": 2, "pairs": [[1, 2]]},
+                b'{"id": 3, "pairs": [[1, 2]], "x": 0}',
+                {"cmd": "info"},
+            ])
+    replies = asyncio.run(main())
+    assert [r.get("code") for r in replies[:3]] == ["unavailable"] * 3
+    assert [r["id"] for r in replies[:3]] == [1, 2, 3]
+    assert "redirected" in replies[0]["error"]
+    assert replies[3]["width"] == 64
+
+
+def test_raising_executor_is_internal_and_connection_stays():
+    async def main():
+        service = VlsaService(width=64)
+
+        def broken(pairs):
+            raise RuntimeError("kernel fault")
+
+        service.executor.execute = broken
+        async with VlsaServer(service, port=0) as server:
+            replies = await _roundtrip(server, [
+                {"id": 1, "a": 1, "b": 2},
+                {"id": 2, "pairs": [[1, 2], [3, 4]]},
+                {"cmd": "info"},
+            ])
+        return replies, service
+    replies, service = asyncio.run(main())
+    assert [r.get("code") for r in replies[:2]] == ["internal"] * 2
+    assert "kernel fault" in replies[0]["error"]
+    assert replies[2]["backend"] == "local"
+    assert service.m_batch_failures.value == 2
