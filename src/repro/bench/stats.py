@@ -9,15 +9,17 @@ distribution?).  This module provides the three pieces the comparator
 uses:
 
 * :func:`bootstrap_ci` — seeded percentile-bootstrap confidence
-  interval for the mean of a sample set (no normality assumption).
+  interval for the mean (or another statistic, such as the median) of
+  a sample set (no normality assumption).
 * :func:`mann_whitney_u` — the rank-sum test.  Exact null
   distribution for the small tie-free sample counts benchmarks
   produce, normal approximation with tie correction otherwise.
 * :func:`classify` — the verdict function: ``improved`` /
   ``unchanged`` / ``regressed``.  A benchmark is only flagged when the
   median shift exceeds the threshold AND the U test rejects the null
-  AND the bootstrap CIs are disjoint — so ±3 % scheduler jitter never
-  fires while a real 20 % slowdown always does.
+  AND the bootstrap CIs of the medians are disjoint — so ±3 % scheduler
+  jitter never fires while a real 20 % slowdown always does, and one
+  oversleep outlier cannot hide a real shift.
 
 Everything here is pure python + math (no scipy), deterministic, and
 usable on sample sets as small as three measurements.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "VERDICT_IMPROVED",
@@ -65,10 +67,17 @@ def median(xs: Sequence[float]) -> float:
     return (s[mid - 1] + s[mid]) / 2.0
 
 
+def _mean(xs: Sequence[float]) -> float:
+    return sum(xs) / len(xs)
+
+
 def bootstrap_ci(samples: Sequence[float], confidence: float = 0.95,
                  resamples: int = DEFAULT_RESAMPLES,
-                 seed: int = 0) -> Tuple[float, float]:
-    """Percentile-bootstrap CI for the mean of *samples*.
+                 seed: int = 0,
+                 statistic: Callable[[Sequence[float]], float] = _mean
+                 ) -> Tuple[float, float]:
+    """Percentile-bootstrap CI for *statistic* (default: the mean) of
+    *samples*.
 
     Deterministic for a given *seed*; a single-sample set collapses to
     a zero-width interval at that value.
@@ -80,14 +89,14 @@ def bootstrap_ci(samples: Sequence[float], confidence: float = 0.95,
         return xs[0], xs[0]
     rng = random.Random(seed)
     n = len(xs)
-    means = sorted(
-        sum(rng.choice(xs) for _ in range(n)) / n
+    stats = sorted(
+        statistic([rng.choice(xs) for _ in range(n)])
         for _ in range(resamples))
     tail = (1.0 - confidence) / 2.0
     lo_idx = min(resamples - 1, max(0, int(math.floor(tail * resamples))))
     hi_idx = min(resamples - 1,
                  max(0, int(math.ceil((1.0 - tail) * resamples)) - 1))
-    return means[lo_idx], means[hi_idx]
+    return stats[lo_idx], stats[hi_idx]
 
 
 def _exact_u_sf(u: float, n: int, m: int) -> float:
@@ -227,8 +236,9 @@ def classify(baseline: Sequence[float], current: Sequence[float],
 
     1. the median shift exceeds *threshold* (effect size),
     2. the Mann-Whitney U test rejects at *alpha* (distribution shift),
-    3. the bootstrap 95 % CIs of the means are disjoint (the shift
-       survives resampling).
+    3. the bootstrap 95 % CIs of the medians are disjoint (the shift
+       survives resampling; one outlier sample moves a mean's CI far
+       more than a median's).
 
     Anything less decisive is ``unchanged`` — in particular
     ``classify(a, a)`` is always ``unchanged`` for any sample set.
@@ -240,8 +250,10 @@ def classify(baseline: Sequence[float], current: Sequence[float],
     else:
         effect = cur_med / base_med - 1.0
     _, p = mann_whitney_u(current, baseline)
-    base_ci = bootstrap_ci(baseline, resamples=resamples, seed=seed)
-    cur_ci = bootstrap_ci(current, resamples=resamples, seed=seed + 1)
+    base_ci = bootstrap_ci(baseline, resamples=resamples, seed=seed,
+                           statistic=median)
+    cur_ci = bootstrap_ci(current, resamples=resamples, seed=seed + 1,
+                          statistic=median)
     disjoint = _cis_disjoint(*base_ci, *cur_ci)
 
     verdict = VERDICT_UNCHANGED

@@ -42,25 +42,22 @@ class GateSpec:
 # array operands are shared with the caller's stimulus and other nets, and
 # in-place updates would silently corrupt them.
 
-def _eval_and(mask, *xs):
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = acc & x
-    return acc
+def _eval_and(mask, x, *xs):
+    for y in xs:
+        x = x & y
+    return x
 
 
-def _eval_or(mask, *xs):
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = acc | x
-    return acc
+def _eval_or(mask, x, *xs):
+    for y in xs:
+        x = x | y
+    return x
 
 
-def _eval_xor(mask, *xs):
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = acc ^ x
-    return acc
+def _eval_xor(mask, x, *xs):
+    for y in xs:
+        x = x ^ y
+    return x
 
 
 def _eval_nand(mask, *xs):

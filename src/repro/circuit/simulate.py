@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .gates import GATE_SPECS, is_input_op  # noqa: F401  (re-export compat)
+from .gates import GATE_SPECS, INPUT_OPS, is_input_op  # noqa: F401  (re-export compat)
 from .netlist import Circuit, CircuitError
 
 __all__ = [
@@ -41,6 +41,10 @@ __all__ = [
 Word = Union[int, np.ndarray]
 
 _ZERO = ord("0")
+
+#: Gate op -> bitwise evaluator, the interpreter's one dispatch table.
+_EVALUATE = {op: spec.evaluate for op, spec in GATE_SPECS.items()}
+_SOURCE_OPS = frozenset(INPUT_OPS)
 
 
 def int_to_bus(value: int, width: int) -> List[int]:
@@ -140,9 +144,17 @@ def simulate_interpreted(circuit: Circuit,
                          ) -> Dict[str, List[Word]]:
     """Reference per-gate interpreter (the pre-engine ``simulate``).
 
-    Walks the net list with Python-level dispatch on every gate.  Kept
-    as the differential-testing oracle for the compiled engine and as
-    the benchmark baseline; new code should call :func:`simulate`.
+    Walks :meth:`~repro.circuit.netlist.Circuit.topological_nets` and
+    calls each gate's :data:`~repro.circuit.gates.GATE_SPECS` evaluator
+    on its fanins' words; it shares no lowering, slot allocation or
+    fusion with the compiled engine, which is why it is the
+    differential-testing oracle for :func:`simulate` (and the
+    ``interpreter`` row of ``repro verify``).  The loop is kept lean:
+    one source-op test per net, evaluators looked up in one
+    module-level dict, and 1-, 2- and 3-fanin operands passed
+    positionally.  Words are Python ints (*num_vectors* required) or
+    numpy arrays of one dtype and shape; new code should call
+    :func:`simulate`.
     """
     values: List[Optional[Word]] = [None] * len(circuit.nets)
     mask: Optional[Word] = None
@@ -161,22 +173,33 @@ def simulate_interpreted(circuit: Circuit,
     if mask is None:
         mask = _mask_for(0, num_vectors)
 
+    evaluate = _EVALUATE
     for net in circuit.topological_nets():
         op = net.op
-        if op == "INPUT":
-            if values[net.nid] is None:
-                raise CircuitError(
-                    f"input net {net.name!r} received no stimulus")
+        fanins = net.fanins
+        if op in _SOURCE_OPS:
+            if op == "INPUT":
+                if values[net.nid] is None:
+                    raise CircuitError(
+                        f"input net {net.name!r} received no stimulus")
+            elif op == "CONST0":
+                values[net.nid] = _zeros_like(mask)
+            else:
+                values[net.nid] = _copy(mask)
             continue
-        if op == "CONST0":
-            values[net.nid] = _zeros_like(mask)
-            continue
-        if op == "CONST1":
-            values[net.nid] = _copy(mask)
-            continue
-        spec = GATE_SPECS[op]
-        operands = [values[f] for f in net.fanins]
-        values[net.nid] = spec.evaluate(mask, *operands)
+        k = len(fanins)
+        if k == 2:
+            a, b = fanins
+            values[net.nid] = evaluate[op](mask, values[a], values[b])
+        elif k == 3:
+            a, b, c = fanins
+            values[net.nid] = evaluate[op](mask, values[a], values[b],
+                                           values[c])
+        elif k == 1:
+            values[net.nid] = evaluate[op](mask, values[fanins[0]])
+        else:
+            values[net.nid] = evaluate[op](mask,
+                                           *map(values.__getitem__, fanins))
 
     return {
         name: [values[nid] for nid in bus]

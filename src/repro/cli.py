@@ -184,8 +184,9 @@ def _strict_problems(report, args) -> List[str]:
         problems.append(f"served {report.ops} of {args.ops} requested ops")
     if report.rejected:
         problems.append(f"{report.rejected} rejected submissions")
-    if report.timeouts:
-        problems.append(f"{report.timeouts} request timeouts")
+    for code, count in report.errors.items():
+        if count:
+            problems.append(f"{count} {code!r} error replies")
     for key in ("worker_restarts", "worker_failures", "degraded_requests",
                 "redirected_requests", "failed_requests"):
         value = report.params.get(key, 0)

@@ -45,11 +45,16 @@ from ..families import get_family
 from .metrics import MetricsRegistry
 from .service import VlsaService
 
-__all__ = ["WORKLOADS", "LoadgenReport", "make_workload", "run_loadgen",
-           "capture_attack_pairs"]
+__all__ = ["WORKLOADS", "ERROR_CODES", "LoadgenReport", "make_workload",
+           "run_loadgen", "capture_attack_pairs"]
 
 WORKLOADS = ("uniform", "biased", "adversarial", "attack", "mixed",
              "drift")
+
+#: Error-reply codes a served request can end with, ``overloaded``
+#: aside (that one is retried, then counted as ``rejected``).
+ERROR_CODES = ("timeout", "closed", "unavailable", "internal",
+               "bad_request")
 
 # Per-bit propagate probability of the drift workload's final phase:
 # i.i.d. propagate-heavy bits (OR of 3 uniform words selects the
@@ -317,9 +322,18 @@ def _capture_attack_pairs(ops: int,
     return np.array(captured[:ops], dtype=np.uint64).reshape(-1, 2)
 
 
+def _no_errors() -> Dict[str, int]:
+    return dict.fromkeys(ERROR_CODES, 0)
+
+
 @dataclass
 class LoadgenReport:
-    """Aggregate outcome of one load-generation run."""
+    """Aggregate outcome of one load-generation run.
+
+    ``errors`` counts failed requests by reply code, one counter per
+    :data:`ERROR_CODES` entry (plus any code a server sends outside
+    it); ``timeouts`` is its ``"timeout"`` count.
+    """
 
     workload: str
     width: int
@@ -343,6 +357,7 @@ class LoadgenReport:
     p99_wall_ms: float
     metrics: Dict[str, Any] = field(default_factory=dict)
     params: Dict[str, Any] = field(default_factory=dict)
+    errors: Dict[str, int] = field(default_factory=_no_errors)
 
     def as_dict(self) -> Dict[str, Any]:
         out = dict(self.__dict__)
@@ -372,6 +387,8 @@ class LoadgenReport:
             f"p95={self.p95_wall_ms:.3f} p99={self.p99_wall_ms:.3f}",
             f"  rejected/timeouts    {self.rejected}/{self.timeouts}"
             f"  (retries {self.retries})",
+            "  error replies        " + " ".join(
+                f"{code}={count}" for code, count in self.errors.items()),
             f"  queue depth peak     {self.queue_depth_peak:.0f}",
         ]
         if self.params:
@@ -406,7 +423,9 @@ async def _drive_tcp(host: str, port: int, workload: Workload,
     Each client opens its own TCP connection and submits chunks with
     the batch verb (``{"pairs": [...]}``); ``overloaded`` replies are
     retried with exponential backoff up to *retries* times, mirroring
-    the in-process clients' ``submit_batch(retries=...)`` contract.
+    the in-process clients' ``submit_batch(retries=...)`` contract, and
+    every other error reply is counted under its code in
+    ``stats["errors"]``.
     Client-observed request wall times and reply-derived totals land in
     *stats* — the only vantage point an external target offers.
     """
@@ -448,8 +467,11 @@ async def _drive_tcp(host: str, port: int, workload: Workload,
                         stats["retries"] += 1
                         await asyncio.sleep(0.005 * (1 << attempt))
                         continue
-                    stats["rejected" if code == "overloaded"
-                          else "timeouts"] += 1
+                    if code == "overloaded":
+                        stats["rejected"] += 1
+                    else:
+                        errors = stats["errors"]
+                        errors[code] = errors.get(code, 0) + 1
                     break
         finally:
             writer.close()
@@ -459,6 +481,13 @@ async def _drive_tcp(host: str, port: int, workload: Workload,
                 pass
 
     await asyncio.gather(*(client() for _ in range(concurrency)))
+
+
+def _tcp_stats() -> Dict[str, Any]:
+    """Fresh client-side tallies for :func:`_drive_tcp`."""
+    return {"ops": 0, "stalls": 0, "latency_sum": 0, "retries": 0,
+            "rejected": 0, "errors": _no_errors(), "walls": [],
+            "last_accept_cycle": 0}
 
 
 async def _tcp_info(host: str, port: int) -> Dict[str, Any]:
@@ -551,15 +580,14 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
                        adversarial_fraction=adversarial_fraction, ctx=ctx,
                        family=service.family)
 
+    tcp_stats = _tcp_stats()
+
     async def main() -> float:
         if serve_tcp:
             from .server import VlsaServer
 
             server = VlsaServer(service, host="127.0.0.1", port=0,
                                 request_timeout=timeout)
-            tcp_stats = {"ops": 0, "stalls": 0, "latency_sum": 0,
-                         "retries": 0, "rejected": 0, "timeouts": 0,
-                         "walls": [], "last_accept_cycle": 0}
             async with server:
                 t0 = time.perf_counter()
                 await _drive_tcp("127.0.0.1", server.port, wl,
@@ -586,6 +614,10 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
         None if analytic_stall is None
         else expected_latency_cycles(analytic_stall, recovery_cycles))
     wall_hist = service.h_wall
+    # Over TCP the clients see every error reply; in process a failed
+    # submission raises, except for timeouts, which the service counts.
+    errors = (tcp_stats["errors"] if serve_tcp else
+              {**_no_errors(), "timeout": service.m_timeouts.value})
     report = LoadgenReport(
         workload=workload, width=service.width, window=service.window,
         backend=service.backend_name, ops=served,
@@ -599,7 +631,7 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
                          if served else 0.0),
         total_cycles=service.cycle,
         rejected=service.m_rejected.value,
-        timeouts=service.m_timeouts.value,
+        timeouts=errors["timeout"],
         retries=service.m_retries.value,
         queue_depth_peak=service.m_queue_depth.peak,
         p50_wall_ms=wall_hist.quantile(0.5) * 1e3,
@@ -607,6 +639,7 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
         p99_wall_ms=wall_hist.quantile(0.99) * 1e3,
         metrics=service.metrics_json(),
         params=dict(wl.params),
+        errors=errors,
     )
     if serve_tcp:
         report.params["target"] = "tcp"
@@ -657,9 +690,7 @@ def _run_loadgen_external(workload: str, ops: int, width: int,
                        chunk=chunk, alpha=alpha,
                        adversarial_fraction=adversarial_fraction, ctx=ctx,
                        family=str(info.get("family", "aca")))
-    stats: Dict[str, Any] = {"ops": 0, "stalls": 0, "latency_sum": 0,
-                             "retries": 0, "rejected": 0, "timeouts": 0,
-                             "walls": [], "last_accept_cycle": 0}
+    stats = _tcp_stats()
 
     async def main() -> float:
         t0 = time.perf_counter()
@@ -686,7 +717,7 @@ def _run_loadgen_external(workload: str, ops: int, width: int,
         analytic_stall_rate=analytic_stall,
         spec_error_rate=0.0,
         total_cycles=stats["last_accept_cycle"],
-        rejected=stats["rejected"], timeouts=stats["timeouts"],
+        rejected=stats["rejected"], timeouts=stats["errors"]["timeout"],
         retries=stats["retries"], queue_depth_peak=0.0,
         p50_wall_ms=float(np.percentile(walls, 50)) * 1e3,
         p95_wall_ms=float(np.percentile(walls, 95)) * 1e3,
@@ -696,6 +727,7 @@ def _run_loadgen_external(workload: str, ops: int, width: int,
                 "connect": f"{host}:{port}",
                 "server_info": {k: v for k, v in info.items()
                                 if k != "id"}},
+        errors=stats["errors"],
     )
     if ctx is not None:
         ctx.add("loadgen_ops", served)

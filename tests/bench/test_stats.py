@@ -53,6 +53,18 @@ def test_injected_speedup_is_flagged_improved():
     assert classify(base, fast).verdict == VERDICT_IMPROVED
 
 
+def test_one_outlier_does_not_hide_a_halved_median():
+    # An oversleep outlier among 12 samples stretches a bootstrap CI of
+    # the mean across the baseline's; the median's CI stays put.
+    base = synthetic_samples(n=12)
+    fast = [x / 2.0 for x in synthetic_samples(n=12, seed=SEED + 5)]
+    fast[3] = 3.0 * median(base)
+    comp = classify(base, fast)
+    assert comp.verdict == VERDICT_IMPROVED
+    assert comp.effect == pytest.approx(-0.5, abs=0.05)
+    assert comp.current_ci[1] < comp.baseline_ci[0]
+
+
 def test_threshold_is_configurable():
     base = synthetic_samples(rel_noise=0.001)
     slow = [x * 1.2 for x in synthetic_samples(rel_noise=0.001,

@@ -109,3 +109,21 @@ def test_pack_unpack_counts_off_the_block_size(width, count):
     got = pack.unpack_vectors(words, count)
     assert got == values
     assert all(type(v) is int for v in words + got)
+
+
+@pytest.mark.parametrize("nwords", range(1, 9))
+@pytest.mark.parametrize("count", [1, 7, 9, 4095, 4096, 4097])
+def test_narrow_unpack_matches_naive_definition(nwords, count):
+    # 1-8 words (an unpack's cout/err outputs) skip the 8x8 blocks;
+    # each word carries 11 stray bits above *count*, which are masked.
+    rng = np.random.default_rng(nwords * 10007 + count)
+    words = [int.from_bytes(rng.bytes((count + 18) // 8), "little")
+             | (1 << (count + 10)) for _ in range(nwords)]
+    columns = [format(w & ((1 << count) - 1), f"0{count}b")[::-1]
+               for w in words]
+    expect = [sum(int(col[j]) << i for i, col in enumerate(columns))
+              for j in range(count)]
+    lanes = pack.unpack_lanes(words, count)
+    assert lanes.dtype == np.uint64
+    assert lanes.tolist() == expect
+    assert pack.unpack_vectors(words, count) == expect

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import socketserver
+import threading
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.engine import RunContext
 from repro.service import make_workload, run_loadgen
 
@@ -156,3 +159,55 @@ def test_workload_streams_yield_arrays_of_the_recorded_pairs(name, width):
         text = json.dumps([chunk.tolist() for chunk in chunks])
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
         assert digest == STREAM_DIGESTS[f"{name}-{width}-{seed}"]
+
+
+class _UnavailableEdge(socketserver.StreamRequestHandler):
+    """A stub edge: answers ``info`` and every batch with ``unavailable``."""
+
+    def handle(self):
+        for line in self.rfile:
+            request = json.loads(line)
+            if request.get("cmd") == "info":
+                reply = {"width": 32, "window": 8, "family": "aca",
+                         "backend": "stub", "recovery_cycles": 1}
+            else:
+                reply = {"id": request.get("id"), "code": "unavailable",
+                         "error": "no live workers"}
+            self.wfile.write(json.dumps(reply).encode() + b"\n")
+
+
+@pytest.fixture
+def unavailable_edge():
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0),
+                                             _UnavailableEdge)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_tcp_error_replies_are_counted_by_code(unavailable_edge):
+    report = run_loadgen("uniform", ops=1024, target="tcp",
+                         connect=unavailable_edge, chunk=256,
+                         concurrency=2, ctx=RunContext(seed=1))
+    assert report.ops == 0
+    assert report.errors == {"timeout": 0, "closed": 0, "unavailable": 4,
+                             "internal": 0, "bad_request": 0}
+    assert report.timeouts == 0 and report.rejected == 0
+    assert "unavailable=4" in report.render()
+
+
+def test_strict_loadgen_names_the_error_code(unavailable_edge, capsys):
+    host, port = unavailable_edge
+    with pytest.raises(SystemExit) as exc:
+        main(["loadgen", "--target", "tcp", "--connect", f"{host}:{port}",
+              "--ops", "512",
+              "--chunk", "256", "--strict", "--no-save"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "strict: 2 'unavailable' error replies" in err
+    assert "timeout" not in err
