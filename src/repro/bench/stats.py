@@ -17,8 +17,9 @@ uses:
 * :func:`classify` — the verdict function: ``improved`` /
   ``unchanged`` / ``regressed``.  A benchmark is only flagged when the
   median shift exceeds the threshold AND the U test rejects the null
-  AND the bootstrap CIs of the medians are disjoint — so ±3 % scheduler
-  jitter never fires while a real 20 % slowdown always does, and one
+  AND the bootstrap CIs are disjoint — so ±3 % scheduler jitter never
+  fires while a real 20 % slowdown always does.  The CIs are those of
+  the means or of the medians, whichever pair is tighter, so one
   oversleep outlier cannot hide a real shift.
 
 Everything here is pure python + math (no scipy), deterministic, and
@@ -236,9 +237,11 @@ def classify(baseline: Sequence[float], current: Sequence[float],
 
     1. the median shift exceeds *threshold* (effect size),
     2. the Mann-Whitney U test rejects at *alpha* (distribution shift),
-    3. the bootstrap 95 % CIs of the medians are disjoint (the shift
-       survives resampling; one outlier sample moves a mean's CI far
-       more than a median's).
+    3. the bootstrap 95 % CIs are disjoint (the shift survives
+       resampling).  Both the means' and the medians' CIs are taken and
+       the pair with the smaller total width is used: one outlier
+       sample widens a mean's CI far more than a median's, while at a
+       handful of samples a median's CI spans the whole sample range.
 
     Anything less decisive is ``unchanged`` — in particular
     ``classify(a, a)`` is always ``unchanged`` for any sample set.
@@ -250,10 +253,13 @@ def classify(baseline: Sequence[float], current: Sequence[float],
     else:
         effect = cur_med / base_med - 1.0
     _, p = mann_whitney_u(current, baseline)
-    base_ci = bootstrap_ci(baseline, resamples=resamples, seed=seed,
-                           statistic=median)
-    cur_ci = bootstrap_ci(current, resamples=resamples, seed=seed + 1,
-                          statistic=median)
+    base_ci, cur_ci = min(
+        ((bootstrap_ci(baseline, resamples=resamples, seed=seed,
+                       statistic=stat),
+          bootstrap_ci(current, resamples=resamples, seed=seed + 1,
+                       statistic=stat))
+         for stat in (_mean, median)),
+        key=lambda cis: sum(hi - lo for lo, hi in cis))
     disjoint = _cis_disjoint(*base_ci, *cur_ci)
 
     verdict = VERDICT_UNCHANGED

@@ -186,7 +186,7 @@ def _strict_problems(report, args) -> List[str]:
         problems.append(f"{report.rejected} rejected submissions")
     for code, count in report.errors.items():
         if count:
-            problems.append(f"{count} {code!r} error replies")
+            problems.append(f"{count} requests failed with {code!r}")
     for key in ("worker_restarts", "worker_failures", "degraded_requests",
                 "redirected_requests", "failed_requests"):
         value = report.params.get(key, 0)

@@ -2,14 +2,11 @@
 
 ``execute`` is the drop-in replacement for the interpreted simulator:
 it memoises the compiled plan per circuit (recompiling automatically if
-the circuit has grown since) and replays its flat tape
-(:attr:`~repro.engine.plan.CompiledPlan.tape`, ``(tape_op, out, a, b,
-c)`` tuples with the invert folded into the opcode) over packed
+the circuit has grown since) and replays its op tape over packed
 Python-int bitslice words: bit ``j`` of every word carries vector
-``j``, so one tape pass evaluates arbitrarily many vectors.  Per-net
-*forcing* (fault injection, on an unfused plan) swaps the forced gates'
-tape entries for copies of the forced word in a copy of the tape, so
-the one tape loop :func:`_run_tape` serves both.  ``execute_ints`` adds the per-vector integer
+``j``, so one tape pass evaluates arbitrarily many vectors, and per-net
+*forcing* (fault injection, on an unfused plan) costs one dictionary
+lookup per step.  ``execute_ints`` adds the per-vector integer
 convenience layer (fast packing included) that the validate/ATPG/
 testbench paths share.
 """
@@ -23,9 +20,8 @@ from ..circuit.netlist import Circuit, CircuitError
 from .context import RunContext, get_default_context
 from .pack import pack_vectors, unpack_vectors
 from .plan import (
-    T_AND, T_AO21, T_AO21N, T_COPY, T_MAJ3N, T_MUX2, T_MUX2N, T_NAND, T_NOR,
-    T_NOT, T_OA21, T_OA21N, T_OR, T_XNOR, T_XOR, CompiledPlan,
-    compile_circuit,
+    OP_AND, OP_AO21, OP_COPY, OP_MUX2, OP_OA21, OP_OR, OP_XOR,
+    CompiledPlan, compile_circuit,
 )
 
 __all__ = ["compiled_plan", "execute", "execute_ints"]
@@ -64,57 +60,40 @@ def _validate_stimulus(circuit: Circuit, stimulus: Stimulus) -> None:
 
 def _run_tape(plan: CompiledPlan, vals: List[int], mask: int,
               force: Optional[Mapping[int, int]] = None) -> None:
-    """Replay the plan's flat tape over Python-int bitslice words.
-
-    *force* maps slots to 0/1.  Forced source slots (inputs and
-    constants) are overwritten up front; each forced gate slot's tape
-    entry is swapped, in a copy of the tape, for a ``T_COPY`` from a
-    slot appended to *vals* that holds the forced word.  The loop
-    itself never looks at *force*.  Opcodes are tested most frequent
-    first (AND, AO21, XOR, OR on the adder netlists).
-    """
-    tape = plan.tape
+    """Execute the flat op tape over Python-int bitslice words."""
+    forced: Dict[int, int] = {}
     if force:
-        tape = list(tape)
-        words = len(vals)
-        vals += (0, mask)
-        for slot, bit in force.items():
-            vals[slot] = mask if bit else 0
-            idx = plan.producer.get(slot)
-            if idx is not None:
-                tape[idx] = (T_COPY, slot, words + (1 if bit else 0), 0, 0)
-    for op, out, a, b, c in tape:
-        if op == T_AND:
-            vals[out] = vals[a] & vals[b]
-        elif op == T_AO21:
-            vals[out] = (vals[a] & vals[b]) | vals[c]
-        elif op == T_XOR:
-            vals[out] = vals[a] ^ vals[b]
-        elif op == T_OR:
-            vals[out] = vals[a] | vals[b]
-        elif op == T_COPY:
-            vals[out] = vals[a]
-        elif op == T_NOT:
-            vals[out] = vals[a] ^ mask
-        elif op == T_NAND:
-            vals[out] = (vals[a] & vals[b]) ^ mask
-        elif op == T_NOR:
-            vals[out] = (vals[a] | vals[b]) ^ mask
-        elif op == T_XNOR:
-            vals[out] = vals[a] ^ vals[b] ^ mask
-        elif op == T_AO21N:
-            vals[out] = ((vals[a] & vals[b]) | vals[c]) ^ mask
-        elif op == T_OA21 or op == T_OA21N:
-            r = (vals[a] | vals[b]) & vals[c]
-            vals[out] = r ^ mask if op == T_OA21N else r
-        elif op == T_MUX2 or op == T_MUX2N:
-            s = vals[a]
-            r = (vals[b] & s) | (vals[c] & (s ^ mask))
-            vals[out] = r ^ mask if op == T_MUX2N else r
-        else:  # T_MAJ3 / T_MAJ3N
-            x, y, z = vals[a], vals[b], vals[c]
-            r = (x & y) | (x & z) | (y & z)
-            vals[out] = r ^ mask if op == T_MAJ3N else r
+        forced = {slot: (mask if bit else 0) for slot, bit in force.items()}
+        for slot, word in forced.items():
+            # Source slots (inputs/constants) are overridden up front;
+            # gate slots are re-forced right after their step below.
+            vals[slot] = word
+    for opcode, out, ins, inv in plan.steps:
+        if opcode == OP_AND:
+            r = vals[ins[0]] & vals[ins[1]]
+        elif opcode == OP_OR:
+            r = vals[ins[0]] | vals[ins[1]]
+        elif opcode == OP_XOR:
+            r = vals[ins[0]] ^ vals[ins[1]]
+        elif opcode == OP_COPY:
+            r = vals[ins[0]]
+        elif opcode == OP_AO21:
+            r = (vals[ins[0]] & vals[ins[1]]) | vals[ins[2]]
+        elif opcode == OP_OA21:
+            r = (vals[ins[0]] | vals[ins[1]]) & vals[ins[2]]
+        elif opcode == OP_MUX2:
+            s = vals[ins[0]]
+            r = (vals[ins[1]] & s) | (vals[ins[2]] & (s ^ mask))
+        else:  # OP_MAJ3
+            a, b, c = vals[ins[0]], vals[ins[1]], vals[ins[2]]
+            r = (a & b) | (a & c) | (b & c)
+        if inv:
+            r ^= mask
+        if forced:
+            f = forced.get(out)
+            if f is not None:
+                r = f
+        vals[out] = r
 
 
 def execute(circuit: Circuit, stimulus: Stimulus,

@@ -8,10 +8,7 @@ The engine moves data between two representations:
   of the word carrying vector ``j`` (what the engine's op tape runs on).
 
 Packing and unpacking are the same bit-matrix transpose, one numpy
-kernel for both directions.  At most 8 inputs (the one-word ``cout``
-and ``err`` outputs of an unpack) skip steps 2 and 3: each byte row is
-unpacked with ``np.unpackbits`` and row ``j`` is ORed in at bit ``j``
-of one ``uint8`` per result.
+kernel for both directions:
 
 1. *Rows in.*  Inputs of at most 64 bits become one ``uint64`` array
    (:func:`as_uint64`: a ``uint64`` array passes straight through;
@@ -99,15 +96,6 @@ def _transpose(ints: Sequence[int], nbits: int) -> np.ndarray:
                        for v in ints)
         rows = np.frombuffer(raw + bytes((groups * 8 - n) * nbytes),
                              dtype=np.uint8).reshape(groups * 8, nbytes)
-    if n <= 8:
-        # A few rows (an unpack's cout/err words): unpack each row's
-        # bits and OR row j in at bit j, no 8x8 blocks.
-        bits = np.unpackbits(rows[:n], axis=1, count=nbits,
-                             bitorder="little")
-        out = bits[0]
-        for j in range(1, n):
-            out = out | (bits[j] << j)
-        return out.astype(np.uint64)
     # blocks[k, g]: byte k of rows 8g .. 8g+7, one row per byte lane.
     blocks = np.ascontiguousarray(
         rows.reshape(groups, 8, nbytes).transpose(2, 0, 1)).view("<u8")

@@ -19,15 +19,6 @@ specs:
 * dead logic (nets not reachable from any registered output) is skipped
   outright.
 
-The lowered gates are kept twice.  :attr:`CompiledPlan.steps` is the
-inspectable form, ``(opcode, out, in_slots, invert)``.
-:attr:`CompiledPlan.tape` is the same sequence as the flat
-``(tape_op, out, a, b, c)`` tuples :func:`repro.engine.api._run_tape`
-replays: the invert flag is folded into the tape opcode
-(``T_NAND = T_AND + 1`` and so on) and unused operand slots read 0, so
-the loop unpacks five ints and dispatches once per step.  Building it
-is one pass over the steps at compile time.
-
 Plans hold only plain Python containers and ints.
 """
 
@@ -42,10 +33,7 @@ from ..circuit.netlist import Circuit, CircuitError
 __all__ = [
     "OP_AND", "OP_OR", "OP_XOR", "OP_COPY", "OP_AO21", "OP_OA21",
     "OP_MUX2", "OP_MAJ3", "OPCODE_NAMES",
-    "T_AND", "T_NAND", "T_OR", "T_NOR", "T_XOR", "T_XNOR", "T_COPY",
-    "T_NOT", "T_AO21", "T_AO21N", "T_OA21", "T_OA21N", "T_MUX2",
-    "T_MUX2N", "T_MAJ3", "T_MAJ3N",
-    "Step", "TapeStep", "CompiledPlan", "compile_circuit",
+    "Step", "CompiledPlan", "compile_circuit",
 ]
 
 # Opcode tape alphabet.  COPY with invert=True is a NOT.
@@ -60,17 +48,6 @@ OP_MAJ3 = 7
 
 OPCODE_NAMES = ("AND", "OR", "XOR", "COPY", "AO21", "OA21", "MUX2", "MAJ3")
 
-# Flat-tape alphabet: ``2 * opcode + invert``, so every opcode has a
-# plain and an output-inverted form.
-T_AND, T_NAND = 2 * OP_AND, 2 * OP_AND + 1
-T_OR, T_NOR = 2 * OP_OR, 2 * OP_OR + 1
-T_XOR, T_XNOR = 2 * OP_XOR, 2 * OP_XOR + 1
-T_COPY, T_NOT = 2 * OP_COPY, 2 * OP_COPY + 1
-T_AO21, T_AO21N = 2 * OP_AO21, 2 * OP_AO21 + 1
-T_OA21, T_OA21N = 2 * OP_OA21, 2 * OP_OA21 + 1
-T_MUX2, T_MUX2N = 2 * OP_MUX2, 2 * OP_MUX2 + 1
-T_MAJ3, T_MAJ3N = 2 * OP_MAJ3, 2 * OP_MAJ3 + 1
-
 #: Gate op -> (opcode, output inverted).  Variadic ops use their binary
 #: opcode and are chained by the compiler.
 _LOWER: Dict[str, Tuple[int, bool]] = {
@@ -84,8 +61,6 @@ _LOWER: Dict[str, Tuple[int, bool]] = {
 
 #: A step is ``(opcode, out_slot, in_slots, invert_output)``.
 Step = Tuple[int, int, Tuple[int, ...], bool]
-#: A tape step is ``(tape_op, out_slot, a, b, c)``; unused inputs are 0.
-TapeStep = Tuple[int, int, int, int, int]
 
 
 @dataclass
@@ -98,10 +73,7 @@ class CompiledPlan:
         input_slots: Input bus name -> slot per bit (LSB first).
         output_slots: Output bus name -> slot per bit (LSB first).
         const_slots: ``(slot, value)`` pairs preset before execution.
-        steps: Lowered gates in topological order, the inspectable
-            form.
-        tape: :attr:`steps` as the flat tape the engine replays.
-        producer: Slot -> index of the step (and tape entry) writing it.
+        steps: Flat op tape in topological order.
         nid_to_slot: Net id -> slot (-1 for dead nets).  With ``fuse``
             enabled several nets may share a slot; fault forcing
             therefore requires an unfused plan.
@@ -116,8 +88,6 @@ class CompiledPlan:
     output_slots: Dict[str, List[int]]
     const_slots: List[Tuple[int, int]]
     steps: List[Step]
-    tape: List[TapeStep]
-    producer: Dict[int, int]
     nid_to_slot: List[int]
     fused: bool
     num_gates: int = 0
@@ -253,8 +223,6 @@ def compile_circuit(circuit: Circuit, fuse: bool = True) -> CompiledPlan:
         output_slots=output_slots,
         const_slots=const_slots,
         steps=steps,
-        tape=[_tape_step(step) for step in steps],
-        producer=producer,
         nid_to_slot=nid_to_slot,
         fused=fuse,
         num_gates=len(steps),
@@ -262,12 +230,6 @@ def compile_circuit(circuit: Circuit, fuse: bool = True) -> CompiledPlan:
     )
     _check_no_inverted_outputs(plan, circuit)
     return plan
-
-
-def _tape_step(step: Step) -> TapeStep:
-    opcode, out, ins, invert = step
-    a, b, c = (ins + (0, 0))[:3]
-    return (2 * opcode + invert, out, a, b, c)
 
 
 def _check_no_inverted_outputs(plan: CompiledPlan, circuit: Circuit) -> None:

@@ -330,9 +330,9 @@ def _no_errors() -> Dict[str, int]:
 class LoadgenReport:
     """Aggregate outcome of one load-generation run.
 
-    ``errors`` counts failed requests by reply code, one counter per
+    ``errors`` counts failed requests by error code, one counter per
     :data:`ERROR_CODES` entry (plus any code a server sends outside
-    it); ``timeouts`` is its ``"timeout"`` count.
+    it); :attr:`timeouts` reads its ``"timeout"`` count.
     """
 
     workload: str
@@ -349,7 +349,6 @@ class LoadgenReport:
     spec_error_rate: float
     total_cycles: int
     rejected: int
-    timeouts: int
     retries: int
     queue_depth_peak: float
     p50_wall_ms: float
@@ -359,8 +358,14 @@ class LoadgenReport:
     params: Dict[str, Any] = field(default_factory=dict)
     errors: Dict[str, int] = field(default_factory=_no_errors)
 
+    @property
+    def timeouts(self) -> int:
+        """Requests that ended in a timeout."""
+        return self.errors.get("timeout", 0)
+
     def as_dict(self) -> Dict[str, Any]:
         out = dict(self.__dict__)
+        out["timeouts"] = self.timeouts
         out["wall_seconds"] = round(self.wall_seconds, 6)
         out["adds_per_second"] = round(self.adds_per_second, 1)
         return out
@@ -385,9 +390,9 @@ class LoadgenReport:
             f"  total cycles         {self.total_cycles}",
             f"  request wall ms      p50={self.p50_wall_ms:.3f} "
             f"p95={self.p95_wall_ms:.3f} p99={self.p99_wall_ms:.3f}",
-            f"  rejected/timeouts    {self.rejected}/{self.timeouts}"
+            f"  rejected             {self.rejected}"
             f"  (retries {self.retries})",
-            "  error replies        " + " ".join(
+            "  errors               " + " ".join(
                 f"{code}={count}" for code, count in self.errors.items()),
             f"  queue depth peak     {self.queue_depth_peak:.0f}",
         ]
@@ -631,7 +636,6 @@ def run_loadgen(workload: str = "uniform", ops: int = 100000,
                          if served else 0.0),
         total_cycles=service.cycle,
         rejected=service.m_rejected.value,
-        timeouts=errors["timeout"],
         retries=service.m_retries.value,
         queue_depth_peak=service.m_queue_depth.peak,
         p50_wall_ms=wall_hist.quantile(0.5) * 1e3,
@@ -717,7 +721,7 @@ def _run_loadgen_external(workload: str, ops: int, width: int,
         analytic_stall_rate=analytic_stall,
         spec_error_rate=0.0,
         total_cycles=stats["last_accept_cycle"],
-        rejected=stats["rejected"], timeouts=stats["errors"]["timeout"],
+        rejected=stats["rejected"],
         retries=stats["retries"], queue_depth_peak=0.0,
         p50_wall_ms=float(np.percentile(walls, 50)) * 1e3,
         p95_wall_ms=float(np.percentile(walls, 95)) * 1e3,

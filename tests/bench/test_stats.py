@@ -65,6 +65,21 @@ def test_one_outlier_does_not_hide_a_halved_median():
     assert comp.current_ci[1] < comp.baseline_ci[0]
 
 
+def test_one_fast_sample_does_not_hide_a_small_sample_slowdown():
+    # At five samples a bootstrap CI of the median spans the whole
+    # sample range, so one current sample below the slowest baseline
+    # one would make the medians' CIs overlap; the U test still rejects
+    # (one inverted pair) and the tighter CIs of the means stay apart.
+    base = synthetic_samples(n=5)
+    slow = [x * 1.2 for x in synthetic_samples(n=5, seed=SEED + 6)]
+    ranked = sorted(base)
+    slow[0] = (ranked[-2] + ranked[-1]) / 2.0
+    comp = classify(base, slow)
+    assert comp.verdict == VERDICT_REGRESSED
+    assert comp.p_value < comp.alpha
+    assert comp.current_ci[0] > comp.baseline_ci[1]
+
+
 def test_threshold_is_configurable():
     base = synthetic_samples(rel_noise=0.001)
     slow = [x * 1.2 for x in synthetic_samples(rel_noise=0.001,

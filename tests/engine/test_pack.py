@@ -113,9 +113,10 @@ def test_pack_unpack_counts_off_the_block_size(width, count):
 
 @pytest.mark.parametrize("nwords", range(1, 9))
 @pytest.mark.parametrize("count", [1, 7, 9, 4095, 4096, 4097])
-def test_narrow_unpack_matches_naive_definition(nwords, count):
-    # 1-8 words (an unpack's cout/err outputs) skip the 8x8 blocks;
-    # each word carries 11 stray bits above *count*, which are masked.
+def test_unpack_of_few_words_matches_naive_definition(nwords, count):
+    # 1-8 words (an unpack's cout/err outputs) fill less than one 8x8
+    # block; each word carries 11 stray bits above *count*, which are
+    # masked.
     rng = np.random.default_rng(nwords * 10007 + count)
     words = [int.from_bytes(rng.bytes((count + 18) // 8), "little")
              | (1 << (count + 10)) for _ in range(nwords)]

@@ -209,5 +209,5 @@ def test_strict_loadgen_names_the_error_code(unavailable_edge, capsys):
               "--chunk", "256", "--strict", "--no-save"])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert "strict: 2 'unavailable' error replies" in err
+    assert "strict: 2 requests failed with 'unavailable'" in err
     assert "timeout" not in err
