@@ -1,6 +1,6 @@
 """Cycle-accurate VLSA machine (paper Fig. 6) and its timing trace (Fig. 7).
 
-The machine wraps the functional ACA model in the synchronous handshake
+The machine wraps the speculative adder in the synchronous handshake
 the paper describes: operands are accepted when ``STALL`` is low; one cycle
 later the speculative sum and the error flag appear; if the flag is clear
 the result is ``VALID`` and new operands are accepted, otherwise the
@@ -9,15 +9,16 @@ sum.  Average latency over a stream therefore comes out to
 ``1 + P(error) * recovery_cycles`` cycles — the quantity the paper reports
 as ~1.0002 for the 99.99 % window.
 
-That handshake is a scan over the detector flags, so the machine
-evaluates it as one: per block of operands, one batch call of the
-functional model on uint64 lanes at widths up to 64
-(:meth:`~repro.families.base.SpeculativeModel.run_arrays`) gives every
-speculative sum, flag and recovered sum, an op
-takes ``1 + recovery_cycles * stalled`` cycles, and its accept cycle is
-the running total of the latencies before it.
+That handshake is the service executor's contract, so the machine runs
+on it: each block of operands is one
+:meth:`~repro.service.executor.VlsaBatchExecutor.execute_arrays` call
+(the family rule in one pass on uint64 lanes at widths up to 64), which
+gives every corrected sum, detector flag and per-op latency.  The
+machine adds only what the executor does not keep: the accept cycles
+(the running total of the latencies before each op), the check that the
+detector never misses an error, and the trace/VCD views.
 
-Functional results come from :class:`repro.families.aca.AcaModel`, which the
+Functional results come from the family's functional model, which the
 test suite proves bit-equivalent to the gate-level circuits; this keeps
 million-operation streams cheap while staying faithful.
 """
@@ -33,16 +34,15 @@ from typing import Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..engine.context import RunContext
-from ..engine.functional import functional_model
-from ..families.base import get_family
 from ..families.words import lanes
+from ..service.executor import VlsaBatchExecutor
 from .clocking import ClockDomain
 from .vcd import VcdWriter
 
 __all__ = ["VlsaOpResult", "VlsaTrace", "VlsaMachine"]
 
-#: Operand pairs per model call; a stream is scanned block by block so
-#: its lanes never hold more than this many pairs at once.
+#: Operand pairs per executor call; a stream is scanned block by block
+#: so its lanes never hold more than this many pairs at once.
 _BLOCK = 4096
 
 Pairs = Union[Iterable[Tuple[int, int]], np.ndarray]
@@ -204,9 +204,9 @@ class VlsaMachine:
     """Synchronous VALID/STALL wrapper around the speculative adder.
 
     A run is a scan, not a clock loop: each block of operand pairs goes
-    through the functional model in one batch call, and the cycle
-    columns follow from the flags by a cumulative sum.  ``clock`` ends
-    each run at the total cycle count.
+    through the service executor in one batch call, and the accept
+    cycles follow from the latencies by a cumulative sum.  ``clock``
+    ends each run at the total cycle count.
 
     Args:
         width: Operand bitwidth.
@@ -228,18 +228,12 @@ class VlsaMachine:
     def __init__(self, width: int, window: Optional[int] = None,
                  recovery_cycles: int = 1, clock_period: float = 1.0,
                  ctx: Optional[RunContext] = None, family: str = "aca"):
-        fam = get_family(family)
-        params = fam.resolve_params(width, window=window)
-        if recovery_cycles < 1:
-            raise ValueError("recovery needs at least one extra cycle")
+        self.executor = VlsaBatchExecutor(width, window=window,
+                                          recovery_cycles=recovery_cycles,
+                                          family=family)
         self.ctx = ctx
         self.family = family
-        self.window = fam.primary_value(width, params)
-        # The functional fast path, resolved through the engine registry
-        # (bit-equivalence with the gate-level circuits is proven in
-        # the verify suite).
-        self.model = functional_model(family, width=width,
-                                      window=self.window)
+        self.window = self.executor.window
         self.width = width
         self.recovery_cycles = recovery_cycles
         self.clock = ClockDomain(clock_period)
@@ -268,38 +262,29 @@ class VlsaMachine:
 
     def _scan(self, pairs: Pairs) -> VlsaTrace:
         cols: List[Tuple[np.ndarray, ...]] = []
-        offset = 0
-        rc = self.recovery_cycles
-        for a, b in _blocks(pairs, self.width):
-            batch = self.model.run_arrays(a, b)
-            stalled = batch.flags
+        for ops in _blocks(pairs, self.width):
+            batch = self.executor.execute_arrays(ops)
             spec_ok = ~batch.spec_errors
-            if not np.all(stalled | spec_ok):
+            if not np.all(batch.stalled | spec_ok):
                 raise AssertionError("detector must never miss an error")
-            # STALL: the recovery result replaces the speculative one.
-            sums = np.where(stalled, batch.exact_sums, batch.spec_sums)
-            couts = np.where(stalled, batch.exact_couts, batch.spec_couts)
-            stalls = stalled.astype(np.int64)
-            latency = 1 + rc * stalls
-            before = np.cumsum(stalls) - stalls  # stalls ahead of each op
-            accept = offset + np.arange(len(stalls)) + rc * before
-            offset += int(latency.sum())
-            cols.append((a, b, sums, couts, stalled, spec_ok, latency,
-                         accept))
+            cols.append((ops[:, 0], ops[:, 1], batch.sums, batch.couts,
+                         batch.stalled, spec_ok, batch.latencies()))
         trace = VlsaTrace(self.width, self.window, self.clock.period,
-                          self.recovery_cycles, family=self.family,
-                          total_cycles=offset)
+                          self.recovery_cycles, family=self.family)
         if cols:
             (trace.a, trace.b, trace.sums, trace.couts, trace.stalled,
-             trace.speculative_correct, trace.latency_cycles,
-             trace.accept_cycles) = (np.concatenate(c) for c in zip(*cols))
+             trace.speculative_correct, latency) = (
+                 np.concatenate(c) for c in zip(*cols))
+            trace.latency_cycles = latency
+            trace.accept_cycles = np.cumsum(latency) - latency
+            trace.total_cycles = int(latency.sum())
         return trace
 
 
-def _blocks(pairs: Pairs, width: int
-            ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """``(a, b)`` :func:`~repro.families.words.lanes` of *pairs* (uint64
-    at widths up to 64), :data:`_BLOCK` pairs at a time."""
+def _blocks(pairs: Pairs, width: int) -> Iterator[np.ndarray]:
+    """``(n, 2)`` :func:`~repro.families.words.lanes` of *pairs* (uint64
+    at widths up to 64, masked to *width*), :data:`_BLOCK` pairs at a
+    time."""
     if isinstance(pairs, np.ndarray):
         pairs = pairs.reshape(-1, 2)
         blocks: Iterable = (pairs[lo:lo + _BLOCK]
@@ -308,5 +293,4 @@ def _blocks(pairs: Pairs, width: int
         it = iter(pairs)
         blocks = iter(lambda: list(itertools.islice(it, _BLOCK)), [])
     for block in blocks:
-        ops = lanes(block, width).reshape(-1, 2)
-        yield ops[:, 0], ops[:, 1]
+        yield lanes(block, width).reshape(-1, 2)

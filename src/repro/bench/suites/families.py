@@ -1,11 +1,12 @@
 """Families suite: per-family kernel throughput with banded error rates.
 
-One benchmark per registered adder family drives its vectorized numpy
-kernel over a seeded uniform batch and reports additions/second.  The
+One benchmark per registered adder family runs its functional model's
+rule once (:meth:`~repro.families.base.SpeculativeModel.evaluate`) on a
+seeded uniform batch of uint64 lanes and reports additions/second.  The
 paper-level metrics are the measured speculation-flag rate and the
 measured actually-wrong rate, each banded against the family's own
 analytic :meth:`~repro.families.base.AdderFamily.error_model` — a
-family whose kernel drifts from its error model fails the gate, not
+family whose rule drifts from its error model fails the gate, not
 just the nightly fuzz run.
 
 Parameters are chosen so every family has a substantial error rate at
@@ -40,28 +41,28 @@ _BANDS = (
 
 
 def family_bench(family: str, params: dict, vectors: int) -> Benchmark:
-    """One family-kernel throughput benchmark with error-rate bands."""
+    """One family-rule throughput benchmark with error-rate bands."""
     def setup(family=family, params=params, vectors=vectors):
         import numpy as np
 
         from ...families.base import get_family
 
         fam = get_family(family)
-        kernel = fam.numpy_kernel(_WIDTH, **params)
+        evaluate = fam.functional(_WIDTH, **params).evaluate
         model = fam.error_model(_WIDTH, **params)
         rng = np.random.default_rng(_WIDTH)
         a = rng.integers(0, 1 << _WIDTH, size=vectors, dtype=np.uint64)
         b = rng.integers(0, 1 << _WIDTH, size=vectors, dtype=np.uint64)
-        return kernel, model, a, b
+        return evaluate, model, a, b
 
     def run(state):
-        kernel, _model, a, b = state
-        return kernel(a, b)
+        evaluate, _model, a, b = state
+        return evaluate(a, b)
 
     def derive(state, batch):
         import numpy as np
 
-        _kernel, model, _a, _b = state
+        _evaluate, model, _a, _b = state
         return {
             "flag_rate": float(np.mean(batch.flags)),
             "error_rate": float(np.mean(batch.spec_errors)),

@@ -4,8 +4,9 @@ How many vectors/second the differential verifier can push through a
 representative implementation slice — the number that bounds how large
 a nightly fuzz run can be.  The reference oracle is benchmarked on its
 own (whole-chunk array arithmetic from the ACA definition, the cost
-every run shares), then one word-level serving implementation, the
-abstract VLSA machine, and the gate-level engine at a reduced share.
+every run shares), then the functional model's three-pass batch, the
+one-pass serving executor, and the gate-level engine at a reduced
+share.
 
 Every run must stay mismatch-free: a ``mismatches`` metric banded
 against zero turns a silently-diverging implementation into a gate
@@ -27,7 +28,7 @@ _GATE_SHARE = 8
 
 #: (implementation, is_gate_level) slice the suite drives.
 _IMPLS = (
-    ("machine", False),
+    ("functional", False),
     ("service:numpy", False),
     ("engine:bigint", True),
 )

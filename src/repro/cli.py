@@ -575,8 +575,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="differential + formal verification: fuzzing, exhaustive "
              "sweeps, and BDD proofs vs the analytic model",
         description="Drive every registered ACA/VLSA implementation "
-                    "(gate-level engine, interpreter, functional model, "
-                    "VLSA machine, service executors) from one seeded "
+                    "(gate-level engine, interpreter, recovery datapath, "
+                    "functional model, service executor) from one seeded "
                     "vector stream; report elementwise mismatches with "
                     "minimised reproducers, and check empirical error/"
                     "detector rates against the exact analytic model. "

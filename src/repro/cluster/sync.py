@@ -10,7 +10,7 @@ Because a cluster spawns OS processes (~half a second each with the
 ``spawn`` start method), :func:`shared_cluster` keeps one running pool
 cached: repeated requests for the same configuration reuse it, and
 whatever is live at interpreter exit is torn down by an ``atexit``
-hook.  The verifier's seven built-in implementations stay in-process
+hook.  The verifier's five built-in implementations stay in-process
 and cheap; only the cluster adapter pays the boot cost, and only once
 per configuration.
 """

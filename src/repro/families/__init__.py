@@ -13,10 +13,10 @@ from .base import (AdderFamily, FamilyError, FamilyErrorModel, KernelBatch,
 from ..analysis.error_model import Boundary
 from .stats import EdDistribution, ed_distribution
 from .blocks import (BlockSpecModel, block_boundaries, block_bounds,
-                     block_numpy_kernel, build_block_datapath,
+                     build_block_datapath,
                      build_block_speculative)
 from . import aca, blockspec, cesa  # noqa: F401  (register builtins)
-from .aca import AcaFamily, aca_numpy_kernel
+from .aca import AcaFamily
 from .blockspec import BlockSpecFamily
 from .cesa import CesaFamily, CesaModel
 
@@ -45,11 +45,9 @@ __all__ = [
     "BlockSpecModel",
     "block_boundaries",
     "block_bounds",
-    "block_numpy_kernel",
     "build_block_datapath",
     "build_block_speculative",
     "AcaFamily",
-    "aca_numpy_kernel",
     "BlockSpecFamily",
     "CesaFamily",
     "CesaModel",

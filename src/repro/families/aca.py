@@ -20,11 +20,11 @@ anchored at bit 0 (the window at bit 0 sees the real carry-in).  With
 per-pair callers: apps, processor), ``uint64`` lanes at widths up to 64
 and ``dtype=object`` lanes above (through
 :meth:`~repro.families.base.SpeculativeModel.run_arrays`: the Monte
-Carlo sampler, the cycle-accurate VLSA machine and the verifier's
-functional row; the service executor and the cluster workers call
+Carlo sampler and the verifier's functional row; the service executor,
+the cluster workers and the cycle-accurate VLSA machine, which runs on
+the executor, call
 :meth:`~repro.families.base.SpeculativeModel.evaluate` on the same
-lanes, one pass of the rule).  :func:`aca_numpy_kernel` is the same
-rule on uint64 lanes (the verifier's ``kernel`` row).  The differential
+lanes, one pass of the rule).  The differential
 verifier's oracle (:mod:`repro.verify.oracle`) recomputes everything
 from the definition without it, and the test
 suite cross-checks the rule against the gate-level circuits and the
@@ -39,14 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..analysis.error_model import Boundary, aca_cuts, choose_window
 from ..engine.functional import register_functional
-from .base import (AdderFamily, KernelBatch, SpeculativeModel,
-                   register_family, uint64_kernel)
+from .base import AdderFamily, KernelBatch, SpeculativeModel, register_family
 from .words import Word, WordOps, window_all_ones
 
 if TYPE_CHECKING:
@@ -58,7 +55,6 @@ __all__ = [
     "FAMILY",
     "aca_add",
     "aca_is_correct",
-    "aca_numpy_kernel",
     "detector_flag",
     "window_all_ones",
 ]
@@ -155,15 +151,6 @@ def detector_flag(a: int, b: int, width: int, window: int) -> bool:
     real error, may fire when the speculative sum happens to be right).
     """
     return _model(width, window).flags_error(a, b)
-
-
-def aca_numpy_kernel(width: int, window: int
-                     ) -> Callable[[np.ndarray, np.ndarray], KernelBatch]:
-    """:class:`AcaModel`'s rule on uint64 lanes (widths up to 64).
-
-    *window* is clamped to *width*, as :meth:`AcaFamily.functional` does.
-    """
-    return uint64_kernel(AcaModel(width, min(window, width)))
 
 
 class AcaFamily(AdderFamily):

@@ -13,8 +13,6 @@ across every layer of the repo.  Each family binds together:
   uniform contract of :class:`SpeculativeModel`: the family writes its
   speculate/detect rule once (:meth:`SpeculativeModel.rule`) over the
   lane types of :mod:`repro.families.words`;
-* ``numpy_kernel`` — the same rule on uint64 lanes at widths up to 64
-  (the verifier's ``kernel`` row);
 * ``speculation_cuts`` / ``flag_event`` — the cuts whose carries the
   family predicts and what makes its detector fire, declared once; the
   carry-state engine of :mod:`repro.analysis.error_model` derives the
@@ -61,7 +59,6 @@ __all__ = [
     "family_names",
     "object_lanes",
     "resolve_params",
-    "uint64_kernel",
     "functional_factory",
 ]
 
@@ -71,11 +68,12 @@ class FamilyError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Batch kernel output
+# Rule output
 # ----------------------------------------------------------------------
 class KernelBatch(NamedTuple):
-    """Output of a family's rule (:meth:`SpeculativeModel.rule`), of
-    its numpy kernel and of :meth:`SpeculativeModel.run_arrays`.
+    """Output of a family's rule (:meth:`SpeculativeModel.rule`,
+    :meth:`SpeculativeModel.evaluate`) and of
+    :meth:`SpeculativeModel.run_arrays`.
 
     Everything the speculative/detect/recover path produces, lane by
     lane (plain values for one pair of Python ints): the raw speculative
@@ -103,9 +101,9 @@ class SpeculativeModel:
     (the detector), :meth:`exact` and :meth:`is_correct` are thin
     wrappers over it, on Python ints, ``dtype=object`` lanes and
     ``uint64`` lanes alike.  The batch :meth:`run_arrays` and the
-    bus-level ``run_ints`` interface are shared — so the machine, the
-    service executor, the numpy kernel and the verify rows treat every
-    family identically.
+    bus-level ``run_ints`` interface are shared — so the service
+    executor (and the VLSA machine on it) and the verify rows treat
+    every family identically.
     """
 
     width: int
@@ -186,24 +184,6 @@ class SpeculativeModel:
         if isinstance(vectors["a"], int):
             return {"sum": sums[0], "cout": couts[0]}
         return {"sum": sums.tolist(), "cout": couts.tolist()}
-
-
-def uint64_kernel(model: SpeculativeModel
-                  ) -> Callable[[np.ndarray, np.ndarray], KernelBatch]:
-    """*model*'s rule as a batch kernel ``kernel(a, b) -> KernelBatch``
-    on uint64 lanes (widths up to 64).
-
-    It calls :meth:`SpeculativeModel.evaluate`, not the wrappers, so it
-    runs the rule in one pass, as the service executor does.
-    """
-    if model.width > 64:
-        raise ValueError("numpy kernels support widths up to 64 bits")
-
-    def kernel(a: np.ndarray, b: np.ndarray) -> KernelBatch:
-        return model.evaluate(np.asarray(a, dtype=np.uint64),
-                              np.asarray(b, dtype=np.uint64))
-
-    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -342,15 +322,6 @@ class AdderFamily(abc.ABC):
     @abc.abstractmethod
     def functional(self, width: int, **params: int) -> SpeculativeModel:
         """Bit-accurate big-int model of the hardware behaviour."""
-
-    def numpy_kernel(self, width: int, **params: int
-                     ) -> Optional[Callable[..., KernelBatch]]:
-        """Vectorised uint64 batch kernel ``kernel(a, b) -> KernelBatch``:
-        the :meth:`functional` model's rule on uint64 lanes
-        (:func:`uint64_kernel`), or ``None`` above 64 bits."""
-        if width > 64:
-            return None
-        return uint64_kernel(self.functional(width, **params))
 
     # -- analytics -----------------------------------------------------
     #: What makes the detector fire at a cut: ``"window"`` (the

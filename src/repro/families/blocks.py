@@ -11,8 +11,8 @@ window.  This module holds everything the two new families share:
   detector and recovery reuse the speculative core's range products the
   same way the paper's ACA does;
 * the functional model (:class:`BlockSpecModel`), whose one
-  speculate/detect rule runs on Python ints, object lanes and, as the
-  batch kernel for widths up to 64, on uint64 lanes;
+  speculate/detect rule runs on Python ints, ``dtype=object`` lanes and,
+  at widths up to 64, ``uint64`` lanes;
 * the mapping onto the error model's speculation cuts
   (:class:`~repro.analysis.error_model.Boundary`).
 
@@ -27,12 +27,10 @@ Two detector disciplines exist:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..analysis.error_model import Boundary
-from .base import KernelBatch, SpeculativeModel, uint64_kernel
+from .base import KernelBatch, SpeculativeModel
 from .words import Word, WordOps, window_all_ones
 
 if TYPE_CHECKING:  # the gate-level builders import these when called
@@ -46,7 +44,6 @@ __all__ = [
     "BlockSpecModel",
     "build_block_speculative",
     "build_block_datapath",
-    "block_numpy_kernel",
 ]
 
 #: Detector disciplines (see module docstring).
@@ -310,13 +307,3 @@ def build_block_datapath(name: str, width: int, block: int, lookahead: int,
     _stamp_attrs(circuit, block, lookahead,
                  primary if primary is not None else lookahead)
     return circuit
-
-
-# ----------------------------------------------------------------------
-# Vectorised batch kernel
-# ----------------------------------------------------------------------
-def block_numpy_kernel(width: int, block: int, lookahead: int,
-                       detector: str = "window"
-                       ) -> Callable[[np.ndarray, np.ndarray], KernelBatch]:
-    """:class:`BlockSpecModel`'s rule on uint64 lanes (widths up to 64)."""
-    return uint64_kernel(BlockSpecModel(width, block, lookahead, detector))

@@ -7,18 +7,17 @@ one path at every width: the pairs become
 runs its rule on them once
 (:meth:`~repro.families.base.SpeculativeModel.evaluate`): exact sums,
 detector flags and speculative-error flags for the whole batch in a
-handful of word operations.  The cluster workers run the same path; the
+handful of word operations.  The cluster workers and the cycle-accurate
+:class:`~repro.arch.vlsa_machine.VlsaMachine` run the same path; the
 verifier cross-checks it against the model's three-pass ``run_arrays``.
 
-Latency semantics are exactly those of
-:class:`~repro.arch.vlsa_machine.VlsaMachine`: the VLSA always returns
-the **correct** sum; what varies is the cycle count — 1 cycle when the
-detector stays silent (the speculative result is then provably right),
-``1 + recovery_cycles`` when it fires.  The service's virtual cycle
-clock therefore advances by ``n + recovery_cycles * stalls`` per batch,
-and per-request accounting never needs the (slow) speculative sum at
-all — only the detector word.  The tests cross-check this equivalence
-against a real ``VlsaMachine`` run, operand for operand.
+Latency semantics are those of the paper's Fig. 6 machine: the VLSA
+always returns the **correct** sum; what varies is the cycle count — 1
+cycle when the detector stays silent (the speculative result is then
+provably right), ``1 + recovery_cycles`` when it fires.  The service's
+virtual cycle clock therefore advances by ``n + recovery_cycles *
+stalls`` per batch, and per-request accounting never needs the (slow)
+speculative sum at all — only the detector word.
 """
 
 from __future__ import annotations
@@ -246,7 +245,7 @@ class VlsaBatchExecutor:
         self.family = family
         self.recovery_cycles = recovery_cycles
         self.ctx = ctx
-        # Functional reference model (shared with VlsaMachine).
+        # The family's functional model; its rule runs once per batch.
         self.model = functional_model(family, width=width, window=window)
 
     # ------------------------------------------------------------------

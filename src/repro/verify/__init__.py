@@ -2,8 +2,9 @@
 
 "Bit-identical" is an invariant, not a comment: this package drives
 every registered ACA/VLSA implementation — the compiled engine, the
-legacy interpreter, the functional models, the cycle-accurate
-machine, and the service executors — from one seeded vector stream,
+legacy interpreter, the gate-level recovery datapath, the functional
+models and the service executor (which the cycle-accurate machine runs
+on) — from one seeded vector stream,
 cross-checks them elementwise, and tests their empirical error/detector
 rates against the exact analytic model with binomial bounds.
 

@@ -4,18 +4,22 @@ Every claim of "bit-identical speculative-adder behaviour" in this
 repository is enforced here, from one place, against one reference: the
 vectorised *oracle* (:mod:`repro.verify.oracle`), which evaluates each
 chunk from the family's definition with array arithmetic and shares no
-code with the functional models, kernels or serving paths under test.
+code with the functional models or serving paths under test.
 Implementations register as adapters with a uniform batch interface and
 fall into two groups:
 
 * ``speculative`` — produce the raw speculative ``(sum, cout)`` the
   hardware emits (gate-level circuits on the compiled engine, the
-  legacy interpreter, the functional model itself, the family's
-  vectorised numpy kernel);
+  legacy interpreter, the functional model's three-pass
+  ``run_arrays``);
 * ``exact`` — produce the corrected sum plus the detector/stall flag and
-  per-op latency (:class:`~repro.arch.vlsa_machine.VlsaMachine`, the
-  service's :class:`~repro.service.executor.VlsaBatchExecutor`, the
-  gate-level recovery datapath).
+  per-op latency (the service's
+  :class:`~repro.service.executor.VlsaBatchExecutor`, the one-pass rule
+  the cycle-accurate :class:`~repro.arch.vlsa_machine.VlsaMachine` also
+  runs on, and the gate-level recovery datapath).
+
+A default run drives five rows: ``engine:bigint``, ``interpreter``,
+``recovery``, ``functional`` and ``service:numpy``, each path once.
 
 Which adder is being verified is a *family* choice
 (:mod:`repro.families`): ``family="aca"`` (the default) drives the
@@ -56,7 +60,6 @@ import numpy as np
 # which imports the gate-level builders on first use: importing them
 # here keeps that import out of a verifier's construction.
 from .. import adders, core  # noqa: F401
-from ..arch import VlsaMachine
 from ..circuit import simulate_interpreted
 from ..engine.api import execute
 from ..engine.context import RunContext, get_default_context
@@ -306,28 +309,6 @@ class InterpreterImpl(Implementation):
         return ImplResult(sums=sums, couts=couts)
 
 
-class KernelImpl(Implementation):
-    """The family's vectorised numpy kernel (widths up to 64 bits)."""
-
-    family = "speculative"
-
-    def __init__(self, width: int, window: int, recovery_cycles: int = 1,
-                 family: str = "aca"):
-        fam, params, _ = _resolved(family, width, window)
-        self.name = "kernel"
-        self.width = width
-        self.kernel = fam.numpy_kernel(width, **params)
-        if self.kernel is None:
-            raise ValueError(
-                f"family {family!r} has no numpy kernel at width {width}")
-
-    def run(self, pairs: Pairs) -> ImplResult:
-        ops = _chunk(pairs).operands(self.width)
-        batch = self.kernel(ops[:, 0], ops[:, 1])
-        return ImplResult(sums=batch.spec_sums, couts=batch.spec_couts,
-                          flags=batch.flags, spec_errors=batch.spec_errors)
-
-
 class RecoveryImpl(Implementation):
     """The gate-level recovery datapath (exact outputs + detector flag).
 
@@ -351,27 +332,6 @@ class RecoveryImpl(Implementation):
         sums, couts, err = _run_netlist(
             execute, self.circuit, pairs, ("sum_exact", "cout_exact", "err"))
         return ImplResult(sums=sums, couts=couts, flags=err.astype(bool))
-
-
-class MachineImpl(Implementation):
-    """The cycle-accurate :class:`VlsaMachine` (corrected sums + stalls)."""
-
-    family = "exact"
-
-    def __init__(self, width: int, window: int, recovery_cycles: int = 1,
-                 family: str = "aca"):
-        self.name = "machine"
-        self.width = width
-        self.machine = VlsaMachine(width, window=window,
-                                   recovery_cycles=recovery_cycles,
-                                   family=family)
-
-    def run(self, pairs: Pairs) -> ImplResult:
-        trace = self.machine.run(_chunk(pairs).operands(self.width))
-        return ImplResult(
-            sums=trace.sums, couts=trace.couts, flags=trace.stalled,
-            latencies=trace.latency_cycles,
-            spec_errors=trace.stalled & ~trace.speculative_correct)
 
 
 class ExecutorImpl(Implementation):
@@ -500,9 +460,7 @@ def _ensure_builtin() -> None:
         "engine:bigint": EngineImpl,
         "functional": FunctionalImpl,
         "interpreter": InterpreterImpl,
-        "kernel": KernelImpl,
         "recovery": RecoveryImpl,
-        "machine": MachineImpl,
         "service:numpy": ExecutorImpl,
     }
     _FACTORIES.update(builtin)
@@ -528,14 +486,10 @@ def available_implementations() -> List[str]:
 
 
 def default_implementations(width: int, family: str = "aca") -> List[str]:
-    """The built-in implementations a plain run drives for *width*."""
+    """The built-in implementations a plain run drives (the same rows
+    at every *width* and *family*)."""
     _ensure_builtin()
-    names = list(_BUILTIN)
-    if width > 64:
-        # A machine-word kernel by design; the other rows cover wide
-        # cores.
-        names = [n for n in names if n != "kernel"]
-    return names
+    return list(_BUILTIN)
 
 
 def _accepts_family(factory: Callable[..., Implementation]) -> bool:

@@ -156,7 +156,15 @@ from repro.core import multiplier
 from repro.families.aca import AcaModel
 
 print("optimize", sys.flags.optimize)
-AcaModel.flags_error = lambda self, a, b: False
+rule = AcaModel.rule
+
+
+def silent(self, *args):
+    out = rule(self, *args)
+    return out._replace(flags=out.flags & False)
+
+
+AcaModel.rule = silent
 try:
     VlsaMachine(16, window=4).run([(0x7FFF, 1)])
 except AssertionError as exc:

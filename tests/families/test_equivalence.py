@@ -1,9 +1,10 @@
-"""Exhaustive gate-level / functional / kernel equivalence per family.
+"""Exhaustive gate-level / functional / word-lane equivalence per family.
 
-The family contract (ISSUE acceptance): for every registered family the
-full datapath circuit, the big-int functional model and the vectorised
-numpy kernel agree bit-for-bit — speculative result, detector flag and
-recovered output — over *every* operand pair at small widths.
+The family contract: for every registered family the full datapath
+circuit, the big-int functional model and the model's rule on uint64
+lanes (``functional(...).evaluate``, the service executor's one pass)
+agree bit-for-bit — speculative result, detector flag and recovered
+output — over *every* operand pair at small widths.
 """
 
 import numpy as np
@@ -32,13 +33,10 @@ def _check_family_exhaustive(name, width):
     params = fam.resolve_params(width)
     model = fam.functional(width, **params)
     circuit = fam.build_circuit(width, **params)
-    kernel = fam.numpy_kernel(width, **params)
     a_vals, b_vals = _all_pairs(width)
     out = execute_ints(circuit, {"a": a_vals, "b": b_vals})
-    batch = None
-    if kernel is not None:
-        batch = kernel(np.asarray(a_vals, dtype=np.uint64),
-                       np.asarray(b_vals, dtype=np.uint64))
+    batch = model.evaluate(np.asarray(a_vals, dtype=np.uint64),
+                           np.asarray(b_vals, dtype=np.uint64))
     mask = (1 << width) - 1
     for i, (a, b) in enumerate(zip(a_vals, b_vals)):
         spec_sum, spec_cout = model.add(a, b)
@@ -54,15 +52,14 @@ def _check_family_exhaustive(name, width):
         # wrong speculation implies a raised flag (no silent errors)
         if (spec_sum, spec_cout) != (total & mask, total >> width):
             assert flag
-        # numpy kernel vs functional model
-        if batch is not None:
-            assert int(batch.spec_sums[i]) == spec_sum
-            assert int(batch.spec_couts[i]) == spec_cout
-            assert bool(batch.flags[i]) == flag
-            assert int(batch.exact_sums[i]) == total & mask
-            assert int(batch.exact_couts[i]) == total >> width
-            assert bool(batch.spec_errors[i]) == (
-                (spec_sum, spec_cout) != (total & mask, total >> width))
+        # uint64 lanes vs the per-pair functional model
+        assert int(batch.spec_sums[i]) == spec_sum
+        assert int(batch.spec_couts[i]) == spec_cout
+        assert bool(batch.flags[i]) == flag
+        assert int(batch.exact_sums[i]) == total & mask
+        assert int(batch.exact_couts[i]) == total >> width
+        assert bool(batch.spec_errors[i]) == (
+            (spec_sum, spec_cout) != (total & mask, total >> width))
 
 
 @pytest.mark.parametrize("width", TIER1_WIDTHS)
@@ -110,7 +107,7 @@ def test_wide_kernel_matches_functional(name, width):
     for knob in (1, default, width - 1, width):
         params = fam.resolve_params(width, window=knob)
         model = fam.functional(width, **params)
-        batch = fam.numpy_kernel(width, **params)(a, b)
+        batch = fam.functional(width, **params).evaluate(a, b)
         got = list(zip(batch.spec_sums.tolist(), batch.spec_couts.tolist(),
                        batch.exact_sums.tolist(),
                        batch.exact_couts.tolist(), batch.flags.tolist(),
@@ -202,11 +199,11 @@ def test_run_arrays_matches_per_pair_model(name, width):
         assert model.run_ints({"a": a, "b": b}) == {
             "sum": batch.spec_sums.tolist(),
             "cout": batch.spec_couts.tolist()}
-        kernel = fam.numpy_kernel(width, **params)
-        if kernel is None:
+        if width > 64:
             continue
-        ref = kernel(np.array([x & mask for x in a], dtype=np.uint64),
-                     np.array([y & mask for y in b], dtype=np.uint64))
+        ref = fam.functional(width, **params).evaluate(
+            np.array([x & mask for x in a], dtype=np.uint64),
+            np.array([y & mask for y in b], dtype=np.uint64))
         for key in ("spec_sums", "spec_couts", "exact_sums", "exact_couts",
                     "flags", "spec_errors"):
             assert getattr(batch, key).tolist() == getattr(

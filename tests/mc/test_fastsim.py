@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.adders import reference_add
 from repro.analysis import aca_error_probability, detector_flag_probability
-from repro.families.aca import aca_numpy_kernel
 from repro.mc import (
     AcaModel,
     aca_add,
@@ -169,12 +168,6 @@ def test_aca_add_matches_definition_wide(case):
 def test_model_rejects_nonpositive_window():
     with pytest.raises(ValueError):
         AcaModel(8, 0)
-
-
-@pytest.mark.parametrize("window", (0, -3))
-def test_kernel_rejects_nonpositive_window(window):
-    with pytest.raises(ValueError):
-        aca_numpy_kernel(8, window)
 
 
 def test_model_wrapper(rng):

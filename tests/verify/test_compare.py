@@ -1,7 +1,7 @@
 """The verifier's array comparison against mutant rows.
 
-Each mutant wraps the correct ``machine`` row (which reports all five
-columns) and corrupts one column kind on every vector whose ``a`` has
+Each mutant wraps the correct ``service:numpy`` row (which reports all
+five columns) and corrupts one column kind on every vector whose ``a`` has
 bit 3 set, or drops a result, or raises.  The verifier must name that
 kind at the first failing vector of every chunk, on ``uint64`` lanes
 (width 64) and on ``dtype=object`` lanes (widths 65 and 128), whether
@@ -44,14 +44,14 @@ def _hit(a):
 
 
 class ColumnMutant(Implementation):
-    """The ``machine`` row with one mismatch kind injected."""
+    """The ``service:numpy`` row with one mismatch kind injected."""
 
     family = "exact"
     kind = "sum"
     as_lists = False
 
     def __init__(self, width, window, recovery_cycles=1):
-        self.row = make_implementation("machine", width, window,
+        self.row = make_implementation("service:numpy", width, window,
                                        recovery_cycles)
 
     def run(self, pairs):

@@ -131,7 +131,7 @@ def test_clean_run_passes_and_counts_coverage():
     # exact-family implementation.
     names = {rc.name for rc in report.rate_checks}
     assert {"error_rate/reference", "detector_rate/reference"} <= names
-    assert "detector_rate/machine" in names
+    assert "detector_rate/service:numpy" in names
     # Instrumentation reached both the context and the registry.
     assert ctx.counters["verify_vectors"] == 400 * len(streams) * n_impls
     assert ctx.counters["verify_mismatches"] == 0
@@ -193,8 +193,8 @@ def test_elementwise_mutant_yields_shrunk_reproducer(mutant_registry):
 
 def test_registry_lists_builtins_and_rejects_unknown():
     names = available_implementations()
-    for expected in ("functional", "interpreter", "machine",
-                     "service:numpy", "engine:bigint"):
+    for expected in ("functional", "interpreter", "service:numpy",
+                     "engine:bigint"):
         assert expected in names
     with pytest.raises(KeyError, match="no implementation registered"):
         make_implementation("nonsense", WIDTH, WINDOW)
@@ -208,12 +208,11 @@ def test_mutants_never_leak_into_defaults(mutant_registry):
     assert "mutant:leak" not in default_implementations(WIDTH)
 
 
-def test_wide_widths_drop_only_the_machine_word_kernel():
-    assert "kernel" in default_implementations(64)
-    wide = default_implementations(128)
-    assert "kernel" not in wide
-    assert set(default_implementations(64)) - set(wide) == {"kernel"}
-    assert "service:numpy" in wide
+def test_default_rows_are_the_five_paths_at_every_width():
+    for width in (16, 64, 96):
+        assert default_implementations(width) == [
+            "engine:bigint", "functional", "interpreter", "recovery",
+            "service:numpy"]
 
 
 def test_verification_error_carries_the_report(mutant_registry):
@@ -261,13 +260,13 @@ def test_narrow_window_fault_in_shared_model_is_caught(monkeypatch):
         return add(AcaModel(self.width, self.window - 1), a, b, cin)
 
     rows = _rows_with_mismatches(monkeypatch, "add", narrow_add)
-    assert {"functional", "machine"} <= rows
+    assert {"functional"} <= rows
 
 
 def test_silent_detector_fault_in_shared_model_is_caught(monkeypatch):
     rows = _rows_with_mismatches(monkeypatch, "flags_error",
                                  lambda self, a, b: False)
-    assert {"functional", "machine"} <= rows
+    assert {"functional"} <= rows
 
 
 _ACA_ADD = AcaModel.add
@@ -278,14 +277,13 @@ def _narrow_add(self, a, b, cin=0):
 
 
 @pytest.mark.parametrize("attr, fault, expected", [
-    ("add", _narrow_add, {"functional", "machine"}),
-    ("flags_error", lambda self, a, b: False,
-     {"functional", "machine"}),
+    ("add", _narrow_add, {"functional"}),
+    ("flags_error", lambda self, a, b: False, {"functional"}),
 ], ids=["narrow-window", "silent-detector"])
 def test_model_faults_caught_at_benchmarked_width(monkeypatch, attr, fault,
                                                    expected):
-    """The same faults at width 64, where the batch rows run on object
-    lanes beside the uint64 kernels."""
+    """The same faults at width 64, where the rows run on uint64
+    lanes."""
     assert expected <= _rows_with_mismatches(monkeypatch, attr, fault,
                                              width=64)
 
@@ -308,7 +306,7 @@ def test_block_model_faults_caught_at_benchmarked_width(
                                   shrink=False).run(vectors=2000, seed=3)
     assert not report.ok
     rows = {c.impl for c in report.coverage if c.mismatches}
-    assert {"functional", "machine"} <= rows
+    assert {"functional"} <= rows
 
 
 class DropLastMutant(_ExactBase):
